@@ -9,6 +9,13 @@ Two architectures share the alarm vocabulary:
   length) against a History of previously completed step signatures. One
   alarm at most per step.
 
+History is one contiguous buffer holding the admitted chunks back to back,
+rebuilt on admission and eviction. Each score row is one distance profile
+over that buffer; windows that straddle a chunk boundary splice two
+signatures together and are dropped before taking the minimum. While the
+Current buffer is longer than every chunk there is no reference window, and
+those samples go unscored.
+
 Scores are normalized by the z-normalized distance ceiling 2*sqrt(m) so one
 threshold stays meaningful while m varies.
 
@@ -221,6 +228,48 @@ class _Chunk:
     provisional: bool = False
 
 
+class _History:
+    """Admitted chunks stored once, back to back in one float64 buffer.
+
+    Each chunk's values are a view into the buffer, which is rebuilt only on
+    admission or eviction. room[j] counts the samples from j to the end of
+    j's chunk, so the window of length m at j lies inside one chunk, and is
+    a reference signature, iff room[j] >= m.
+    """
+
+    def __init__(self):
+        self.chunks: list[_Chunk] = []
+        self.buffer = np.empty(0)
+        self.room = np.empty(0, dtype=np.int64)
+        self.longest = 0
+
+    def admit(self, chunk: _Chunk, cap: int) -> None:
+        """Append a chunk (a clean one replaces provisional chunks), then
+        evict whole chunks FIFO while more than ``cap`` samples are held."""
+        kept = self.chunks if chunk.provisional else [c for c in self.chunks if not c.provisional]
+        chunks = kept + [chunk]
+        total = sum(c.values.size for c in chunks)
+        while len(chunks) > 1 and total > cap:
+            total -= chunks.pop(0).values.size
+        lengths = np.array([c.values.size for c in chunks])
+        ends = np.cumsum(lengths)
+        self.buffer = np.concatenate([c.values for c in chunks], dtype=np.float64)
+        for c, end, size in zip(chunks, ends, lengths):
+            c.values = self.buffer[end - size : end]
+        self.room = np.repeat(ends, lengths) - np.arange(total)
+        self.longest = int(lengths.max())
+        self.chunks = chunks
+
+    def best_distance(self, query: np.ndarray) -> float:
+        """Smallest distance from ``query`` to a window inside one chunk;
+        +inf when no chunk is as long as the query."""
+        m = query.size
+        if m > self.longest:
+            return math.inf
+        d = distance_profile(query, self.buffer)
+        return float(d[self.room[: d.size] >= m].min())
+
+
 class StepGatedDetector:
     """Push SensorSamples in order; alarms come back as they are raised.
 
@@ -250,7 +299,7 @@ class StepGatedDetector:
         self._raw_count = 0
         self._env_count = 0
         self._env_max_seen = 0.0
-        self._chunks: list[_Chunk] = []
+        self._history = _History()
         self._in_step = False
         self._step_start = 0
         self._step_ordinal = -1
@@ -266,7 +315,7 @@ class StepGatedDetector:
         return self._step.threshold
 
     def history_samples(self) -> int:
-        return sum(c.values.size for c in self._chunks)
+        return self._history.buffer.size
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -275,17 +324,13 @@ class StepGatedDetector:
     # -- history ----------------------------------------------------------
 
     def _recompute_threshold(self) -> None:
-        maxima = np.array([c.env_max for c in self._chunks])
+        maxima = np.array([c.env_max for c in self._history.chunks])
         self._step.recompute_threshold(maxima if maxima.size else None)
 
     def _admit(self, values: np.ndarray, env_max: float, provisional: bool, raw_i: int) -> None:
         if values.size == 0:
             return
-        if not provisional:
-            self._chunks = [c for c in self._chunks if not c.provisional]
-        self._chunks.append(_Chunk(np.asarray(values, dtype=np.float64), env_max, provisional))
-        while len(self._chunks) > 1 and self.history_samples() > self.cfg.history_len:
-            self._chunks.pop(0)
+        self._history.admit(_Chunk(values, env_max, provisional), self.cfg.history_len)
         self._recompute_threshold()
         self.admissions.append(
             {
@@ -358,7 +403,7 @@ class StepGatedDetector:
             self._on_step_event(ev, raw_i)
 
         idle = not self._in_step
-        if idle and not self._chunks and i + 1 - self._base >= self.cfg.bootstrap_horizon:
+        if idle and not self._history.chunks and i + 1 - self._base >= self.cfg.bootstrap_horizon:
             # cold start: no admitted steps yet, adapt from what was seen
             self._step.threshold = max(
                 self.cfg.threshold_fraction * self._env_max_seen,
@@ -370,18 +415,17 @@ class StepGatedDetector:
         return self._maybe_score(i, raw_i)
 
     def _maybe_score(self, i: int, raw_i: int) -> list[AlarmEvent]:
-        if not self._in_step or not self._chunks:
+        if not self._in_step:
             return []
-        # the subsequence length is the Current buffer length; once the buffer
-        # outgrows every History chunk there is no reference window left
         m = i + 1 - self._step_start
         if m < self.cfg.min_query_len:
             return []
-        query = self._sig_slice(self._step_start, i + 1)
-        best = math.inf
-        for chunk in self._chunks:
-            if chunk.values.size >= m:
-                best = min(best, float(distance_profile(query, chunk.values).min()))
+        # the subsequence length is the Current buffer length, scored with one
+        # distance profile over the whole History buffer; windows straddling a
+        # chunk boundary are not reference signatures and are dropped. Once
+        # the buffer outgrows every chunk there is no reference window left
+        # and the sample goes unscored
+        best = self._history.best_distance(self._sig_slice(self._step_start, i + 1))
         if not math.isfinite(best):
             return []
         score = best / (2.0 * math.sqrt(m))
@@ -394,7 +438,7 @@ class StepGatedDetector:
 
     def _on_step_event(self, ev, raw_i: int) -> None:
         if ev.kind == STARTED:
-            if not self._chunks and ev.index > self._base:
+            if not self._history.chunks and ev.index > self._base:
                 # everything before the first step becomes the provisional
                 # reference; it contains the step that raised the threshold
                 self._admit(

@@ -1,9 +1,13 @@
 """Exact matrix profile math on z-normalized Euclidean distances.
 
 Batch self-joins run in STOMP order (incremental dot-product updates row to
-row); single-query distance profiles use the MASS scheme (sliding dot product
-plus running window statistics). A brute-force double loop over the plain
-definition is kept alongside as an independent oracle.
+row, two-pass window moments); single-query distance profiles use the MASS
+scheme (sliding dot product plus running window statistics). Both then
+recompute near-duplicate distances from z-normalized windows, where the fast
+formula loses precision: a join row recomputes every candidate within
+NEAR_DUPLICATE of its minimum, a distance profile every entry up to
+NEAR_DUPLICATE. A brute-force double loop over the plain definition is kept
+alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -21,6 +26,14 @@ DEFAULT_EPS = 1e-8
 FFT_CUTOFF = 1024
 # Index sentinel for "no valid neighbor"; the matching profile value is +inf.
 NO_NEIGHBOR = -1
+# Fast distances this close to a join row's minimum, and fast distance-profile
+# entries up to it, are recomputed from z-normalized windows: sqrt(2m(1-rho))
+# cancels as rho -> 1, and low-variance windows magnify the rounding of the
+# dot products and moments. A constant query is left to the fast path, whose
+# degenerate convention is exact for it.
+NEAR_DUPLICATE = 1e-3
+# Windows per batch when the joins take two-pass window moments.
+MOMENT_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,24 @@ def _rolling_mean_std(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var)
 
 
+def _window_mean_std(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-pass mean and stdev of every window, as brute_force_mp takes them.
+
+    The running sums of _rolling_mean_std cancel: a constant window of a long
+    series can come out with a stdev far above eps, which the fast formula
+    turns into arbitrary distances. The joins are O(n^2), so the O(n*m) cost
+    of measuring each window directly is small beside them.
+    """
+    windows = sliding_window_view(x, m)
+    mean = np.empty(windows.shape[0])
+    sd = np.empty(windows.shape[0])
+    for s in range(0, windows.shape[0], MOMENT_BATCH):
+        part = windows[s : s + MOMENT_BATCH]
+        mean[s : s + MOMENT_BATCH] = part.mean(axis=1)
+        sd[s : s + MOMENT_BATCH] = part.std(axis=1)
+    return mean, sd
+
+
 def _pair_distances(
     qt: np.ndarray,
     mu_q: float,
@@ -203,7 +234,28 @@ def distance_profile(query, series, eps: float = DEFAULT_EPS, method: str = "aut
     m = q.size
     qt = sliding_dot_product(q, t, method)
     mu_t, sd_t = _rolling_mean_std(t, m)
-    return _pair_distances(qt, float(q.mean()), float(q.std()), mu_t, sd_t, m, eps)
+    mu_q, sd_q = float(q.mean()), float(q.std())
+    d = _pair_distances(qt, mu_q, sd_q, mu_t, sd_t, m, eps)
+    if sd_q > eps and d.min() <= NEAR_DUPLICATE:
+        near = np.flatnonzero(d <= NEAR_DUPLICATE)
+        windows = sliding_window_view(t, m)[near]
+        divisor = _divisor(windows.std(axis=1), eps)
+        d[near] = _exact_distances((q - mu_q) / sd_q, windows, windows.mean(axis=1), divisor)
+    return d
+
+
+def _divisor(sd: np.ndarray, eps: float) -> np.ndarray:
+    """sd, and inf for constant windows so that they z-normalize to zeros."""
+    return np.where(sd > eps, sd, np.inf)
+
+
+def _exact_distances(
+    zq: np.ndarray, windows: np.ndarray, mean: np.ndarray, divisor: np.ndarray
+) -> np.ndarray:
+    """Distances by definition from the z-normalized query zq to each row of
+    windows, given the rows' means and _divisor."""
+    diff = (windows - mean[:, None]) / divisor[:, None] - zq
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
 def _check_self_join_args(n: int, m: int) -> None:
@@ -216,6 +268,33 @@ def _min_with_sentinel(d: np.ndarray) -> tuple[float, int]:
     if np.isinf(d[j]):
         return np.inf, NO_NEIGHBOR
     return float(d[j]), j
+
+
+def _finish_row(
+    d: np.ndarray,
+    zq: np.ndarray,
+    query_const: bool,
+    windows: np.ndarray,
+    mean: np.ndarray,
+    divisor: np.ndarray,
+) -> tuple[float, int]:
+    """Nearest neighbor of one join row from its fast distances d. The fast
+    path is exact for a constant query; otherwise the candidates within
+    NEAR_DUPLICATE of the fast minimum are recomputed by definition, and the
+    first smallest wins."""
+    best, j = _min_with_sentinel(d)
+    if j == NO_NEIGHBOR or query_const:
+        return best, j
+    near = np.flatnonzero(d <= best + NEAR_DUPLICATE)
+    if best + NEAR_DUPLICATE >= math.sqrt(zq.size):
+        # constant windows (fast distance sqrt(m)) may be candidates; they
+        # all z-normalize to zeros, so only the first of them can win
+        flat = divisor[near] == np.inf
+        flat[np.argmax(flat)] = False
+        near = near[~flat]
+    exact = _exact_distances(zq, windows[near], mean[near], divisor[near])
+    k = int(np.argmin(exact))
+    return float(exact[k]), int(near[k])
 
 
 def matrix_profile_self(
@@ -239,11 +318,13 @@ def matrix_profile_self(
         raise ValueError("exclusion must be non-negative")
 
     num_windows = n - m + 1
-    mu, sd = _rolling_mean_std(t, m)
+    mu, sd = _window_mean_std(t, m)
+    divisor = _divisor(sd, eps)
     qt_first = sliding_dot_product(t[:m], t, method)
     qt = qt_first.copy()
     head = t[: num_windows - 1]
     tail = t[m:]
+    windows = sliding_window_view(t, m)
 
     profile = np.empty(num_windows)
     indices = np.empty(num_windows, dtype=np.int64)
@@ -255,7 +336,8 @@ def matrix_profile_self(
         lo = max(0, i - exclusion)
         hi = min(num_windows, i + exclusion + 1)
         d[lo:hi] = np.inf
-        profile[i], indices[i] = _min_with_sentinel(d)
+        zq = (windows[i] - mu[i]) / divisor[i]
+        profile[i], indices[i] = _finish_row(d, zq, sd[i] <= eps, windows, mu, divisor)
     return MatrixProfileResult(profile, indices, m, exclusion)
 
 
@@ -275,14 +357,19 @@ def matrix_profile_ab(
         raise ValueError("subsequence length exceeds a series length")
 
     num_windows = q.size - m + 1
-    mu_r, sd_r = _rolling_mean_std(r, m)
+    mu_q, sd_q = _window_mean_std(q, m)
+    mu_r, sd_r = _window_mean_std(r, m)
+    divisor_q = _divisor(sd_q, eps)
+    divisor_r = _divisor(sd_r, eps)
+    windows = sliding_window_view(r, m)
     profile = np.empty(num_windows)
     indices = np.empty(num_windows, dtype=np.int64)
     for i in range(num_windows):
         win = q[i : i + m]
         qt = sliding_dot_product(win, r, method)
-        d = _pair_distances(qt, float(win.mean()), float(win.std()), mu_r, sd_r, m, eps)
-        profile[i], indices[i] = _min_with_sentinel(d)
+        d = _pair_distances(qt, mu_q[i], sd_q[i], mu_r, sd_r, m, eps)
+        zq = (win - mu_q[i]) / divisor_q[i]
+        profile[i], indices[i] = _finish_row(d, zq, sd_q[i] <= eps, windows, mu_r, divisor_r)
     return MatrixProfileResult(profile, indices, m, exclusion=0)
 
 

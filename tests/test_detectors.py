@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from gaitmp.dataset import SynthConfig, generate
+from gaitmp.dataset import ANOMALY_KINDS, SynthConfig, generate
 from gaitmp.detectors import (
     NaiveDetector,
     NaiveDetectorConfig,
@@ -12,8 +14,11 @@ from gaitmp.detectors import (
     dump_trace,
     load_alarms,
     load_trace,
+    _Chunk,
+    _History,
     replay,
 )
+from gaitmp.mp import distance_profile
 from gaitmp.signal import SignalSelector
 
 
@@ -188,7 +193,7 @@ class TestStepGatedOnFixture:
         flags = [a["provisional"] for a in det.admissions]
         assert flags[0] is True
         assert not any(flags[1:])
-        assert not any(c.provisional for c in det._chunks)
+        assert not any(c.provisional for c in det._history.chunks)
 
     def test_anomalous_steps_not_admitted(self, tremor_run):
         _, _, det, _ = tremor_run
@@ -294,3 +299,113 @@ class TestSerialization:
         p = tmp_path / "empty.jsonl"
         dump_alarms([], p)
         assert load_alarms(p) == []
+
+
+class PerChunkHistory:
+    """Reference scorer: History as separate chunk arrays, one distance
+    profile per chunk at least as long as the query, and FIFO eviction that
+    re-sums the chunk lengths. Same interface as the detector's _History."""
+
+    def __init__(self):
+        self.chunks = []
+
+    @property
+    def buffer(self):
+        return np.concatenate([c.values for c in self.chunks]) if self.chunks else np.empty(0)
+
+    def admit(self, chunk, cap):
+        if not chunk.provisional:
+            self.chunks = [c for c in self.chunks if not c.provisional]
+        self.chunks.append(
+            _Chunk(np.asarray(chunk.values, dtype=np.float64), chunk.env_max, chunk.provisional)
+        )
+        while len(self.chunks) > 1 and sum(c.values.size for c in self.chunks) > cap:
+            self.chunks.pop(0)
+
+    def best_distance(self, query):
+        best = math.inf
+        for chunk in self.chunks:
+            if chunk.values.size >= query.size:
+                best = min(best, float(distance_profile(query, chunk.values).min()))
+        return best
+
+
+def replay_both(rec, cfg, reference=None):
+    fast = StepGatedDetector(cfg)
+    slow = StepGatedDetector(cfg)
+    slow._history = PerChunkHistory()
+    if reference is not None:
+        fast.prime_history(reference)
+        slow.prime_history(reference)
+    return replay(fast, rec), replay(slow, rec)
+
+
+def assert_same_run(fast, slow):
+    key = lambda a: (a.sample_index, a.query_len)  # noqa: E731
+    assert [key(a) for a in fast.alarms] == [key(a) for a in slow.alarms]
+    assert fast.detector.admissions == slow.detector.admissions
+    assert fast.detector.step_events == slow.detector.step_events
+    row = lambda r: (r.sample_index, r.query_index, r.step_ordinal, r.query_len)  # noqa: E731
+    assert [row(r) for r in fast.trace] == [row(r) for r in slow.trace]
+    scores = np.array([r.score for r in fast.trace])
+    expected = np.array([r.score for r in slow.trace])
+    np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-9)
+    assert fast.detector.history_samples() == slow.detector.history_samples()
+    assert [c.values.size for c in fast.detector._history.chunks] == [
+        c.values.size for c in slow.detector._history.chunks
+    ]
+
+
+class TestContiguousHistoryMatchesPerChunkScoring:
+    @pytest.mark.parametrize("kind", ANOMALY_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replay(self, kind, seed):
+        rec, _ = make_recording(kind, seed)
+        fast, slow = replay_both(rec, StepSystemConfig())
+        assert fast.trace and fast.detector.admissions
+        assert_same_run(fast, slow)
+
+    @pytest.mark.parametrize("history_len_s", [0.6, 1.5])
+    def test_tiny_history_evicts_every_admission(self, history_len_s):
+        rec, _ = make_recording("time-warped", 4)
+        fast, slow = replay_both(rec, StepSystemConfig(history_len_s=history_len_s))
+        assert len(fast.detector.admissions) > len(fast.detector._history.chunks) + 5
+        assert_same_run(fast, slow)
+
+    def test_primed_history(self):
+        rec, _ = make_recording("amplitude-scaled", 5)
+        ref = rec.project(SignalSelector()).values[:400]
+        fast, slow = replay_both(rec, StepSystemConfig(), reference=ref)
+        assert fast.detector.admissions[0]["sample_index"] == -1
+        assert_same_run(fast, slow)
+
+
+class TestHistoryBuffer:
+    def test_chunks_are_views_of_one_buffer(self, tremor_run):
+        _, _, det, _ = tremor_run
+        history = det._history
+        assert history.buffer.size == det.history_samples()
+        assert sum(c.values.size for c in history.chunks) == history.buffer.size
+        assert all(np.shares_memory(c.values, history.buffer) for c in history.chunks)
+
+    def test_window_straddling_a_chunk_boundary_is_ignored(self):
+        rng = np.random.default_rng(7)
+        query = np.sin(np.linspace(0.0, 3.0 * np.pi, 30))
+        a = np.concatenate([rng.normal(size=40), query[:15]])
+        b = np.concatenate([query[15:], rng.normal(size=40)])
+        history = _History()
+        history.admit(_Chunk(a, 1.0), cap=1000)
+        history.admit(_Chunk(b, 1.0), cap=1000)
+        whole = distance_profile(query, history.buffer)
+        # the globally closest window starts 15 samples before the boundary
+        assert int(np.argmin(whole)) == 40 and whole.min() < 1e-9
+        per_chunk = min(distance_profile(query, a).min(), distance_profile(query, b).min())
+        assert history.best_distance(query) == pytest.approx(per_chunk, abs=1e-9)
+        assert history.best_distance(query) > 1.0
+
+    def test_query_longer_than_every_chunk_is_unscored(self):
+        history = _History()
+        history.admit(_Chunk(np.sin(np.arange(40.0)), 1.0), cap=1000)
+        history.admit(_Chunk(np.cos(np.arange(30.0)), 1.0), cap=1000)
+        assert history.best_distance(np.sin(np.arange(40.0))) < 1e-9
+        assert history.best_distance(np.sin(np.arange(41.0))) == math.inf

@@ -129,8 +129,9 @@ class TestDistanceProfile:
         rng = np.random.default_rng(6)
         t = rng.normal(size=80)
         prof = distance_profile(t[20:30].copy(), t)
-        # correlation-based formula carries ~1e-7 noise at exact matches
-        assert prof[20] < 1e-6
+        # the correlation formula carries ~1e-7 noise at exact matches;
+        # near-duplicates are recomputed from z-normalized windows
+        assert prof[20] == 0.0
         assert prof.shape == (71,)
 
     def test_constant_series_degenerate(self):
@@ -146,9 +147,7 @@ class TestDistanceProfile:
         rng = np.random.default_rng(7)
         t = rng.normal(size=1400)
         q = t[300:320].copy()
-        # 1e-6 rather than 1e-9: the planted self-match sits at the noise
-        # floor of the correlation formula
-        np.testing.assert_allclose(distance_profile(q, t), naive_distance_profile(q, t), atol=1e-6)
+        np.testing.assert_allclose(distance_profile(q, t), naive_distance_profile(q, t), atol=1e-9)
 
     def test_rejects_nan(self):
         with pytest.raises(DataError):
@@ -169,6 +168,32 @@ class TestMatrixProfileSelf:
         t = rng.normal(size=n)
         fast = matrix_profile_self(t, m)
         slow = brute_force_mp(t, m)
+        np.testing.assert_allclose(fast.profile, slow.profile, atol=1e-9)
+        np.testing.assert_array_equal(fast.indices, slow.indices)
+
+    def test_nearer_of_two_planted_near_duplicates_wins(self):
+        # both copies sit at the noise floor of the correlation formula,
+        # which ranks them either way
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=120)
+            w = x[10:18].copy()
+            x[50:58] = w + 2e-8 * rng.normal(size=8)
+            x[90:98] = w + 1e-8 * rng.normal(size=8)
+            fast = matrix_profile_self(x, 8)
+            slow = brute_force_mp(x, 8)
+            assert fast.indices[10] == slow.indices[10]
+            assert abs(fast.profile[10] - slow.profile[10]) <= 1e-12
+
+    @pytest.mark.parametrize("level", [0.0, 9.81])
+    def test_long_constant_tail_matches_brute_force(self, level):
+        # a sensor at rest: every pair of tail windows is an exact match, and
+        # at a nonzero level the running sums leave the tail's rolling stdev
+        # far above eps
+        rng = np.random.default_rng(14)
+        t = np.concatenate([rng.normal(size=300), np.full(2700, level)])
+        fast = matrix_profile_self(t, 40)
+        slow = brute_force_mp(t, 40)
         np.testing.assert_allclose(fast.profile, slow.profile, atol=1e-9)
         np.testing.assert_array_equal(fast.indices, slow.indices)
 
@@ -236,6 +261,18 @@ class TestMatrixProfileAb:
             d = naive_distance_profile(a[i : i + 7], b)
             assert abs(res.profile[i] - d.min()) < 1e-9
             assert res.indices[i] == int(np.argmin(d))
+
+    def test_constant_reference_tail_matches_definition(self):
+        rng = np.random.default_rng(15)
+        a = np.concatenate([rng.normal(size=30), np.full(30, 9.81)])
+        b = np.concatenate([rng.normal(size=200), np.full(2800, 9.81)])
+        m = 20
+        za = np.array([znormalize(a[i : i + m]) for i in range(a.size - m + 1)])
+        zb = np.array([znormalize(b[j : j + m]) for j in range(b.size - m + 1)])
+        d = np.linalg.norm(za[:, None, :] - zb[None, :, :], axis=2)
+        res = matrix_profile_ab(a, b, m)
+        np.testing.assert_allclose(res.profile, d.min(axis=1), atol=1e-9)
+        np.testing.assert_array_equal(res.indices, d.argmin(axis=1))
 
     def test_query_shorter_than_reference_ok(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,6 +35,9 @@ def test_distance_range(pair):
     st.floats(min_value=-50.0, max_value=50.0),
 )
 def test_distance_affine_invariance(a, scale, shift):
+    # eps is absolute, so a window near it is constant on one side only; and
+    # a spread tiny beside the values' magnitude is lost to rounding
+    assume(scale * a.std() > 1e-5 * (scale * np.abs(a).max() + abs(shift) + 1.0))
     b = np.sin(np.arange(16.0))
     assert abs(znorm_distance(scale * a + shift, b) - znorm_distance(a, b)) < 1e-6
 
@@ -45,6 +48,7 @@ def test_distance_affine_invariance(a, scale, shift):
     st.integers(min_value=40, max_value=120),
     st.integers(min_value=3, max_value=16),
 )
+@example(seed=1159, n=76, m=3)  # near-duplicate windows at rows 34 and 73
 def test_self_join_matches_brute_force(seed, n, m):
     if 2 * m > n:
         m = n // 2
