@@ -32,6 +32,11 @@ ANNOTATION_HEADER = ["start", "end", "label"]
 # Sampling is considered uniform when every interval is within 1% of 1/rate.
 UNIFORMITY_TOL = 0.01
 
+# iter_samples converts this many rows at a time to Python floats: large
+# enough that the NumPy call per block is cheap per reading, small enough
+# that the converted lists stay a few hundred kB even on an hours-long file.
+INGEST_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class RecordingMeta:
@@ -115,10 +120,12 @@ class Recording:
         return self.n / self.sample_rate_hz
 
     def iter_samples(self):
-        for i in range(self.n):
-            yield SensorSample(
-                t=float(self.t[i]), accel=tuple(self.accel[i]), gyro=tuple(self.gyro[i])
-            )
+        for start in range(0, self.n, INGEST_BLOCK):
+            rows = slice(start, start + INGEST_BLOCK)
+            for t, accel, gyro in zip(
+                self.t[rows].tolist(), self.accel[rows].tolist(), self.gyro[rows].tolist()
+            ):
+                yield SensorSample(t=t, accel=accel, gyro=gyro)
 
     @property
     def samples(self) -> list[SensorSample]:

@@ -293,6 +293,7 @@ class StepGatedDetector:
             release_ms=config.release_ms,
             min_step_ms=config.min_step_ms,
         )
+        self._horizon = config.bootstrap_horizon
         self._sig: list[float] = []
         self._env: list[float] = []
         self._base = 0
@@ -403,14 +404,14 @@ class StepGatedDetector:
             self._on_step_event(ev, raw_i)
 
         idle = not self._in_step
-        if idle and not self._history.chunks and i + 1 - self._base >= self.cfg.bootstrap_horizon:
+        if idle and not self._history.chunks and i + 1 - self._base >= self._horizon:
             # cold start: no admitted steps yet, adapt from what was seen
             self._step.threshold = max(
                 self.cfg.threshold_fraction * self._env_max_seen,
                 self.cfg.threshold_floor,
             )
-        if idle and i + 1 - self._base > self.cfg.bootstrap_horizon:
-            self._rebase(i + 1 - self.cfg.bootstrap_horizon)
+        if idle and i + 1 - self._base > self._horizon:
+            self._rebase(i + 1 - self._horizon)
 
         return self._maybe_score(i, raw_i)
 
@@ -484,6 +485,9 @@ def replay(detector, recording, signal: SignalSelector | None = None) -> ReplayR
 
     Step-gated detectors consume SensorSamples and use their own configured
     projection; the naive detector takes the scalar stream selected here.
+    wall_s times push and flush only: the SensorSamples (or the projected
+    scalars) are built before the clock starts, although on an idle stream
+    building the samples costs more than pushing them.
     """
     import time
 

@@ -201,7 +201,11 @@ def earliness(
 
 
 def real_time_factor(make_detector, recording, runs: int = 5, signal=None) -> float:
-    """Median wall-time over duration across full replays, fresh detector each."""
+    """Median wall-time over duration across full replays, fresh detector each.
+
+    The wall time is replay's wall_s, which covers push and flush only, not
+    building the SensorSamples from the recording's rows.
+    """
     if recording.n == 0:
         raise ValueError("empty recording")
     duration = recording.n / recording.sample_rate_hz

@@ -7,6 +7,7 @@ detection then runs on the rectified running-max envelope of that scalar.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -30,12 +31,13 @@ class SensorSample:
     gyro: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "accel", tuple(float(v) for v in self.accel))
-        object.__setattr__(self, "gyro", tuple(float(v) for v in self.gyro))
-        if len(self.accel) != 3 or len(self.gyro) != 3:
+        accel = tuple(map(float, self.accel))
+        gyro = tuple(map(float, self.gyro))
+        object.__setattr__(self, "accel", accel)
+        object.__setattr__(self, "gyro", gyro)
+        if len(accel) != 3 or len(gyro) != 3:
             raise ValueError("accel and gyro must be 3-vectors")
-        vals = (self.t, *self.accel, *self.gyro)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, (self.t, *accel, *gyro))):
             raise DataError("sensor sample contains non-finite values")
 
 
@@ -71,12 +73,14 @@ def _reduce(vec: tuple[float, float, float], channel: str) -> float:
         return vec[1]
     if channel == "z":
         return vec[2]
-    a = np.abs(vec)
+    # summed left to right, the order NumPy uses for three elements, so the
+    # result equals Recording.project bit for bit
+    x, y, z = abs(vec[0]), abs(vec[1]), abs(vec[2])
     if channel == "l1":
-        return float(a.sum())
+        return x + y + z
     if channel == "l2":
-        return float(np.sqrt((a * a).sum()))
-    return float(a.max())
+        return math.sqrt(x * x + y * y + z * z)
+    return max(x, y, z)
 
 
 def project(sample: SensorSample, sel: SignalSelector) -> float:
@@ -85,11 +89,6 @@ def project(sample: SensorSample, sel: SignalSelector) -> float:
         raise ValueError("project one source at a time; 'both' is a downstream concept")
     vec = sample.accel if sel.source == "accel" else sample.gyro
     return _reduce(vec, sel.channel)
-
-
-def project_samples(samples, sel: SignalSelector, sample_rate_hz: float) -> TimeSeries:
-    values = np.array([project(s, sel) for s in samples], dtype=np.float64)
-    return TimeSeries(values, sample_rate_hz)
 
 
 def envelope_window_samples(window_ms: float, sample_rate_hz: float) -> int:
@@ -122,6 +121,14 @@ class StreamingEnvelope:
     A centered window of w samples needs w//2 future samples before position
     i is final, so push(x_k) finalizes position k - w//2 (when that exists)
     and flush() drains the right-truncated tail.
+
+    The window maximum comes from a monotonic deque of (index, |value|)
+    pairs whose values strictly decrease from front to back: a new value
+    evicts every entry it is at least as large as, and the front leaves once
+    it slides out of the window. Each reading enters and leaves the deque at
+    most once, so a push costs O(1) amortised whatever the window width
+    (Lemire, "Streaming maximum-minimum filter using no more than three
+    comparisons per element", 2006).
     """
 
     window_samples: int
@@ -143,24 +150,31 @@ class StreamingEnvelope:
 
     def push(self, value: float) -> list[float]:
         """Absorb one sample; return the envelope values finalized by it."""
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataError("non-finite sample in envelope stream")
-        self._buf.append((self._next_in, abs(float(value))))
-        self._next_in += 1
-        if len(self._buf) > self.window_samples:
-            self._buf.popleft()
-        if self._next_in - 1 >= self._next_out + self.right:
+        v = abs(float(value))
+        buf = self._buf
+        while buf and buf[-1][1] <= v:
+            buf.pop()
+        k = self._next_in
+        buf.append((k, v))
+        self._next_in = k + 1
+        # the window closing at k is [k - w + 1, k]; one index leaves per push
+        if buf[0][0] <= k - self.window_samples:
+            buf.popleft()
+        if k >= self._next_out + self.window_samples // 2:
             self._next_out += 1
-            return [max(v for _, v in self._buf)]
+            return [buf[0][1]]
         return []
 
     def flush(self) -> list[float]:
         """Finalize the trailing positions whose windows ran past the end."""
         out = []
+        buf = self._buf
         while self._next_out < self._next_in:
-            i = self._next_out
-            while self._buf and self._buf[0][0] < i - self.left:
-                self._buf.popleft()
-            out.append(max(v for _, v in self._buf))
+            first = self._next_out - self.left
+            while buf[0][0] < first:
+                buf.popleft()
+            out.append(buf[0][1])
             self._next_out += 1
         return out

@@ -4,6 +4,7 @@ import pytest
 from gaitmp import DataError
 from gaitmp.dataset import (
     ANOMALY_KINDS,
+    INGEST_BLOCK,
     LabeledSegment,
     Recording,
     RecordingMeta,
@@ -50,19 +51,32 @@ class TestRecording:
             Recording(t, np.zeros((5, 3)), g, sample_rate_hz=100.0)
 
     def test_projection_matches_per_sample_path(self):
-        rec = small_recording()
-        for sel in [SignalSelector("gyro", "linf"), SignalSelector("accel", "l2"),
-                    SignalSelector("gyro", "y"), SignalSelector("accel", "l1")]:
+        rec = small_recording(n=2 * INGEST_BLOCK + 3)
+        for sel in [SignalSelector(src, ch) for src in ("accel", "gyro")
+                    for ch in ("x", "y", "z", "l1", "l2", "linf")]:
             fast = rec.project(sel).values
             slow = np.array([project(s, sel) for s in rec.iter_samples()])
-            np.testing.assert_allclose(fast, slow, atol=1e-12)
+            np.testing.assert_array_equal(fast, slow)
 
     def test_samples_view(self):
         rec = small_recording(n=3)
         samples = rec.samples
         assert len(samples) == 3
-        assert samples[1].t == pytest.approx(rec.t[1])
+        assert samples[1].t == rec.t[1]
         assert samples[2].gyro == tuple(rec.gyro[2])
+
+    @pytest.mark.parametrize(
+        "n", [INGEST_BLOCK - 1, INGEST_BLOCK, INGEST_BLOCK + 1, 2 * INGEST_BLOCK + 3]
+    )
+    def test_iter_samples_across_block_boundaries(self, n):
+        rec = small_recording(n=n, seed=n)
+        samples = list(rec.iter_samples())
+        assert len(samples) == n
+        for i, s in enumerate(samples):
+            assert type(s.t) is float and s.t == rec.t[i]
+            for got, row in ((s.accel, rec.accel[i]), (s.gyro, rec.gyro[i])):
+                assert all(type(v) is float for v in got)
+                assert got == tuple(row)
 
 
 class TestRecordingIO:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitmp import DataError, TimeSeries
@@ -11,7 +11,6 @@ from gaitmp.signal import (
     envelope,
     envelope_window_samples,
     project,
-    project_samples,
 )
 
 
@@ -58,14 +57,20 @@ class TestProject:
             SignalSelector.parse("gyro:l3")
 
     def test_sample_rejects_nan(self):
-        with pytest.raises(DataError):
-            SensorSample(t=0.0, accel=(0.0, 0.0, np.nan), gyro=(0.0, 0.0, 0.0))
+        # every non-finite value, in t and in each of the six channels, as a
+        # Python float and as a NumPy scalar
+        for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf)):
+            for k in range(7):
+                vals = [0.0] * 7
+                vals[k] = bad
+                with pytest.raises(DataError):
+                    SensorSample(t=vals[0], accel=tuple(vals[1:4]), gyro=tuple(vals[4:7]))
 
-    def test_project_samples_builds_series(self):
-        samples = [sample(gyro=(float(i), 0.0, 0.0), t=i / 100) for i in range(5)]
-        ts = project_samples(samples, SignalSelector("gyro", "linf"), 100.0)
-        np.testing.assert_array_equal(ts.values, [0, 1, 2, 3, 4])
-        assert ts.sample_rate_hz == 100.0
+    def test_sample_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            SensorSample(t=0.0, accel=(0.0, 0.0), gyro=(0.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            SensorSample(t=0.0, accel=(0.0, 0.0, 0.0), gyro=(0.0, 0.0, 0.0, 0.0))
 
 
 class TestEnvelope:
@@ -154,8 +159,25 @@ class TestStreamingEnvelope:
             StreamingEnvelope(window_samples=4).push(float("nan"))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 200), st.integers(1, 30))
-    def test_matches_batch_property(self, seed, n, w):
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 200),
+        st.integers(1, 30),
+        st.sampled_from(["normal", "quantised", "increasing", "decreasing"]),
+    )
+    @example(seed=0, n=200, w=25, shape="quantised")
+    @example(seed=1, n=200, w=10, shape="increasing")
+    @example(seed=2, n=200, w=9, shape="decreasing")
+    @example(seed=3, n=7, w=30, shape="normal")
+    def test_matches_batch_property(self, seed, n, w, shape):
+        # ties and monotone runs are where a monotonic-deque maximum can slip,
+        # and w > n leaves every value to flush()
         x = np.random.default_rng(seed).normal(size=n)
+        if shape == "quantised":
+            x = np.round(x, 1)
+        elif shape in ("increasing", "decreasing"):
+            x = np.cumsum(np.abs(x) + 0.01)
+            if shape == "decreasing":
+                x = x[::-1]
         batch = envelope(TimeSeries(x, 1000.0), window_ms=w).values
         np.testing.assert_array_equal(self.stream(x, w), batch)
