@@ -10,11 +10,17 @@ Two architectures share the alarm vocabulary:
   alarm at most per step.
 
 History is one contiguous buffer holding the admitted chunks back to back,
-rebuilt on admission and eviction. Each score row is one distance profile
-over that buffer; windows that straddle a chunk boundary splice two
-signatures together and are dropped before taking the minimum. While the
-Current buffer is longer than every chunk there is no reference window, and
-those samples go unscored.
+rebuilt, with running sums of its values and their squares, on admission and
+eviction. History does not change while a step is open, and each score row
+of the step extends the previous one's query by one sample. So the first row
+of a step (the seed row) is one distance profile over the buffer, and each
+later row (a growth row) adds one term to every window's dot product with
+the query, updates the query's mean and variance (Welford), and takes window
+moments from the running sums; it keeps distance_profile's conventions and
+its exact recomputation of near-duplicates. Windows that straddle a chunk
+boundary splice two signatures together and are dropped before taking the
+minimum. While the Current buffer is longer than every chunk there is no
+reference window, and those samples go unscored.
 
 Scores are normalized by the z-normalized distance ceiling 2*sqrt(m) so one
 threshold stays meaningful while m varies.
@@ -50,7 +56,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mp import TimeSeries, distance_profile
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .mp import (
+    DEFAULT_EPS,
+    NEAR_DUPLICATE,
+    TimeSeries,
+    _divisor,
+    _exact_distances,
+    distance_profile,
+    sliding_dot_product,
+)
 from .signal import (
     DEFAULT_ENVELOPE_MS,
     SensorSample,
@@ -187,7 +203,6 @@ class StepSystemConfig:
     release_ms: float = DEFAULT_RELEASE_MS
     min_step_ms: float = DEFAULT_MIN_STEP_MS
     admission_guard: float | None = 0.35
-    admit_all_steps: bool = False
 
     def __post_init__(self):
         if not (self.sample_rate_hz > 0 and self.history_len_s > 0):
@@ -232,9 +247,16 @@ class _History:
     """Admitted chunks stored once, back to back in one float64 buffer.
 
     Each chunk's values are a view into the buffer, which is rebuilt only on
-    admission or eviction. room[j] counts the samples from j to the end of
-    j's chunk, so the window of length m at j lies inside one chunk, and is
-    a reference signature, iff room[j] >= m.
+    admission or eviction, together with zero-prefixed running sums of the
+    buffer and of its squares. room[j] counts the samples from j to the end
+    of j's chunk, so the window of length m at j lies inside one chunk, and
+    is a reference signature, iff room[j] >= m.
+
+    Scoring carries one growing query: the first best_distance call after
+    reset_query is a seed row (one distance_profile call), and each later
+    call extends the seed's dot products and query moments by the samples
+    the query gained since (a growth row). The caller resets whenever a new
+    query starts; admit resets, because the rows index the old buffer.
     """
 
     def __init__(self):
@@ -242,6 +264,11 @@ class _History:
         self.buffer = np.empty(0)
         self.room = np.empty(0, dtype=np.int64)
         self.longest = 0
+        self._sums = np.zeros(1)
+        self._sq_sums = np.zeros(1)
+        self._scratch = np.empty(0)
+        self._qt = np.empty(0)
+        self.reset_query()
 
     def admit(self, chunk: _Chunk, cap: int) -> None:
         """Append a chunk (a clean one replaces provisional chunks), then
@@ -259,15 +286,89 @@ class _History:
         self.room = np.repeat(ends, lengths) - np.arange(total)
         self.longest = int(lengths.max())
         self.chunks = chunks
+        # the sums mp._rolling_mean_std takes, so window moments match it bit
+        # for bit
+        self._sums = np.concatenate(([0.0], np.cumsum(self.buffer)))
+        self._sq_sums = np.concatenate(([0.0], np.cumsum(self.buffer * self.buffer)))
+        self._scratch = np.empty(total)
+        self.reset_query()
+
+    def reset_query(self) -> None:
+        """Drop the carried query; the next best_distance is a seed row."""
+        self._m = 0
+        self._mean = 0.0
+        self._m2 = 0.0
 
     def best_distance(self, query: np.ndarray) -> float:
         """Smallest distance from ``query`` to a window inside one chunk;
-        +inf when no chunk is as long as the query."""
+        +inf when no chunk is as long as the query. After the first call
+        since reset_query, ``query`` must extend the previous one."""
         m = query.size
         if m > self.longest:
             return math.inf
+        if not self._m:
+            return self._seed(query)
+        for x in query[self._m :].tolist():
+            self._grow(x)
+        return self._best_of_growth_row(query)
+
+    def _seed(self, query: np.ndarray) -> float:
+        m = query.size
         d = distance_profile(query, self.buffer)
+        self._qt = sliding_dot_product(query, self.buffer)
+        for x in query.tolist():
+            self._welford(x)
         return float(d[self.room[: d.size] >= m].min())
+
+    def _welford(self, x: float) -> None:
+        self._m += 1
+        delta = x - self._mean
+        self._mean += delta / self._m
+        self._m2 += delta * (x - self._mean)
+
+    def _grow(self, x: float) -> None:
+        """Lengthen the query by x: every window gains one term of its dot
+        product, and the window that ran off the buffer's end is dropped."""
+        self._welford(x)
+        k = self.buffer.size - self._m + 1
+        self._qt = self._qt[:k]
+        term = np.multiply(self.buffer[self._m - 1 :], x, out=self._scratch[:k])
+        self._qt += term
+
+    def _best_of_growth_row(self, query: np.ndarray) -> float:
+        m, k, eps = self._m, self._qt.size, DEFAULT_EPS
+        # mp._rolling_mean_std's arithmetic on the cached sums: bit-identical
+        mean = (self._sums[m:] - self._sums[:k]) / m
+        var = (self._sq_sums[m:] - self._sq_sums[:k]) / m
+        var -= mean * mean
+        sd = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+        mu_q, sd_q = self._mean, math.sqrt(self._m2 / m)
+        if sd_q <= eps:
+            # distance_profile's convention for a constant query
+            return 0.0 if (sd[self.room[:k] >= m] <= eps).any() else math.sqrt(m)
+        # a constant window gets rho 0 from the inf divisor; by convention it
+        # sits at sqrt(m), i.e. at rho 1/2
+        rho = (self._qt - m * mu_q * mean) / (m * sd_q * _divisor(sd, eps))
+        j = int(rho.argmax())
+        if self.room[j] < m:
+            # the best window straddles a chunk boundary
+            rho[self.room[:k] < m] = -np.inf
+            j = int(rho.argmax())
+        best_rho = float(rho[j])
+        if best_rho < 0.5 and (sd[self.room[:k] >= m] <= eps).any():
+            best_rho = 0.5
+        # sqrt(2m(1 - rho)) falls as rho rises, so the largest rho is nearest
+        best = math.sqrt(2.0 * m * (1.0 - min(max(best_rho, -1.0), 1.0)))
+        if best > NEAR_DUPLICATE:
+            return best
+        d = np.sqrt(2.0 * m * (1.0 - np.clip(rho, -1.0, 1.0)))
+        d[self.room[:k] < m] = np.inf
+        near = np.flatnonzero(d <= NEAR_DUPLICATE)
+        windows = sliding_window_view(self.buffer, m)[near]
+        zq = (query - mu_q) / sd_q
+        divisor = _divisor(windows.std(axis=1), eps)
+        d[near] = _exact_distances(zq, windows, windows.mean(axis=1), divisor)
+        return float(d.min())
 
 
 class StepGatedDetector:
@@ -294,9 +395,12 @@ class StepGatedDetector:
             min_step_ms=config.min_step_ms,
         )
         self._horizon = config.bootstrap_horizon
+        # _sig and _env hold the readings from logical index _phys on; the
+        # ones before _base are dead and trimmed in batches of >= _horizon
         self._sig: list[float] = []
         self._env: list[float] = []
         self._base = 0
+        self._phys = 0
         self._raw_count = 0
         self._env_count = 0
         self._env_max_seen = 0.0
@@ -359,18 +463,20 @@ class StepGatedDetector:
     # -- buffer plumbing ---------------------------------------------------
 
     def _rebase(self, new_base: int) -> None:
-        drop = new_base - self._base
-        if drop <= 0:
+        if new_base <= self._base:
             return
-        del self._sig[:drop]
-        del self._env[:drop]
         self._base = new_base
+        drop = new_base - self._phys
+        if drop >= self._horizon:
+            del self._sig[:drop]
+            del self._env[:drop]
+            self._phys = new_base
 
     def _sig_slice(self, start: int, end: int) -> np.ndarray:
-        return np.array(self._sig[start - self._base : end - self._base])
+        return np.array(self._sig[start - self._phys : end - self._phys])
 
     def _env_slice_max(self, start: int, end: int) -> float:
-        return max(self._env[start - self._base : end - self._base])
+        return max(self._env[start - self._phys : end - self._phys])
 
     # -- streaming ---------------------------------------------------------
 
@@ -449,6 +555,7 @@ class StepGatedDetector:
                     raw_i=raw_i,
                 )
             self._rebase(ev.index)
+            self._history.reset_query()
             self._in_step = True
             self._step_start = ev.index
             self._step_ordinal += 1
@@ -456,7 +563,7 @@ class StepGatedDetector:
             self._step_peak = 0.0
         else:
             self._in_step = False
-            if self.cfg.admit_all_steps or self._step_peak <= self.cfg.effective_guard:
+            if self._step_peak <= self.cfg.effective_guard:
                 self._admit(
                     self._sig_slice(self._step_start, ev.index),
                     self._env_slice_max(self._step_start, ev.index),

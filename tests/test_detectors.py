@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaitmp.dataset import ANOMALY_KINDS, SynthConfig, generate
 from gaitmp.detectors import (
@@ -18,7 +20,7 @@ from gaitmp.detectors import (
     _History,
     replay,
 )
-from gaitmp.mp import distance_profile
+from gaitmp.mp import DEFAULT_EPS, FFT_CUTOFF, _rolling_mean_std, distance_profile
 from gaitmp.signal import SignalSelector
 
 
@@ -271,6 +273,17 @@ class TestStepGatedBehavior:
         assert any(r.step_ordinal == 0 for r in det.trace)
         assert len(res.alarms) == 2
 
+    def test_idle_buffers_stay_bounded(self):
+        # readings before the bootstrap horizon are dropped in batches: the
+        # buffers stay under two horizons plus the few samples of envelope lag
+        rec, _ = generate(SynthConfig(n_normal_steps=4, n_anomalous_steps=0, tail_s=30.0))
+        det = StepGatedDetector(StepSystemConfig())
+        longest = 0
+        for s in rec.iter_samples():
+            det.push(s)
+            longest = max(longest, len(det._sig))
+        assert longest <= 2 * det.cfg.bootstrap_horizon + 20
+
     def test_flush_settles_open_step(self):
         rec, _ = make_recording()
         det = StepGatedDetector(StepSystemConfig())
@@ -321,6 +334,9 @@ class PerChunkHistory:
         )
         while len(self.chunks) > 1 and sum(c.values.size for c in self.chunks) > cap:
             self.chunks.pop(0)
+
+    def reset_query(self):
+        pass  # every call scores its query from scratch
 
     def best_distance(self, query):
         best = math.inf
@@ -403,9 +419,157 @@ class TestHistoryBuffer:
         assert history.best_distance(query) == pytest.approx(per_chunk, abs=1e-9)
         assert history.best_distance(query) > 1.0
 
+    def test_growth_rows_skip_a_straddling_exact_match(self):
+        # the straddling window matches every row exactly, and a third chunk
+        # holds a copy nudged by 3e-8: both are near-duplicates, and only the
+        # nudged copy counts
+        rng = np.random.default_rng(12)
+        query = np.sin(np.linspace(0.0, 3.0 * np.pi, 30))
+        a = np.concatenate([rng.normal(size=40), query[:15]])
+        b = np.concatenate([query[15:], rng.normal(size=40)])
+        c = np.concatenate([rng.normal(size=10), query + rng.normal(0.0, 3e-8, 30)])
+        history = _History()
+        for chunk in (a, b, c):
+            history.admit(_Chunk(chunk, 1.0), cap=1000)
+        for m in range(16, 31):
+            got = history.best_distance(query[:m])
+            assert got == pytest.approx(masked_best(query[:m], history), rel=0, abs=1e-9)
+            assert got > 1e-8
+
     def test_query_longer_than_every_chunk_is_unscored(self):
         history = _History()
         history.admit(_Chunk(np.sin(np.arange(40.0)), 1.0), cap=1000)
         history.admit(_Chunk(np.cos(np.arange(30.0)), 1.0), cap=1000)
         assert history.best_distance(np.sin(np.arange(40.0))) < 1e-9
         assert history.best_distance(np.sin(np.arange(41.0))) == math.inf
+
+
+def masked_best(query, history):
+    """The oracle of _History.best_distance: one distance profile over the
+    whole buffer, windows that straddle a chunk boundary dropped."""
+    if query.size > history.longest:
+        return math.inf
+    d = distance_profile(query, history.buffer)
+    return float(d[history.room[: d.size] >= query.size].min())
+
+
+def misread_constant(query, history):
+    """True when a window inside one chunk is exactly constant but its
+    running-sum stdev exceeds eps, and the query is not constant. The running
+    sums cancel on a constant stretch at a nonzero level (a lone 105-sample
+    chunk at -4.37 reads stdev 2.0e-7 for m = 53), the fast formula then gives
+    that window an arbitrary distance in distance_profile, and a growth row,
+    rounding its dot products differently, another arbitrary one."""
+    m = query.size
+    if query.std() <= DEFAULT_EPS:
+        return False
+    windows = np.lib.stride_tricks.sliding_window_view(history.buffer, m)
+    flat = windows.min(axis=1) == windows.max(axis=1)
+    _, sd = _rolling_mean_std(history.buffer, m)
+    return bool(np.any(flat & (sd > DEFAULT_EPS) & (history.room[: sd.size] >= m)))
+
+
+def draw_history(rng, kinds, level):
+    """Chunks of the listed kinds: gait-scale noise, a verbatim repeat of the
+    previous chunk, a constant chunk at ``level`` and noise longer than
+    FFT_CUTOFF, which sends the seed row down the FFT route."""
+    chunks = []
+    for kind in kinds:
+        n = int(rng.integers(20, 120))
+        if kind == "repeat" and chunks:
+            chunks.append(chunks[-1].copy())
+        elif kind == "constant":
+            chunks.append(np.full(n, level))
+        else:
+            if kind == "long":
+                n = FFT_CUTOFF + int(rng.integers(1, 200))
+            chunks.append(rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), n))
+    return chunks
+
+
+def draw_query(rng, kind, chunks, length, level):
+    """A query of ``length`` samples: a copy of a stretch of a varying chunk
+    (exact or nudged by 1e-7, padded with noise past the chunk's end), a copy
+    of a stretch across a chunk boundary, noise, or a constant at ``level``.
+    A nudged copy of a constant chunk would be a query with stdev ~1e-7 at
+    ``level``, where the fast formula itself loses the digits compared here."""
+    varying = [c for c in chunks if c.std() > 0]
+    if kind == "constant":
+        return np.full(length, level)
+    if kind == "noise" or not varying:
+        return rng.normal(0.0, 1.0, length)
+    if kind == "across" and len(chunks) > 1:
+        # its exact match straddles a boundary and must not count
+        buffer = np.concatenate(chunks)
+        start = chunks[0].size - int(rng.integers(1, min(chunks[0].size, length)))
+        return np.concatenate([buffer[start : start + length], rng.normal(0.0, 1.0, length)])[:length]
+    source = varying[int(rng.integers(len(varying)))]
+    start = int(rng.integers(source.size))
+    q = np.concatenate([source[start : start + length], rng.normal(0.0, 1.0, length)])[:length]
+    if kind == "nudged":
+        q = q + rng.normal(0.0, 1e-7, length)
+    return q
+
+
+class TestGrowthRows:
+    """Each growth row of _History.best_distance matches a fresh distance
+    profile over the buffer, masked to windows inside one chunk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["noise", "repeat", "constant", "long"]), min_size=1, max_size=4),
+        query_kind=st.sampled_from(["copy", "nudged", "across", "noise", "constant"]),
+        level=st.floats(0.5, 20.0) | st.floats(-20.0, -0.5),
+        past_longest=st.booleans(),
+    )
+    @example(seed=1, kinds=["noise", "repeat"], query_kind="copy", level=3.0, past_longest=False)
+    @example(seed=2, kinds=["noise", "constant"], query_kind="noise", level=9.81, past_longest=False)
+    # levels whose running sums are exact, so the constant windows read as
+    # constant and the sqrt(m) and 0 conventions are exercised
+    @example(seed=3, kinds=["constant", "noise"], query_kind="constant", level=-4.5, past_longest=True)
+    @example(seed=6, kinds=["constant", "noise"], query_kind="noise", level=2.5, past_longest=False)
+    @example(seed=4, kinds=["long", "noise"], query_kind="nudged", level=1.0, past_longest=False)
+    @example(seed=5, kinds=["noise", "noise"], query_kind="noise", level=1.0, past_longest=True)
+    @example(seed=7, kinds=["noise", "repeat"], query_kind="across", level=1.0, past_longest=False)
+    def test_every_row_matches_a_fresh_distance_profile(
+        self, seed, kinds, query_kind, level, past_longest
+    ):
+        rng = np.random.default_rng(seed)
+        chunks = draw_history(rng, kinds, level)
+        history = _History()
+        for c in chunks:
+            history.admit(_Chunk(c, 1.0), cap=10**6)
+        longest = history.longest
+        length = longest + int(rng.integers(1, 4)) if past_longest else int(rng.integers(3, longest + 1))
+        query = draw_query(rng, query_kind, chunks, length, level)
+        for m in range(max(3, length - 40), length + 1):
+            got = history.best_distance(query[:m])
+            want = masked_best(query[:m], history)
+            if math.isinf(want):
+                assert got == want
+            elif not misread_constant(query[:m], history):
+                assert got == pytest.approx(want, rel=0, abs=1e-9), m
+
+    @pytest.mark.parametrize("between", ["admission", "quarantine"])
+    def test_consecutive_steps_share_no_state(self, between):
+        rng = np.random.default_rng(11)
+        history = _History()
+        history.admit(_Chunk(rng.normal(size=80), 1.0), cap=1000)
+        first = rng.normal(size=40)
+        for m in range(25, 41):
+            history.best_distance(first[:m])
+        # admitting a step rebuilds History, which resets the query; a
+        # quarantined step leaves History as it was, and the next step start
+        # resets it
+        if between == "admission":
+            history.admit(_Chunk(rng.normal(size=60), 1.0), cap=1000)
+        else:
+            history.reset_query()
+        # the next step is one sample longer than the last row, as a
+        # continued query would be, but shares none of its samples
+        second = rng.normal(size=50)
+        for m in range(41, 51):
+            assert history.best_distance(second[:m]) == pytest.approx(
+                masked_best(second[:m], history), rel=0, abs=1e-9
+            )
