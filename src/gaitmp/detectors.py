@@ -4,6 +4,9 @@ Two architectures share the alarm vocabulary:
 
 * NaiveDetector: fixed-length Frame buffer queried against a trailing History
   buffer every hop; no gait awareness, so it also fires on non-step motion.
+  Both buffers are views of one ring of the last readings, the moments of
+  each stream window are computed once, when a hop completes it, and a hop
+  costs one sliding dot product plus the finish the growth rows use.
 * StepGatedDetector: segments steps first, accumulates the live step in a
   Current buffer, and queries it (with subsequence length equal to the buffer
   length) against a History of previously completed step signatures. One
@@ -16,11 +19,12 @@ of the step extends the previous one's query by one sample. So the first row
 of a step (the seed row) is one distance profile over the buffer, and each
 later row (a growth row) adds one term to every window's dot product with
 the query, updates the query's mean and variance (Welford), and takes window
-moments from the running sums; it keeps distance_profile's conventions and
-its exact recomputation of near-duplicates. Windows that straddle a chunk
-boundary splice two signatures together and are dropped before taking the
-minimum. While the Current buffer is longer than every chunk there is no
-reference window, and those samples go unscored.
+moments from the running sums. Both detectors finish a score from dot
+products and moments in _nearest_distance, which keeps distance_profile's
+conventions and its exact recomputation of near-duplicates. Windows that
+straddle a chunk boundary splice two signatures together and are dropped
+before taking the minimum. While the Current buffer is longer than every
+chunk there is no reference window, and those samples go unscored.
 
 Scores are normalized by the z-normalized distance ceiling 2*sqrt(m) so one
 threshold stays meaningful while m varies.
@@ -51,19 +55,20 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import DataError
 from .mp import (
     DEFAULT_EPS,
     NEAR_DUPLICATE,
     TimeSeries,
     _divisor,
     _exact_distances,
+    _rolling_mean_std,
     distance_profile,
     sliding_dot_product,
 )
@@ -147,7 +152,18 @@ class NaiveDetectorConfig:
 
 
 class NaiveDetector:
-    """Frame-vs-History hop detector; scores every hop once warmed up."""
+    """Frame-vs-History hop detector; scores every hop once warmed up.
+
+    The last ``keep`` readings live in a float64 ring of 2 * keep, each one
+    written at p and p + keep, so Frame and History are contiguous views of
+    it. Readings collect in a list between hops. A hop moves them into the
+    ring and takes the moments of the stream windows they complete, with
+    running sums over only those windows' samples, into two more rings
+    aligned with the first; each window is measured once. The score is one
+    sliding dot product of Frame against History, finished by
+    _nearest_distance. A non-finite reading raises DataError at every hop
+    while it is among the last keep readings; scoring resumes after.
+    """
 
     def __init__(self, config: NaiveDetectorConfig, sample_rate_hz: float):
         if not (sample_rate_hz > 0):
@@ -155,33 +171,86 @@ class NaiveDetector:
         self.cfg = config
         self.sample_rate_hz = sample_rate_hz
         keep = config.history_len + config.frame_len - config.overlap
-        self._buf: deque[float] = deque(maxlen=keep)
+        self._keep = keep
+        self._ring = np.zeros(2 * keep)
+        # moments of the window of frame_len readings starting at each reading
+        self._mean = np.zeros(2 * keep)
+        self._sd = np.zeros(2 * keep)
+        self._block: list[float] = []
         self._count = 0
+        self._due = config.warmup
+        # the last count at which a non-finite reading is still buffered
+        self._bad_until = -1
         self.trace: list[TraceRecord] = []
 
     def push(self, value: float) -> tuple[AlarmEvent, ...]:
-        cfg = self.cfg
-        self._buf.append(float(value))
+        self._block.append(float(value))
         self._count += 1
-        n = self._count
-        if n < cfg.warmup or (n - cfg.warmup) % cfg.hop != 0:
+        if self._count < self._due:
             return ()
-        arr = np.array(self._buf)
-        frame = arr[-cfg.frame_len :]
+        return self._hop()
+
+    def _hop(self) -> tuple[AlarmEvent, ...]:
+        cfg, keep, m, n = self.cfg, self._keep, self.cfg.frame_len, self._count
+        block = np.array(self._block)
+        self._block.clear()
+        self._due = n + cfg.hop
+        finite = np.isfinite(block)
+        if not finite.all():
+            self._bad_until = n - block.size + int(np.flatnonzero(~finite)[-1]) + keep
+            # every hop that would read the stand-in raises instead
+            block[~finite] = 0.0
+        # only the last keep readings are ever scored
+        fresh = min(block.size, keep)
+        _ring_write(self._ring, n - fresh, block[block.size - fresh :])
+        # moments of the windows this block completes, except those that
+        # start before the last keep readings
+        first = max(n - block.size - m + 1, n - keep, 0)
+        at = first % keep
+        mean, sd = _rolling_mean_std(self._ring[at : at + n - first], m)
+        _ring_write(self._mean, first, mean)
+        _ring_write(self._sd, first, sd)
+        if n <= self._bad_until:
+            raise DataError("non-finite reading among the naive detector's last readings")
+        size = min(n, keep)
+        start = (n - size) % keep
         # history ends overlap samples into the frame, per the buffer layout
-        history = arr[: arr.size - (cfg.frame_len - cfg.overlap)]
-        d = float(distance_profile(frame, history).min())
-        score = d / (2.0 * math.sqrt(cfg.frame_len))
-        idx = n - 1
-        self.trace.append(
-            TraceRecord(idx, idx, None, cfg.frame_len, score)
+        h = size - (m - cfg.overlap)
+        k = h - m + 1
+        history = self._ring[start : start + h]
+        frame = self._ring[start + size - m : start + size]
+        best = _nearest_distance(
+            sliding_dot_product(frame, history),
+            frame,
+            float(frame.mean()),
+            float(frame.std()),
+            history,
+            self._mean[start : start + k],
+            self._sd[start : start + k],
         )
+        score = best / (2.0 * math.sqrt(m))
+        idx = n - 1
+        self.trace.append(TraceRecord(idx, idx, None, m, score))
         if score > cfg.discord_threshold:
-            return (AlarmEvent(idx, idx / self.sample_rate_hz, score, cfg.frame_len),)
+            return (AlarmEvent(idx, idx / self.sample_rate_hz, score, m),)
         return ()
 
     def flush(self) -> tuple[AlarmEvent, ...]:
         return ()
+
+
+def _ring_write(ring: np.ndarray, t: int, values: np.ndarray) -> None:
+    """Store ``values``, the readings from stream index t on and at most keep
+    of them, at t % keep and t % keep + keep of a ring of 2 * keep. Any keep
+    consecutive readings then form one slice of the ring."""
+    keep = ring.size // 2
+    p = t % keep
+    end = p + values.size
+    ring[p:end] = values
+    low = min(end, keep)
+    ring[p + keep : low + keep] = values[: low - p]
+    if end > keep:
+        ring[: end - keep] = values[keep - p :]
 
 
 # -- step-gated detector ---------------------------------------------------
@@ -336,39 +405,71 @@ class _History:
         self._qt += term
 
     def _best_of_growth_row(self, query: np.ndarray) -> float:
-        m, k, eps = self._m, self._qt.size, DEFAULT_EPS
+        m, k = self._m, self._qt.size
         # mp._rolling_mean_std's arithmetic on the cached sums: bit-identical
         mean = (self._sums[m:] - self._sums[:k]) / m
         var = (self._sq_sums[m:] - self._sq_sums[:k]) / m
         var -= mean * mean
         sd = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
-        mu_q, sd_q = self._mean, math.sqrt(self._m2 / m)
-        if sd_q <= eps:
-            # distance_profile's convention for a constant query
-            return 0.0 if (sd[self.room[:k] >= m] <= eps).any() else math.sqrt(m)
-        # a constant window gets rho 0 from the inf divisor; by convention it
-        # sits at sqrt(m), i.e. at rho 1/2
-        rho = (self._qt - m * mu_q * mean) / (m * sd_q * _divisor(sd, eps))
+        return _nearest_distance(
+            self._qt, query, self._mean, math.sqrt(self._m2 / m), self.buffer, mean, sd, self.room
+        )
+
+
+def _nearest_distance(
+    qt: np.ndarray,
+    query: np.ndarray,
+    mu_q: float,
+    sd_q: float,
+    series: np.ndarray,
+    mean: np.ndarray,
+    sd: np.ndarray,
+    room: np.ndarray | None = None,
+) -> float:
+    """Smallest z-normalized distance from ``query`` to a window of ``series``.
+
+    qt[j] is the query's dot product with window j, mean[j] and sd[j] are the
+    window's moments and mu_q, sd_q the query's. With ``room``, window j
+    counts only when room[j] >= m (it lies inside one History chunk); room
+    may run past the last window, and the mask is built only on the rare
+    rows that need it. Keeps distance_profile's
+    conventions: a constant window sits at sqrt(m), a constant query is at 0
+    from constant windows and at sqrt(m) from the rest, and a best at or under
+    NEAR_DUPLICATE recomputes its candidates from z-normalized windows.
+    """
+    m, eps = query.size, DEFAULT_EPS
+    if sd_q <= eps:
+        return 0.0 if _any_constant(sd, room, m) else math.sqrt(m)
+    # a constant window gets rho 0 from the inf divisor; by convention it
+    # sits at sqrt(m), i.e. at rho 1/2
+    rho = (qt - m * mu_q * mean) / (m * sd_q * _divisor(sd, eps))
+    j = int(rho.argmax())
+    if room is not None and room[j] < m:
+        # the best window straddles a chunk boundary
+        rho[room[: rho.size] < m] = -np.inf
         j = int(rho.argmax())
-        if self.room[j] < m:
-            # the best window straddles a chunk boundary
-            rho[self.room[:k] < m] = -np.inf
-            j = int(rho.argmax())
-        best_rho = float(rho[j])
-        if best_rho < 0.5 and (sd[self.room[:k] >= m] <= eps).any():
-            best_rho = 0.5
-        # sqrt(2m(1 - rho)) falls as rho rises, so the largest rho is nearest
-        best = math.sqrt(2.0 * m * (1.0 - min(max(best_rho, -1.0), 1.0)))
-        if best > NEAR_DUPLICATE:
-            return best
-        d = np.sqrt(2.0 * m * (1.0 - np.clip(rho, -1.0, 1.0)))
-        d[self.room[:k] < m] = np.inf
-        near = np.flatnonzero(d <= NEAR_DUPLICATE)
-        windows = sliding_window_view(self.buffer, m)[near]
-        zq = (query - mu_q) / sd_q
-        divisor = _divisor(windows.std(axis=1), eps)
-        d[near] = _exact_distances(zq, windows, windows.mean(axis=1), divisor)
-        return float(d.min())
+    best_rho = float(rho[j])
+    if best_rho < 0.5 and _any_constant(sd, room, m):
+        best_rho = 0.5
+    # sqrt(2m(1 - rho)) falls as rho rises, so the largest rho is nearest
+    best = math.sqrt(2.0 * m * (1.0 - min(max(best_rho, -1.0), 1.0)))
+    if best > NEAR_DUPLICATE:
+        return best
+    d = np.sqrt(2.0 * m * (1.0 - np.clip(rho, -1.0, 1.0)))
+    if room is not None:
+        d[room[: d.size] < m] = np.inf
+    near = np.flatnonzero(d <= NEAR_DUPLICATE)
+    windows = sliding_window_view(series, m)[near]
+    zq = (query - mu_q) / sd_q
+    divisor = _divisor(windows.std(axis=1), eps)
+    d[near] = _exact_distances(zq, windows, windows.mean(axis=1), divisor)
+    return float(d.min())
+
+
+def _any_constant(sd: np.ndarray, room: np.ndarray | None, m: int) -> bool:
+    """Whether a window that counts (see _nearest_distance) is constant."""
+    flat = sd <= DEFAULT_EPS
+    return bool((flat if room is None else flat[room[: flat.size] >= m]).any())
 
 
 class StepGatedDetector:

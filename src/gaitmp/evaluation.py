@@ -11,6 +11,7 @@ which keeps sweeps deterministic and cheap.
 
 from __future__ import annotations
 
+import bisect
 import json
 import statistics
 from dataclasses import dataclass
@@ -85,8 +86,8 @@ def match_alarms(
     tp = fp = fn = tn = 0
     covered = 0
     for seg in truth:
-        lo = int(np.searchsorted(idx, seg.start, side="left"))
-        hi = int(np.searchsorted(idx, seg.end, side="left"))
+        lo = bisect.bisect_left(idx, seg.start)
+        hi = bisect.bisect_left(idx, seg.end)
         hit = hi > lo
         covered += hi - lo
         if seg.is_anomalous:
@@ -192,7 +193,7 @@ def earliness(
     for seg in truth:
         if not seg.is_anomalous:
             continue
-        lo = np.searchsorted(idx, seg.start, side="left")
+        lo = bisect.bisect_left(idx, seg.start)
         if lo < len(idx) and idx[lo] < seg.end:
             delays.append((idx[lo] - seg.start) / sample_rate_hz)
     if not delays:

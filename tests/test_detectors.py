@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitmp.dataset import ANOMALY_KINDS, SynthConfig, generate
+from gaitmp.errors import DataError
 from gaitmp.detectors import (
     NaiveDetector,
     NaiveDetectorConfig,
@@ -18,6 +19,7 @@ from gaitmp.detectors import (
     load_trace,
     _Chunk,
     _History,
+    _ring_write,
     replay,
 )
 from gaitmp.mp import DEFAULT_EPS, FFT_CUTOFF, _rolling_mean_std, distance_profile
@@ -121,6 +123,194 @@ class TestNaiveDetector:
     def test_flush_is_empty(self):
         det = NaiveDetector(NaiveDetectorConfig(), 100.0)
         assert det.flush() == ()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize(
+        "cfg, where",
+        [
+            # bad readings before warmup, completing the warmup hop, after it
+            (NaiveDetectorConfig(), [100]),
+            (NaiveDetectorConfig(), [174]),
+            (NaiveDetectorConfig(), [180]),
+            # a hop longer than the frame, with two bad readings in one block:
+            # windows after a bad reading are measured in the same hop
+            (NaiveDetectorConfig(frame_len=10, hop=30, history_len=40), [50, 70]),
+        ],
+    )
+    def test_non_finite_reading_is_rejected_while_it_is_buffered(self, bad, kind, cfg, where):
+        keep = cfg.history_len + cfg.frame_len - cfg.overlap
+        values = np.sin(np.arange(1500) * 0.3) + np.random.default_rng(0).normal(0.0, 0.1, 1500)
+        clean = NaiveDetector(cfg, 100.0)
+        for v in values:
+            clean.push(v)
+        values = values.tolist()
+        for t in where:
+            values[t] = kind(bad)
+        det = NaiveDetector(cfg, 100.0)
+        rejected = []
+        for n, v in enumerate(values, start=1):
+            try:
+                det.push(v)
+            except DataError:
+                rejected.append(n)
+        hops = range(cfg.warmup, len(values) + 1, cfg.hop)
+        assert rejected == [n for n in hops if any(t < n <= t + keep for t in where)]
+        # the hops before and after score as if the readings had been finite,
+        # up to the rounding of window moments whose running sums passed them
+        scored = {r.sample_index: r.score for r in det.trace}
+        assert sorted(scored) == [n - 1 for n in hops if n not in rejected]
+        want = {r.sample_index: r.score for r in clean.trace if r.sample_index in scored}
+        assert scored == pytest.approx(want, rel=0, abs=1e-9)
+
+
+def naive_hops(values, cfg):
+    """(sample index, score, misread, frame, history) for every hop of a
+    NaiveDetector, the way it scored before its ring buffer: Frame and History
+    cut from an array of the last keep readings, one distance_profile per hop.
+
+    misread marks a hop whose History has an exactly constant window that the
+    running sums read as varying (stdev above eps), either those of
+    distance_profile over History or those the detector takes over the
+    samples of the windows a hop completes. The sums cancel on a constant
+    stretch at a nonzero level (ROADMAP A6), and the fast formula then gives
+    that window an arbitrary distance on each side."""
+    m, keep = cfg.frame_len, cfg.history_len + cfg.frame_len - cfg.overlap
+    ring_sd = np.zeros(len(values))
+    hops, last = [], 0
+    for n in range(cfg.warmup, len(values) + 1, cfg.hop):
+        first = max(last - m + 1, n - keep, 0)
+        ring_sd[first : n - m + 1] = _rolling_mean_std(np.array(values[first:n]), m)[1]
+        last = n
+        arr = np.array(values[max(0, n - keep) : n])
+        frame = arr[-m:]
+        history = arr[: arr.size - (m - cfg.overlap)]
+        score = distance_profile(frame, history).min() / (2.0 * math.sqrt(m))
+        windows = np.lib.stride_tricks.sliding_window_view(history, m)
+        flat = windows.min(axis=1) == windows.max(axis=1)
+        start = n - arr.size
+        sd = np.maximum(_rolling_mean_std(history, m)[1], ring_sd[start : start + flat.size])
+        hops.append((n - 1, float(score), bool(np.any(flat & (sd > DEFAULT_EPS))), frame, history))
+    return hops
+
+
+def definition_best(frame, history):
+    """Smallest distance between the z-normalized Frame and a z-normalized
+    window of History, each measured on its own; a constant one z-normalizes
+    to zeros."""
+
+    def znorm(x):
+        sd = x.std(axis=-1, keepdims=True)
+        return (x - x.mean(axis=-1, keepdims=True)) / np.where(sd > DEFAULT_EPS, sd, np.inf)
+
+    windows = np.lib.stride_tricks.sliding_window_view(history, frame.size)
+    return float(np.sqrt(((znorm(windows) - znorm(frame)) ** 2).sum(axis=1)).min())
+
+
+def draw_stream(rng, kinds, level, length, frame_len):
+    """``length`` readings from segments of the listed kinds, in turn: gait-
+    scale noise, one periodic pattern (a period of at most frame_len, so every
+    Frame in a periodic stretch has an exact copy in History), zeros, and a
+    constant at ``level``."""
+    base = rng.normal(0.0, 2.0, int(rng.integers(2, frame_len + 1)))
+    parts, total = [], 0
+    while total < length:
+        for kind in kinds:
+            n = int(rng.integers(frame_len, 6 * frame_len + 60))
+            if kind == "noise":
+                part = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), n)
+            elif kind == "periodic":
+                part = base[(total + np.arange(n)) % base.size]
+            else:
+                part = np.full(n, 0.0 if kind == "zeros" else level)
+            parts.append(part)
+            total += n
+    return np.concatenate(parts)[:length].tolist()
+
+
+class TestNaiveHops:
+    """Every hop of NaiveDetector matches a fresh distance profile of a Frame
+    and History cut from the last keep readings."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(keep=st.integers(1, 12), blocks=st.lists(st.integers(1, 30), max_size=40))
+    def test_ring_holds_the_last_keep_readings_as_one_slice(self, keep, blocks):
+        ring = np.full(2 * keep, np.nan)
+        n = 0
+        for size in blocks:
+            block = np.arange(n, n + size, dtype=np.float64)
+            n += size
+            fresh = min(size, keep)
+            _ring_write(ring, n - fresh, block[size - fresh :])
+            last = min(n, keep)
+            start = (n - last) % keep
+            assert ring[start : start + last].tolist() == list(range(n - last, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frame_len=st.integers(3, 40),
+        extra=st.integers(0, 120) | st.integers(FFT_CUTOFF, FFT_CUTOFF + 50),
+        hop=st.integers(1, 12) | st.integers(1500, 1600),
+        overlap_fraction=st.floats(0.0, 0.99),
+        threshold=st.floats(0.0, 1.0),
+        kinds=st.lists(st.sampled_from(["noise", "periodic", "zeros", "constant"]), min_size=1, max_size=4),
+        level=st.floats(0.5, 20.0) | st.floats(-20.0, -0.5),
+        more_hops=st.integers(-1, 60),
+    )
+    # an exact periodic repeat: every score is a near-duplicate, recomputed
+    @example(seed=1, frame_len=20, extra=40, hop=3, overlap_fraction=0.25, threshold=0.5,
+             kinds=["periodic"], level=1.0, more_hops=30)
+    # a constant stretch at level 0: constant windows, and a constant Frame
+    # among constant windows
+    @example(seed=2, frame_len=10, extra=30, hop=1, overlap_fraction=0.0, threshold=0.3,
+             kinds=["noise", "zeros"], level=1.0, more_hops=60)
+    # a constant Frame at a nonzero level (about half the hops read a
+    # constant window as varying and are skipped)
+    @example(seed=3, frame_len=12, extra=0, hop=1, overlap_fraction=0.5, threshold=0.3,
+             kinds=["noise", "constant"], level=9.81, more_hops=60)
+    # the first hop at warmup only, with frame_len 3
+    @example(seed=4, frame_len=3, extra=0, hop=5, overlap_fraction=0.0, threshold=0.3,
+             kinds=["noise"], level=1.0, more_hops=-1)
+    # hop equal to keep, and History long enough for the FFT route
+    @example(seed=5, frame_len=10, extra=20, hop=45, overlap_fraction=0.5, threshold=0.3,
+             kinds=["noise", "periodic"], level=1.0, more_hops=8)
+    @example(seed=6, frame_len=40, extra=FFT_CUTOFF, hop=7, overlap_fraction=0.25, threshold=0.3,
+             kinds=["noise", "periodic", "zeros"], level=1.0, more_hops=20)
+    def test_every_hop_matches_a_fresh_distance_profile(
+        self, seed, frame_len, extra, hop, overlap_fraction, threshold, kinds, level, more_hops
+    ):
+        cfg = NaiveDetectorConfig(
+            frame_len=frame_len,
+            hop=hop,
+            history_len=2 * frame_len + extra,
+            overlap_fraction=overlap_fraction,
+            discord_threshold=threshold,
+        )
+        keep = cfg.history_len + cfg.frame_len - cfg.overlap
+        # fill the ring, then wrap it for a while (more_hops -1: stop before)
+        hops = -(-max(keep - cfg.warmup, 0) // hop) + more_hops
+        length = cfg.warmup + hop * hops
+        values = draw_stream(np.random.default_rng(seed), kinds, level, length, frame_len)
+        det = NaiveDetector(cfg, 100.0)
+        alarms = [a.sample_index for v in values for a in det.push(v)]
+        want = naive_hops(values, cfg)
+        assert [r.sample_index for r in det.trace] == [w[0] for w in want]
+        agree = {}
+        for rec, (i, score, misread, frame, history) in zip(det.trace, want):
+            if misread:
+                continue
+            if abs(rec.score - score) <= 1e-9:
+                agree[i] = score
+            else:
+                # distance_profile's running sums over a long History lose
+                # digits on short windows (3e-8 on a score at m = 3 and 1000
+                # readings of noise at a level); the detector's, over a few
+                # readings each, lose fewer, so it must be the nearer to the
+                # definition
+                want_score = definition_best(frame, history) / (2.0 * math.sqrt(frame_len))
+                assert abs(rec.score - want_score) < abs(score - want_score), i
+        assert [i for i in alarms if i in agree] == [i for i, score in agree.items() if score > threshold]
 
 
 class TestStepSystemConfig:

@@ -97,6 +97,9 @@ class TestMatchAlarms:
         )
         assert c.tp + c.fn == n_ab
         assert c.fp + c.tn == n_ok + strays
+        hit = [any(s.start <= i < s.end for i in alarm_idx) for s in segments]
+        assert c.tp == sum(h for s, h in zip(segments, hit) if s.is_anomalous)
+        assert c.fp == sum(h for s, h in zip(segments, hit) if not s.is_anomalous) + strays
 
 
 class TestF1:
