@@ -8,6 +8,7 @@ field names; explicit flags win over the file, the file wins over defaults.
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -20,8 +21,7 @@ from .detectors import (
     NaiveDetectorConfig,
     StepGatedDetector,
     StepSystemConfig,
-    dump_alarms,
-    dump_trace,
+    dump_jsonl,
     replay,
 )
 from .errors import DataError
@@ -59,39 +59,22 @@ def _load_recording(path) -> ds.Recording:
 
 def _parse_signal(text: str) -> SignalSelector:
     try:
-        return SignalSelector.parse(text)
+        sel = SignalSelector.parse(text)
     except ValueError as exc:
         _fail(str(exc))
+    if sel.source == "both":
+        _fail(f"signal {text!r}: pick one source, accel or gyro")
+    return sel
 
 
-def _read_kv(path) -> dict[str, str]:
-    out = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        _fail(str(exc))
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            _fail(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
-    return out
-
-
-def _merge_config(defaults: dict, file_values: dict[str, str], flags: dict) -> dict:
-    """Three-layer precedence; file values are coerced to the default's type."""
+def _config(path, defaults: dict, flags: dict) -> dict:
+    """Defaults, overridden by the config file, overridden by the given flags."""
     merged = dict(defaults)
-    for key, raw in file_values.items():
-        if key not in merged:
-            _fail(f"unknown config key {key!r}")
-        kind = type(merged[key])
+    if path is not None:
         try:
-            merged[key] = raw if kind is str else kind(raw)
-        except ValueError:
-            _fail(f"config key {key!r}: cannot parse {raw!r}")
+            merged.update(ds.parse_config(Path(path).read_text(), defaults))
+        except (DataError, OSError) as exc:
+            _fail(f"{path}: {exc}")
     merged.update({k: v for k, v in flags.items() if v is not None})
     return merged
 
@@ -126,8 +109,8 @@ def generate(out, normal, anomalous, position, kind, seed, rate, period, noise, 
     if config_path:
         try:
             cfg = ds.synth_config_from_file(config_path, base=cfg)
-        except (DataError, ValueError) as exc:
-            _fail(str(exc))
+        except (DataError, ValueError, OSError) as exc:
+            _fail(f"{config_path}: {exc}")
     overrides = {
         "n_normal_steps": normal,
         "n_anomalous_steps": anomalous,
@@ -292,12 +275,11 @@ def _build_step_config(rate: float, merged: dict) -> StepSystemConfig:
 def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_len, prime_path, frame_len, hop, config_path):
     """Replay a recording through a detector and write the alarms raised."""
     rec = _load_recording(recording)
-    file_values = _read_kv(config_path) if config_path else {}
     try:
         if mode == "step":
-            merged = _merge_config(
+            merged = _config(
+                config_path,
                 _STEP_DEFAULTS,
-                file_values,
                 {
                     "discord_threshold": threshold,
                     "history_len_s": history_len,
@@ -314,9 +296,9 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
         else:
             if prime_path is not None:
                 _fail("--prime applies to step mode only")
-            merged = _merge_config(
+            merged = _config(
+                config_path,
                 _NAIVE_DEFAULTS,
-                file_values,
                 {
                     "discord_threshold": threshold,
                     "frame_len": frame_len,
@@ -339,9 +321,9 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
     except (DataError, ValueError) as exc:
         _fail(str(exc))
     try:
-        dump_alarms(result.alarms, alarms_path)
+        dump_jsonl(result.alarms, alarms_path)
         if trace_path is not None:
-            dump_trace(result.trace, trace_path)
+            dump_jsonl(result.trace, trace_path)
     except OSError as exc:
         _fail(str(exc))
     click.echo(f"{len(result.alarms)} alarms -> {alarms_path}")
@@ -365,7 +347,7 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
     help="History length in seconds; repeat for several ROC families.",
 )
 @click.option("--grid-points", type=int, default=101, show_default=True)
-@click.option("--rtf-runs", type=int, default=5, show_default=True)
+@click.option("--rtf-runs", type=click.IntRange(min=1), default=5, show_default=True)
 def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
     """Score recording directories (recording.csv + annotations.csv each)."""
     sel = _parse_signal(signal)
@@ -432,10 +414,8 @@ def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
             f"f1 {report.aggregate_f1:.4f} at threshold {report.optimal_threshold:.2f}"
         )
 
-    import json as _json
-
     with open(out_dir / "report.json", "w") as f:
-        _json.dump({"families": families}, f, indent=2, sort_keys=True)
+        json.dump({"families": families}, f, indent=2, sort_keys=True)
         f.write("\n")
     click.echo(f"wrote {out_dir / 'report.json'}")
 
@@ -447,7 +427,7 @@ def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
 @click.argument("recording", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["step", "naive"]), default="step", show_default=True)
 @click.option("--signal", default="gyro:linf", show_default=True)
-@click.option("--runs", type=int, default=5, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--assert-realtime", is_flag=True, help="Exit 1 unless faster than realtime.")
 def bench(recording, mode, signal, runs, assert_realtime):
     """Measure the real-time factor of a full replay."""

@@ -370,21 +370,18 @@ def generate(config: SynthConfig) -> tuple[Recording, list[LabeledSegment]]:
     return Recording(t, accel, gyro, sample_rate_hz=fs, meta=meta), segments
 
 
-# -- generator config files ------------------------------------------------
-
-_TEMPLATE_PREFIX = "template."
+# -- key = value config files ---------------------------------------------
 
 
-def parse_synth_config(text: str, base: SynthConfig | None = None) -> SynthConfig:
-    """Parse 'key = value' lines into a SynthConfig.
+def parse_config(text: str, defaults: dict) -> dict:
+    """Parse 'key = value' lines into {key: value} for keys of defaults.
 
-    Keys are SynthConfig field names; template fields use the dotted form
-    template.<field>. '#' starts a comment; blank lines are ignored.
+    '#' starts a comment; blank lines are ignored. Each value takes the type
+    of its key's default; a key whose default is None takes an int, or
+    none/auto for None. Unknown keys and unparsable values raise DataError
+    naming the line.
     """
-    cfg_fields = {f.name: f for f in fields(SynthConfig) if f.name != "template"}
-    tpl_fields = {f.name: f for f in fields(StepTemplate)}
-    overrides: dict = {}
-    tpl_overrides: dict = {}
+    out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -393,32 +390,41 @@ def parse_synth_config(text: str, base: SynthConfig | None = None) -> SynthConfi
             raise DataError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in defaults:
+            raise DataError(f"config line {lineno}: unknown key {key!r}")
+        default = defaults[key]
         try:
-            if key.startswith(_TEMPLATE_PREFIX):
-                name = key[len(_TEMPLATE_PREFIX):]
-                if name not in tpl_fields:
-                    raise DataError(f"config line {lineno}: unknown key {key!r}")
-                tpl_overrides[name] = float(value)
-            elif key in cfg_fields:
-                overrides[key] = _parse_config_value(key, value)
+            if default is None:
+                out[key] = None if value.lower() in ("none", "auto") else int(value)
             else:
-                raise DataError(f"config line {lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            raise DataError(f"config line {lineno}: {exc}") from exc
+                out[key] = type(default)(value)
+        except ValueError:
+            raise DataError(f"config line {lineno}: {key}: cannot parse {value!r}") from None
+    return out
+
+
+_TEMPLATE_PREFIX = "template."
+
+
+def parse_synth_config(text: str, base: SynthConfig | None = None) -> SynthConfig:
+    """Parse 'key = value' lines into a SynthConfig.
+
+    Keys are SynthConfig field names; template fields use the dotted form
+    template.<field>.
+    """
+    cfg, tpl = SynthConfig(), StepTemplate()
+    defaults = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "template"}
+    defaults.update({_TEMPLATE_PREFIX + f.name: getattr(tpl, f.name) for f in fields(tpl)})
+    overrides = parse_config(text, defaults)
+    tpl_overrides = {
+        key[len(_TEMPLATE_PREFIX):]: overrides.pop(key)
+        for key in list(overrides)
+        if key.startswith(_TEMPLATE_PREFIX)
+    }
     base = base or SynthConfig()
     if tpl_overrides:
         overrides["template"] = replace(base.template, **tpl_overrides)
     return replace(base, **overrides)
-
-
-def _parse_config_value(key: str, value: str):
-    if key in ("n_normal_steps", "n_anomalous_steps", "rng_seed"):
-        return int(value)
-    if key == "anomaly_position":
-        return None if value.lower() in ("none", "auto") else int(value)
-    if key == "anomaly_kind":
-        return value
-    return float(value)
 
 
 def synth_config_from_file(path, base: SynthConfig | None = None) -> SynthConfig:

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -516,10 +516,6 @@ class StepGatedDetector:
         self.step_events: list[dict] = []
         self.admissions: list[dict] = []
 
-    @property
-    def segmentation_threshold(self) -> float:
-        return self._step.threshold
-
     def history_samples(self) -> int:
         return self._history.buffer.size
 
@@ -743,64 +739,14 @@ def alarms_from_trace(
 # -- line-delimited serialization ------------------------------------------
 
 
-def dump_alarms(alarms, path) -> None:
+def dump_jsonl(records, path) -> None:
+    """Write one JSON object per dataclass record, keys in field order."""
     with open(path, "w") as f:
-        for a in alarms:
-            f.write(
-                json.dumps(
-                    {
-                        "sample_index": a.sample_index,
-                        "time_s": a.time_s,
-                        "score": a.score,
-                        "query_len": a.query_len,
-                    }
-                )
-                + "\n"
-            )
+        for r in records:
+            f.write(json.dumps(asdict(r)) + "\n")
 
 
-def load_alarms(path) -> list[AlarmEvent]:
-    alarms = []
+def load_jsonl(cls, path) -> list:
+    """Read the records dump_jsonl wrote back as instances of cls."""
     with open(path) as f:
-        for line in f:
-            if line.strip():
-                d = json.loads(line)
-                alarms.append(
-                    AlarmEvent(d["sample_index"], d["time_s"], d["score"], d["query_len"])
-                )
-    return alarms
-
-
-def dump_trace(trace, path) -> None:
-    with open(path, "w") as f:
-        for r in trace:
-            f.write(
-                json.dumps(
-                    {
-                        "sample_index": r.sample_index,
-                        "query_index": r.query_index,
-                        "step_ordinal": r.step_ordinal,
-                        "query_len": r.query_len,
-                        "score": r.score,
-                    }
-                )
-                + "\n"
-            )
-
-
-def load_trace(path) -> list[TraceRecord]:
-    out = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                d = json.loads(line)
-                out.append(
-                    TraceRecord(
-                        d["sample_index"],
-                        d["query_index"],
-                        d["step_ordinal"],
-                        d["query_len"],
-                        d["score"],
-                    )
-                )
-    return out
+        return [cls(**json.loads(line)) for line in f if line.strip()]

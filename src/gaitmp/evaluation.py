@@ -12,7 +12,6 @@ which keeps sweeps deterministic and cheap.
 from __future__ import annotations
 
 import bisect
-import json
 import statistics
 from dataclasses import dataclass
 
@@ -120,53 +119,27 @@ def _check_thresholds(thresholds) -> np.ndarray:
     return t
 
 
-def _auc_from_points(points: list[tuple[float, float]]) -> float:
-    pts = sorted(set(points) | {(0.0, 0.0), (1.0, 1.0)})
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    return float(_trapezoid(y, x))
+def roc_curve(thresholds, counts: list[ConfusionCounts]) -> tuple[list[RocPoint], float]:
+    """ROC from the confusion counts at each threshold, plus trapezoid AUC.
 
-
-def roc_sweep(
-    alarm_sets: list[tuple[float, list[AlarmEvent]]],
-    truth: list[LabeledSegment],
-) -> tuple[list[RocPoint], float]:
-    """ROC over pre-thresholded alarm sets, plus trapezoid AUC.
-
-    alarm_sets pairs each threshold with the alarms that survive it;
-    thresholds must be strictly decreasing. The curve is anchored at the
-    (0,0) and (1,1) corners for the area computation.
+    thresholds must be strictly decreasing, with counts[j] taken at
+    thresholds[j]. The curve is anchored at the (0,0) and (1,1) corners for
+    the area computation.
     """
-    _check_thresholds([t for t, _ in alarm_sets])
-    if not any(s.is_anomalous for s in truth):
+    grid = _check_thresholds(thresholds)
+    if len(counts) != grid.size:
+        raise ValueError("need one set of confusion counts per threshold")
+    if counts[0].tp + counts[0].fn == 0:
         raise ValueError("no anomalous segments: TPR is undefined")
     points = []
-    for threshold, alarms in alarm_sets:
-        c = match_alarms(alarms, truth)
+    for th, c in zip(grid, counts):
         tpr = c.tp / (c.tp + c.fn)
         fpr = c.fp / (c.fp + c.tn) if c.fp + c.tn else 0.0
-        points.append(RocPoint(fpr, tpr, float(threshold)))
-    auc = _auc_from_points([(p.fpr, p.tpr) for p in points])
-    return points, auc
-
-
-def mean_roc(
-    curves: list[list[RocPoint]], grid: np.ndarray | None = None
-) -> list[tuple[float, float]]:
-    """Vertical average of several ROC curves on a fixed FPR grid."""
-    if not curves:
-        raise ValueError("no curves to average")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    stacked = []
-    for curve in curves:
-        pts = sorted(set((p.fpr, p.tpr) for p in curve) | {(0.0, 0.0), (1.0, 1.0)})
-        x = np.array([p[0] for p in pts])
-        y = np.array([p[1] for p in pts])
-        # step-wise upper envelope: at equal fpr keep the best tpr seen
-        stacked.append(np.interp(grid, x, np.maximum.accumulate(y)))
-    mean = np.mean(stacked, axis=0)
-    return list(zip(grid.tolist(), mean.tolist()))
+        points.append(RocPoint(fpr, tpr, float(th)))
+    pts = sorted({(p.fpr, p.tpr) for p in points} | {(0.0, 0.0), (1.0, 1.0)})
+    x = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
+    return points, float(_trapezoid(y, x))
 
 
 def optimal_threshold(points: list[RocPoint]) -> float:
@@ -256,14 +229,7 @@ def evaluate_recordings(
         sum((e[4][j] for e in entries), ConfusionCounts(0, 0, 0, 0))
         for j in range(len(grid))
     ]
-    if pooled[0].tp + pooled[0].fn == 0:
-        raise ValueError("no anomalous segments: TPR is undefined")
-    points = []
-    for th, c in zip(grid, pooled):
-        tpr = c.tp / (c.tp + c.fn)
-        fpr = c.fp / (c.fp + c.tn) if c.fp + c.tn else 0.0
-        points.append(RocPoint(fpr, tpr, float(th)))
-    auc = _auc_from_points([(p.fpr, p.tpr) for p in points])
+    points, auc = roc_curve(grid, pooled)
     theta = optimal_threshold(points)
     j_opt = int(np.argmin(np.abs(grid - theta)))
 
@@ -319,12 +285,6 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "aggregate_f1": report.aggregate_f1,
         "real_time_factor": report.real_time_factor,
     }
-
-
-def write_report_json(report: EvaluationReport, path) -> None:
-    with open(path, "w") as f:
-        json.dump(report_to_dict(report), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def write_roc_csv(points, path) -> None:

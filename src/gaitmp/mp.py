@@ -32,7 +32,7 @@ NO_NEIGHBOR = -1
 # dot products and moments. A constant query is left to the fast path, whose
 # degenerate convention is exact for it.
 NEAR_DUPLICATE = 1e-3
-# Windows per batch when the joins take two-pass window moments.
+# Windows per batch when the self-join takes two-pass window moments.
 MOMENT_BATCH = 4096
 
 
@@ -62,30 +62,6 @@ class TimeSeries:
     @property
     def duration_s(self) -> float:
         return self.n / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class Subsequence:
-    """Window of ``length`` samples starting at ``start`` of an owning series."""
-
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.start < 0:
-            raise ValueError("start must be non-negative")
-        if self.length < 3:
-            raise ValueError("subsequence length must be at least 3")
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
-    def extract(self, series) -> np.ndarray:
-        values = _values(series)
-        if self.end > values.size:
-            raise ValueError("subsequence exceeds series length")
-        return values[self.start : self.end]
 
 
 @dataclass
@@ -185,7 +161,7 @@ def _window_mean_std(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     The running sums of _rolling_mean_std cancel: a constant window of a long
     series can come out with a stdev far above eps, which the fast formula
-    turns into arbitrary distances. The joins are O(n^2), so the O(n*m) cost
+    turns into arbitrary distances. The self-join is O(n^2), so the O(n*m) cost
     of measuring each window directly is small beside them.
     """
     windows = sliding_window_view(x, m)
@@ -341,38 +317,6 @@ def matrix_profile_self(
     return MatrixProfileResult(profile, indices, m, exclusion)
 
 
-def matrix_profile_ab(
-    query_series,
-    reference_series,
-    m: int,
-    eps: float = DEFAULT_EPS,
-    method: str = "auto",
-) -> MatrixProfileResult:
-    """Join of every query window against every reference window (no exclusion)."""
-    q = _values(query_series)
-    r = _values(reference_series)
-    if m < 3:
-        raise ValueError("subsequence length must be at least 3")
-    if m > q.size or m > r.size:
-        raise ValueError("subsequence length exceeds a series length")
-
-    num_windows = q.size - m + 1
-    mu_q, sd_q = _window_mean_std(q, m)
-    mu_r, sd_r = _window_mean_std(r, m)
-    divisor_q = _divisor(sd_q, eps)
-    divisor_r = _divisor(sd_r, eps)
-    windows = sliding_window_view(r, m)
-    profile = np.empty(num_windows)
-    indices = np.empty(num_windows, dtype=np.int64)
-    for i in range(num_windows):
-        win = q[i : i + m]
-        qt = sliding_dot_product(win, r, method)
-        d = _pair_distances(qt, mu_q[i], sd_q[i], mu_r, sd_r, m, eps)
-        zq = (win - mu_q[i]) / divisor_q[i]
-        profile[i], indices[i] = _finish_row(d, zq, sd_q[i] <= eps, windows, mu_r, divisor_r)
-    return MatrixProfileResult(profile, indices, m, exclusion=0)
-
-
 def brute_force_mp(
     series,
     m: int,
@@ -406,22 +350,3 @@ def brute_force_mp(
         d[lo:hi] = np.inf
         profile[i], indices[i] = _min_with_sentinel(d)
     return MatrixProfileResult(profile, indices, m, exclusion)
-
-
-def discord(result: MatrixProfileResult) -> tuple[int, float]:
-    """Position and value of the largest finite profile entry (ties: smallest index)."""
-    finite = np.isfinite(result.profile)
-    if not finite.any():
-        raise ValueError("no discord: profile has no finite entries")
-    masked = np.where(finite, result.profile, -np.inf)
-    i = int(np.argmax(masked))
-    return i, float(result.profile[i])
-
-
-def motif(result: MatrixProfileResult) -> tuple[int, int, float]:
-    """Closest pair: argmin position, its neighbor, and their distance."""
-    finite = np.isfinite(result.profile)
-    if not finite.any():
-        raise ValueError("no motif: profile has no finite entries")
-    i = int(np.argmin(result.profile))
-    return i, int(result.indices[i]), float(result.profile[i])

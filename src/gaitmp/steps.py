@@ -216,22 +216,3 @@ class StepDetector:
             events.extend(self._finalize_pending())
         self.reset_stream()
         return tuple(events)
-
-
-def segments_from_events(events) -> list[StepSegment]:
-    """Pair started/ended events back into ordered segments."""
-    segments = []
-    start = None
-    for ev in events:
-        if ev.kind == STARTED:
-            if start is not None:
-                raise ValueError("started event while a step is already open")
-            start = ev.index
-        else:
-            if start is None:
-                raise ValueError("ended event without a started event")
-            segments.append(StepSegment(start, ev.index))
-            start = None
-    if start is not None:
-        raise ValueError("stream ended with an unterminated step")
-    return segments

@@ -18,12 +18,13 @@ from gaitmp.evaluation import (
     evaluate_recordings,
     f1,
     match_alarms,
-    roc_sweep,
+    roc_curve,
     threshold_grid,
 )
 from gaitmp.mp import brute_force_mp, matrix_profile_self
 from gaitmp.signal import SignalSelector, envelope
-from gaitmp.steps import StepDetector, segments_from_events
+from gaitmp.steps import StepDetector
+from test_steps import segments_from_events
 
 
 def step_detector():
@@ -246,13 +247,16 @@ def test_criterion_9_metrics_self_test():
             )
         return sets
 
-    _, chance_auc = roc_sweep(sweep([0.5] * 5, threshold_grid()), truth)
+    def roc(sets):
+        return roc_curve([th for th, _ in sets], [match_alarms(a, truth) for _, a in sets])
+
+    _, chance_auc = roc(sweep([0.5] * 5, threshold_grid()))
     assert chance_auc == pytest.approx(0.5)
 
     rng = np.random.default_rng(7)
     scores = rng.random(5).tolist()
     grid = sorted({0.0, 1.0, *scores}, reverse=True)
-    _, auc = roc_sweep(sweep(scores, grid), truth)
+    _, auc = roc(sweep(scores, grid))
     manual = {(0.0, 0.0), (1.0, 1.0)}
     for th in grid:
         tp = sum(1 for s, sc in zip(truth, scores) if s.is_anomalous and sc > th)

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from gaitmp.cli import main
 from gaitmp.dataset import LabeledSegment, load_annotations, load_recording, save_annotations
-from gaitmp.detectors import load_alarms, load_trace
+from gaitmp.detectors import AlarmEvent, TraceRecord, load_jsonl
 
 
 @pytest.fixture()
@@ -120,7 +120,7 @@ class TestDetect:
             ["detect", str(tmp_path / "rec" / "recording.csv"), "-o", str(alarms_path)],
         )
         assert result.exit_code == 0, result.output
-        alarms = load_alarms(alarms_path)
+        alarms = load_jsonl(AlarmEvent, alarms_path)
         truth = load_annotations(tmp_path / "rec" / "annotations.csv")
         spans = [(s.start, s.end) for s in truth if s.is_anomalous]
         assert len(alarms) == 2
@@ -134,7 +134,7 @@ class TestDetect:
             ["detect", str(tmp_path / "rec" / "recording.csv"), "-o", str(alarms_path)],
         )
         assert result.exit_code == 0
-        assert load_alarms(alarms_path) == []
+        assert load_jsonl(AlarmEvent, alarms_path) == []
 
     def test_emit_trace(self, runner, tmp_path):
         gen(runner, tmp_path / "rec")
@@ -145,7 +145,7 @@ class TestDetect:
              "-o", str(tmp_path / "a.jsonl"), "--emit-trace", str(trace_path)],
         )
         assert result.exit_code == 0
-        rows = load_trace(trace_path)
+        rows = load_jsonl(TraceRecord, trace_path)
         assert rows and all(0.0 <= r.score <= 1.0 for r in rows)
 
     def test_flag_beats_config_file(self, runner, tmp_path):
@@ -162,7 +162,7 @@ class TestDetect:
             main,
             ["detect", rec_csv, "-o", str(high), "--config", str(cfg), "--threshold", "0.5"],
         ).exit_code == 0
-        assert len(load_alarms(low)) > len(load_alarms(high)) == 2
+        assert len(load_jsonl(AlarmEvent, low)) > len(load_jsonl(AlarmEvent, high)) == 2
 
     def test_unknown_config_key_is_usage_error(self, runner, tmp_path):
         gen(runner, tmp_path / "rec")
@@ -174,6 +174,25 @@ class TestDetect:
              "-o", str(tmp_path / "a.jsonl"), "--config", str(cfg)],
         )
         assert result.exit_code == 2
+        assert "line 1" in result.output
+
+    @pytest.mark.parametrize("mode", ["step", "naive"])
+    @pytest.mark.parametrize(
+        "text", ["discord_threshold high", "discord_threshold = high", "frame_length = 9"]
+    )
+    def test_bad_config_line_is_usage_error_naming_it(self, runner, tmp_path, mode, text):
+        gen(runner, tmp_path / "rec")
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(f"# detector settings\n\nsignal = gyro:linf\n{text}\n")
+        result = runner.invoke(
+            main,
+            ["detect", str(tmp_path / "rec" / "recording.csv"), "--mode", mode,
+             "-o", str(tmp_path / "a.jsonl"), "--config", str(cfg)],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"{cfg}: config line 4" in result.output
+        assert not (tmp_path / "a.jsonl").exists()
 
     def test_naive_mode_runs(self, runner, tmp_path):
         gen(runner, tmp_path / "rec")
@@ -194,7 +213,7 @@ class TestDetect:
              "--prime", str(tmp_path / "ref" / "recording.csv")],
         )
         assert result.exit_code == 0, result.output
-        assert len(load_alarms(alarms_path)) == 2
+        assert len(load_jsonl(AlarmEvent, alarms_path)) == 2
 
     def test_prime_rejected_in_naive_mode(self, runner, tmp_path):
         gen(runner, tmp_path / "rec")
@@ -291,3 +310,34 @@ class TestBench:
         assert result.exit_code == 0, result.output
         assert result.output.startswith("rtf ")
         assert float(result.output.split()[1]) < 1.0
+
+
+class TestUsageErrors:
+    """Bad input exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bench", "{rec}", "--runs", "0"],
+            ["evaluate", "{dir}", "-o", "{out}", "--rtf-runs", "0"],
+            ["segment", "{rec}", "--signal", "both:l2"],
+            ["mp", "{rec}", "-m", "20", "--signal", "both:l2"],
+            ["bench", "{rec}", "--signal", "both:l2"],
+            ["detect", "{rec}", "-o", "{out}/a.jsonl", "--signal", "both:l2"],
+            ["detect", "{rec}", "-o", "{out}/a.jsonl", "--mode", "naive", "--signal", "both:l2"],
+        ],
+        ids=["bench-runs-0", "evaluate-rtf-runs-0", "segment-both", "mp-both", "bench-both",
+             "detect-both", "detect-naive-both"],
+    )
+    def test_exit_2_without_traceback(self, runner, tmp_path, args):
+        gen(runner, tmp_path / "rec")
+        paths = {
+            "rec": str(tmp_path / "rec" / "recording.csv"),
+            "dir": str(tmp_path / "rec"),
+            "out": str(tmp_path / "out"),
+        }
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()

@@ -12,11 +12,11 @@ from gaitmp.detectors import (
     NaiveDetectorConfig,
     StepGatedDetector,
     StepSystemConfig,
+    AlarmEvent,
+    TraceRecord,
     alarms_from_trace,
-    dump_alarms,
-    dump_trace,
-    load_alarms,
-    load_trace,
+    dump_jsonl,
+    load_jsonl,
     _Chunk,
     _History,
     _ring_write,
@@ -489,19 +489,34 @@ class TestSerialization:
     def test_alarm_round_trip(self, tmp_path, tremor_run):
         _, _, _, res = tremor_run
         p = tmp_path / "alarms.jsonl"
-        dump_alarms(res.alarms, p)
-        assert load_alarms(p) == list(res.alarms)
+        dump_jsonl(res.alarms, p)
+        assert load_jsonl(AlarmEvent, p) == list(res.alarms)
 
     def test_trace_round_trip(self, tmp_path, tremor_run):
         _, _, _, res = tremor_run
         p = tmp_path / "trace.jsonl"
-        dump_trace(res.trace, p)
-        assert load_trace(p) == list(res.trace)
+        dump_jsonl(res.trace, p)
+        assert load_jsonl(TraceRecord, p) == list(res.trace)
 
     def test_empty_round_trip(self, tmp_path):
         p = tmp_path / "empty.jsonl"
-        dump_alarms([], p)
-        assert load_alarms(p) == []
+        dump_jsonl([], p)
+        assert load_jsonl(AlarmEvent, p) == []
+
+    def test_line_format_is_pinned(self, tmp_path):
+        # gaitmp detect writes these files: one object per line, keys in
+        # field order, None as null
+        records = [
+            AlarmEvent(412, 4.12, 0.6180339887498949, 57),
+            TraceRecord(5000, 4900, None, 100, 0.25),
+        ]
+        p = tmp_path / "mixed.jsonl"
+        dump_jsonl(records, p)
+        assert p.read_text() == (
+            '{"sample_index": 412, "time_s": 4.12, "score": 0.6180339887498949, "query_len": 57}\n'
+            '{"sample_index": 5000, "query_index": 4900, "step_ordinal": null, '
+            '"query_len": 100, "score": 0.25}\n'
+        )
 
 
 class PerChunkHistory:

@@ -15,15 +15,13 @@ from gaitmp.evaluation import (
     evaluate_recordings,
     f1,
     match_alarms,
-    mean_roc,
     optimal_threshold,
     real_time_factor,
     report_to_dict,
-    roc_sweep,
+    roc_curve,
     threshold_grid,
     write_earliness_csv,
     write_f1_csv,
-    write_report_json,
     write_roc_csv,
 )
 
@@ -138,26 +136,34 @@ def synthetic_sweep(scores, truth, grid=None):
     return sets
 
 
-class TestRocSweep:
+def sweep_roc(sets, truth):
+    return roc_curve([th for th, _ in sets], [match_alarms(a, truth) for _, a in sets])
+
+
+class TestRocCurve:
     def test_thresholds_must_decrease(self):
         with pytest.raises(ValueError):
-            roc_sweep([(0.2, []), (0.8, [])], TRUTH)
+            sweep_roc([(0.2, []), (0.8, [])], TRUTH)
+
+    def test_one_count_per_threshold(self):
+        with pytest.raises(ValueError, match="per threshold"):
+            roc_curve([1.0, 0.5, 0.0], [match_alarms([], TRUTH)] * 2)
 
     def test_requires_anomalous_segment(self):
         with pytest.raises(ValueError):
-            roc_sweep(synthetic_sweep([0.1], [seg(0, 10, "ok")], grid=[1.0, 0.0]),
+            sweep_roc(synthetic_sweep([0.1], [seg(0, 10, "ok")], grid=[1.0, 0.0]),
                       [seg(0, 10, "ok")])
 
     def test_perfect_separation_auc_one(self):
         scores = [0.1, 0.2, 0.9, 0.15, 0.8]
-        points, auc = roc_sweep(synthetic_sweep(scores, TRUTH), TRUTH)
+        points, auc = sweep_roc(synthetic_sweep(scores, TRUTH), TRUTH)
         assert auc == pytest.approx(1.0)
 
     def test_constant_scores_chance_auc(self):
         # every segment fires together: the curve only ever visits the two
         # corners, and connecting them gives the chance diagonal
         scores = [0.5] * 5
-        points, auc = roc_sweep(synthetic_sweep(scores, TRUTH), TRUTH)
+        points, auc = sweep_roc(synthetic_sweep(scores, TRUTH), TRUTH)
         assert {(round(p.fpr, 9), round(p.tpr, 9)) for p in points} <= {(0.0, 0.0), (1.0, 1.0)}
         assert auc == pytest.approx(0.5)
 
@@ -165,7 +171,7 @@ class TestRocSweep:
         rng = np.random.default_rng(1)
         truth = [seg(k * 100, k * 100 + 100, "ab" if k % 3 == 0 else "ok") for k in range(9)]
         scores = rng.random(9).tolist()
-        points, _ = roc_sweep(synthetic_sweep(scores, truth), truth)
+        points, _ = sweep_roc(synthetic_sweep(scores, truth), truth)
         tprs = [p.tpr for p in points]
         fprs = [p.fpr for p in points]
         assert all(b >= a for a, b in zip(tprs, tprs[1:]))
@@ -180,7 +186,7 @@ class TestRocSweep:
         scores = rng.random(20).tolist()
         # sweep at every distinct score boundary so no staircase corner is cut
         grid = sorted({0.0, 1.0, *scores}, reverse=True)
-        points, auc = roc_sweep(synthetic_sweep(scores, truth, grid), truth)
+        points, auc = sweep_roc(synthetic_sweep(scores, truth, grid), truth)
         # manual sweep over every distinct score boundary
         n_ab = 5
         n_ok = 15
@@ -236,24 +242,6 @@ class TestEarliness:
         truth = TRUTH
         value = earliness([alarm(250), alarm(460)], truth, 100.0)
         assert value is not None and value >= 0.0
-
-
-class TestMeanRoc:
-    def test_identity_on_identical_curves(self):
-        curve = [RocPoint(0.0, 0.0, 1.0), RocPoint(0.2, 0.8, 0.5), RocPoint(1.0, 1.0, 0.0)]
-        grid = np.array([0.0, 0.2, 0.6, 1.0])
-        out = mean_roc([curve, curve], grid)
-        assert out[1] == (0.2, pytest.approx(0.8))
-
-    def test_vertical_average_of_two(self):
-        a = [RocPoint(0.0, 0.0, 1.0), RocPoint(0.5, 1.0, 0.5), RocPoint(1.0, 1.0, 0.0)]
-        b = [RocPoint(0.0, 0.0, 1.0), RocPoint(0.5, 0.5, 0.5), RocPoint(1.0, 1.0, 0.0)]
-        out = mean_roc([a, b], np.array([0.5]))
-        assert out[0][1] == pytest.approx(0.75)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_roc([])
 
 
 def fixture_pairs(seeds=(0, 1, 2)):
@@ -317,13 +305,10 @@ class TestRealTimeFactor:
 class TestWriters:
     def test_files_round_trip(self, tmp_path):
         report = evaluate_recordings(fixture_pairs((0,)), step_detector, measure_rtf=False)
-        write_report_json(report, tmp_path / "report.json")
         write_roc_csv(report.roc, tmp_path / "roc.csv")
         write_f1_csv(report.f1_by_threshold, tmp_path / "f1_by_threshold.csv")
         write_earliness_csv(report.per_recording, tmp_path / "earliness.csv")
 
-        loaded = json.loads((tmp_path / "report.json").read_text())
-        assert loaded["aggregate_f1"] == report.aggregate_f1
         with open(tmp_path / "roc.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(report.roc)

@@ -5,14 +5,10 @@ import pytest
 
 from gaitmp import (
     DataError,
-    Subsequence,
     TimeSeries,
     brute_force_mp,
-    discord,
     distance_profile,
-    matrix_profile_ab,
     matrix_profile_self,
-    motif,
     sliding_dot_product,
     znorm_distance,
     znormalize,
@@ -208,9 +204,9 @@ class TestMatrixProfileSelf:
         t = np.sin(2 * np.pi * np.arange(400) / 20.0)
         t[200:210] += 4.0
         res = matrix_profile_self(t, m=20)
-        pos, val = discord(res)
+        pos = int(np.argmax(res.profile))
         assert 180 <= pos <= 210
-        assert val > res.profile[:150].max()
+        assert res.profile[pos] > res.profile[:150].max()
 
     def test_exclusion_leaves_only_endpoint_pair(self):
         # n = 2m+1 with exclusion m: windows 0 and m+1 can only pair with
@@ -238,78 +234,6 @@ class TestMatrixProfileSelf:
         assert res.profile.shape == (57,)
 
 
-class TestMatrixProfileAb:
-    def test_no_exclusion_self_query_gives_zeros(self):
-        rng = np.random.default_rng(11)
-        t = rng.normal(size=60)
-        res = matrix_profile_ab(t, t, m=12)
-        np.testing.assert_allclose(res.profile, 0.0, atol=1e-6)
-        np.testing.assert_array_equal(res.indices, np.arange(49))
-
-    def test_negated_ramp_hits_upper_bound(self):
-        # Every window of a ramp z-normalizes to the same ascending shape, so
-        # querying with the descending ramp puts every entry at 2*sqrt(m).
-        ramp = np.arange(40.0)
-        res = matrix_profile_ab(-ramp, ramp, m=9)
-        np.testing.assert_allclose(res.profile, 6.0, atol=1e-9)
-
-    def test_matches_naive_join(self):
-        rng = np.random.default_rng(12)
-        a, b = rng.normal(size=30), rng.normal(size=45)
-        res = matrix_profile_ab(a, b, m=7)
-        for i in range(res.profile.size):
-            d = naive_distance_profile(a[i : i + 7], b)
-            assert abs(res.profile[i] - d.min()) < 1e-9
-            assert res.indices[i] == int(np.argmin(d))
-
-    def test_constant_reference_tail_matches_definition(self):
-        rng = np.random.default_rng(15)
-        a = np.concatenate([rng.normal(size=30), np.full(30, 9.81)])
-        b = np.concatenate([rng.normal(size=200), np.full(2800, 9.81)])
-        m = 20
-        za = np.array([znormalize(a[i : i + m]) for i in range(a.size - m + 1)])
-        zb = np.array([znormalize(b[j : j + m]) for j in range(b.size - m + 1)])
-        d = np.linalg.norm(za[:, None, :] - zb[None, :, :], axis=2)
-        res = matrix_profile_ab(a, b, m)
-        np.testing.assert_allclose(res.profile, d.min(axis=1), atol=1e-9)
-        np.testing.assert_array_equal(res.indices, d.argmin(axis=1))
-
-    def test_query_shorter_than_reference_ok(self):
-        rng = np.random.default_rng(13)
-        res = matrix_profile_ab(rng.normal(size=12), rng.normal(size=200), m=12)
-        assert res.profile.shape == (1,)
-
-
-class TestDiscordMotif:
-    def test_motif_finds_planted_pair(self):
-        rng = np.random.default_rng(14)
-        t = rng.normal(size=300)
-        pattern = np.sin(2 * np.pi * np.arange(20) / 20.0) * 3
-        t[40:60] = pattern
-        t[220:240] = pattern + rng.normal(scale=1e-4, size=20)
-        a, b, d = motif(matrix_profile_self(t, m=20))
-        assert {a, b} == {40, 220}
-        assert d < 0.01
-
-    def test_discord_tie_breaks_to_first(self):
-        prof = np.array([1.0, 3.0, 3.0, 2.0])
-        idx = np.array([2, 3, 0, 1])
-        from gaitmp import MatrixProfileResult
-
-        res = MatrixProfileResult(prof, idx, m=4, exclusion=2)
-        pos, val = discord(res)
-        assert pos == 1 and val == 3.0
-
-    def test_all_inf_raises(self):
-        from gaitmp import MatrixProfileResult
-
-        res = MatrixProfileResult(np.full(3, np.inf), np.full(3, NO_NEIGHBOR), m=4, exclusion=2)
-        with pytest.raises(ValueError):
-            discord(res)
-        with pytest.raises(ValueError):
-            motif(res)
-
-
 class TestContainers:
     def test_time_series_immutable(self):
         ts = TimeSeries(np.arange(5.0), sample_rate_hz=100.0)
@@ -321,12 +245,3 @@ class TestContainers:
     def test_time_series_rejects_nan(self):
         with pytest.raises(DataError):
             TimeSeries(np.array([1.0, np.nan]), sample_rate_hz=100.0)
-
-    def test_subsequence_bounds(self):
-        sub = Subsequence(start=2, length=4)
-        np.testing.assert_array_equal(sub.extract(np.arange(10.0)), [2.0, 3.0, 4.0, 5.0])
-        assert sub.end == 6
-        with pytest.raises(ValueError):
-            Subsequence(start=8, length=4).extract(np.arange(10.0))
-        with pytest.raises(ValueError):
-            Subsequence(start=0, length=2)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitmp.steps import (
+    STARTED,
     StepDetector,
     StepEvent,
     StepSegment,
-    segments_from_events,
 )
 
 
@@ -26,6 +26,26 @@ def pulse_train(n_pulses=5, period=100, width=30, amp=200.0, n_pad=50):
         x += amp * np.exp(-0.5 * ((i - c) / (width / 4)) ** 2)
         impacts.append(c)
     return x, impacts
+
+
+def segments_from_events(events):
+    """Pair started/ended events back into ordered segments; unbalanced
+    events raise, so streams that emit them fail the tests that use this."""
+    segments = []
+    start = None
+    for ev in events:
+        if ev.kind == STARTED:
+            if start is not None:
+                raise ValueError("started event while a step is already open")
+            start = ev.index
+        else:
+            if start is None:
+                raise ValueError("ended event without a started event")
+            segments.append(StepSegment(start, ev.index))
+            start = None
+    if start is not None:
+        raise ValueError("stream ended with an unterminated step")
+    return segments
 
 
 def stream_segments(det, env):
