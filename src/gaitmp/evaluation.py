@@ -177,9 +177,12 @@ def earliness(
 def real_time_factor(make_detector, recording, runs: int = 5, signal=None) -> float:
     """Median wall-time over duration across full replays, fresh detector each.
 
-    The wall time is replay's wall_s, which covers push and flush only, not
-    building the SensorSamples from the recording's rows.
+    The wall time is replay's wall_s, which for a step-gated detector covers
+    building the SensorSamples from the recording's rows as well as push and
+    flush. runs must be at least 1.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     if recording.n == 0:
         raise ValueError("empty recording")
     duration = recording.n / recording.sample_rate_hz
@@ -204,8 +207,11 @@ def evaluate_recordings(
     The report is canonical: recordings are sorted by id, so feeding the same
     pairs in any order produces an identical report. The operating point for
     the per-recording numbers and the aggregate F1 is the Youden-optimal
-    threshold of the pooled ROC.
+    threshold of the pooled ROC. With measure_rtf, rtf_runs must be at least
+    1; that is checked before any recording is replayed.
     """
+    if measure_rtf and rtf_runs < 1:
+        raise ValueError(f"rtf_runs must be at least 1, got {rtf_runs}")
     grid = _check_thresholds(threshold_grid() if thresholds is None else thresholds)
     entries = []
     longest = None

@@ -1,8 +1,11 @@
-"""Sensor-sample projection and max-amplitude envelopes.
+"""Sensor samples, their projection, and max-amplitude envelopes.
 
-A 6-dof IMU sample is reduced to one scalar per step of the pipeline: pick a
-source (accel or gyro) and a channel (single axis or a vector norm). Step
-detection then runs on the rectified running-max envelope of that scalar.
+A SensorSample is one 6-dof IMU reading held as an immutable tuple; its
+constructor checks every value, while Recording.iter_samples builds samples
+from rows it has already checked a block at a time. Each sample is reduced to
+one scalar per step of the pipeline: pick a source (accel or gyro) and a
+channel (single axis or a vector norm). Step detection then runs on the
+rectified running-max envelope of that scalar.
 """
 
 from __future__ import annotations
@@ -10,35 +13,45 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 from .mp import TimeSeries
 
-SOURCES = ("accel", "gyro", "both")
+SOURCES = ("accel", "gyro")
 CHANNELS = ("x", "y", "z", "l1", "l2", "linf")
 
 DEFAULT_ENVELOPE_MS = 100.0
 
 
-@dataclass(frozen=True)
-class SensorSample:
-    """One IMU reading: time in seconds, accel in m/s^2, gyro in deg/s."""
-
+class _SampleFields(NamedTuple):
     t: float
     accel: tuple[float, float, float]
     gyro: tuple[float, float, float]
 
-    def __post_init__(self):
-        accel = tuple(map(float, self.accel))
-        gyro = tuple(map(float, self.gyro))
-        object.__setattr__(self, "accel", accel)
-        object.__setattr__(self, "gyro", gyro)
+
+class SensorSample(_SampleFields):
+    """One IMU reading: time in seconds, accel in m/s^2, gyro in deg/s.
+
+    The constructor converts accel and gyro to tuples of floats, keeps t as
+    given, and raises ValueError unless both are 3-vectors and DataError on
+    any non-finite value. tuple.__new__(SensorSample, (t, accel, gyro)) skips
+    those checks, and so do the inherited _make and _replace; only code whose
+    values are already checked, such as Recording.iter_samples, uses them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t, accel, gyro):
+        accel = tuple(map(float, accel))
+        gyro = tuple(map(float, gyro))
         if len(accel) != 3 or len(gyro) != 3:
             raise ValueError("accel and gyro must be 3-vectors")
-        if not all(map(math.isfinite, (self.t, *accel, *gyro))):
+        if not all(map(math.isfinite, (t, *accel, *gyro))):
             raise DataError("sensor sample contains non-finite values")
+        return tuple.__new__(cls, (t, accel, gyro))
 
 
 @dataclass(frozen=True)
@@ -84,9 +97,7 @@ def _reduce(vec: tuple[float, float, float], channel: str) -> float:
 
 
 def project(sample: SensorSample, sel: SignalSelector) -> float:
-    """Reduce one sample to a scalar; 'both' must be split per source first."""
-    if sel.source == "both":
-        raise ValueError("project one source at a time; 'both' is a downstream concept")
+    """Reduce one sample to a scalar."""
     vec = sample.accel if sel.source == "accel" else sample.gyro
     return _reduce(vec, sel.channel)
 

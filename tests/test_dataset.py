@@ -18,7 +18,7 @@ from gaitmp.dataset import (
     save_recording,
     synth_config_from_file,
 )
-from gaitmp.signal import SignalSelector, project
+from gaitmp.signal import SensorSample, SignalSelector, project
 
 
 def small_recording(n=64, rate=100.0, seed=0):
@@ -66,17 +66,33 @@ class TestRecording:
         assert samples[2].gyro == tuple(rec.gyro[2])
 
     @pytest.mark.parametrize(
-        "n", [INGEST_BLOCK - 1, INGEST_BLOCK, INGEST_BLOCK + 1, 2 * INGEST_BLOCK + 3]
+        "n", [1, INGEST_BLOCK - 1, INGEST_BLOCK, INGEST_BLOCK + 1, 2 * INGEST_BLOCK + 3]
     )
     def test_iter_samples_across_block_boundaries(self, n):
         rec = small_recording(n=n, seed=n)
         samples = list(rec.iter_samples())
         assert len(samples) == n
         for i, s in enumerate(samples):
+            assert type(s) is SensorSample
+            assert s == SensorSample(rec.t[i], rec.accel[i], rec.gyro[i])
             assert type(s.t) is float and s.t == rec.t[i]
             for got, row in ((s.accel, rec.accel[i]), (s.gyro, rec.gyro[i])):
-                assert all(type(v) is float for v in got)
+                assert type(got) is tuple and all(type(v) is float for v in got)
                 assert got == tuple(row)
+
+    def test_iter_samples_rechecks_rows_changed_after_construction(self):
+        # the recording keeps the caller's arrays; one made writeable again
+        # and given a NaN in its second block must not stream as a sample
+        n = INGEST_BLOCK + 5
+        gyro = np.zeros((n, 3))
+        rec = Recording(np.arange(n) / 100.0, np.zeros((n, 3)), gyro, sample_rate_hz=100.0)
+        gyro.flags.writeable = True
+        gyro[INGEST_BLOCK + 2, 1] = np.nan
+        samples = rec.iter_samples()
+        for _ in range(INGEST_BLOCK):
+            next(samples)
+        with pytest.raises(DataError, match="non-finite"):
+            next(samples)
 
 
 class TestRecordingIO:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,6 +474,21 @@ class TestStepGatedBehavior:
             det.push(s)
             longest = max(longest, len(det._sig))
         assert longest <= 2 * det.cfg.bootstrap_horizon + 20
+
+    def test_replay_memory_does_not_grow_with_the_recording(self):
+        # replay streams samples a block at a time, so its traced peak over a
+        # 600 s idle tail stays that of a 120 s one; a list of every
+        # SensorSample would make it about 4.5x larger
+        peaks = []
+        for tail_s in (120.0, 600.0):
+            rec, _ = generate(SynthConfig(n_normal_steps=10, n_anomalous_steps=2, tail_s=tail_s))
+            tracemalloc.start()
+            try:
+                replay(StepGatedDetector(StepSystemConfig()), rec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_flush_settles_open_step(self):
         rec, _ = make_recording()

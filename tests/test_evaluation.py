@@ -294,12 +294,37 @@ class TestHarness:
         with pytest.raises(ValueError):
             evaluate_recordings([], step_detector)
 
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_rtf_runs_below_one_rejected_before_any_replay(self, runs):
+        made = []
+
+        def make_detector():
+            made.append(1)
+            return step_detector()
+
+        with pytest.raises(ValueError, match="rtf_runs"):
+            evaluate_recordings(fixture_pairs((0,)), make_detector, rtf_runs=runs)
+        assert made == []
+
 
 class TestRealTimeFactor:
     def test_positive_and_finite(self):
         rec, _ = generate(SynthConfig(n_normal_steps=3, n_anomalous_steps=0, rng_seed=0))
         rtf = real_time_factor(step_detector, rec, runs=2)
         assert 0.0 < rtf < 100.0
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_runs_below_one_rejected_before_any_replay(self, runs):
+        rec, _ = generate(SynthConfig(n_normal_steps=3, n_anomalous_steps=0, rng_seed=0))
+        made = []
+
+        def make_detector():
+            made.append(1)
+            return step_detector()
+
+        with pytest.raises(ValueError, match="runs"):
+            real_time_factor(make_detector, rec, runs=runs)
+        assert made == []
 
 
 class TestWriters:

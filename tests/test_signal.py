@@ -35,9 +35,11 @@ class TestProject:
         s = sample(gyro=(1.0, 0.0, 0.0), accel=(0.0, 9.0, 0.0))
         assert project(s, SignalSelector("accel", "linf")) == 9.0
 
-    def test_both_rejected_at_projection(self):
+    def test_both_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            project(sample(), SignalSelector("both", "linf"))
+            SignalSelector("both", "linf")
+        with pytest.raises(ValueError):
+            SignalSelector.parse("both:l2")
 
     @given(st.tuples(*(st.floats(-100, 100) for _ in range(3))))
     def test_norm_ordering(self, vec):
@@ -71,6 +73,15 @@ class TestProject:
             SensorSample(t=0.0, accel=(0.0, 0.0), gyro=(0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             SensorSample(t=0.0, accel=(0.0, 0.0, 0.0), gyro=(0.0, 0.0, 0.0, 0.0))
+
+    def test_sample_fields_are_read_only(self):
+        s = sample(gyro=(1.0, 2.0, 3.0), t=0.5)
+        for name, value in (("t", 1.0), ("accel", (0.0, 0.0, 0.0)), ("gyro", (0.0, 0.0, 0.0))):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        assert s == (0.5, (0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
 
 
 class TestEnvelope:
