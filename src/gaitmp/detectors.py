@@ -13,18 +13,19 @@ Two architectures share the alarm vocabulary:
   alarm at most per step.
 
 History is one contiguous buffer holding the admitted chunks back to back,
-rebuilt, with running sums of its values and their squares, on admission and
-eviction. History does not change while a step is open, and each score row
-of the step extends the previous one's query by one sample. So the first row
-of a step (the seed row) is one distance profile over the buffer, and each
-later row (a growth row) adds one term to every window's dot product with
-the query, updates the query's mean and variance (Welford), and takes window
-moments from the running sums. Both detectors finish a score from dot
-products and moments in _nearest_distance, which keeps distance_profile's
-conventions and its exact recomputation of near-duplicates. Windows that
-straddle a chunk boundary splice two signatures together and are dropped
-before taking the minimum. While the Current buffer is longer than every
-chunk there is no reference window, and those samples go unscored.
+rebuilt, with the running sums mp._sums keeps for window moments, on
+admission and eviction. History does not change while a step is open, and
+each score row of the step extends the previous one's query by one sample.
+So the first row of a step (the seed row) is one distance profile over the
+buffer, and each later row (a growth row) adds one term to every window's
+dot product with the query, updates the query's mean and variance (Welford),
+and takes window moments from the cached sums. Both detectors finish a score
+from dot products and moments in mp._nearest, the smallest entry of the
+distance profile those would give, with its conventions and its exact
+recomputation of near-duplicates. Windows that straddle a chunk boundary
+splice two signatures together and are dropped before taking the minimum.
+While the Current buffer is longer than every chunk there is no reference
+window, and those samples go unscored.
 
 Scores are normalized by the z-normalized distance ceiling 2*sqrt(m) so one
 threshold stays meaningful while m varies.
@@ -59,19 +60,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .errors import DataError
-from .mp import (
-    DEFAULT_EPS,
-    NEAR_DUPLICATE,
-    TimeSeries,
-    _divisor,
-    _exact_distances,
-    _rolling_mean_std,
-    distance_profile,
-    sliding_dot_product,
-)
+from .mp import TimeSeries, _moments, _nearest, _sums, distance_profile, sliding_dot_product
 from .signal import (
     DEFAULT_ENVELOPE_MS,
     SensorSample,
@@ -158,11 +148,11 @@ class NaiveDetector:
     written at p and p + keep, so Frame and History are contiguous views of
     it. Readings collect in a list between hops. A hop moves them into the
     ring and takes the moments of the stream windows they complete, with
-    running sums over only those windows' samples, into two more rings
+    mp._moments over only those windows' samples, into two more rings
     aligned with the first; each window is measured once. The score is one
-    sliding dot product of Frame against History, finished by
-    _nearest_distance. A non-finite reading raises DataError at every hop
-    while it is among the last keep readings; scoring resumes after.
+    sliding dot product of Frame against History, finished by mp._nearest.
+    A non-finite reading raises DataError at every hop while it is among the
+    last keep readings; scoring resumes after.
     """
 
     def __init__(self, config: NaiveDetectorConfig, sample_rate_hz: float):
@@ -207,7 +197,7 @@ class NaiveDetector:
         # start before the last keep readings
         first = max(n - block.size - m + 1, n - keep, 0)
         at = first % keep
-        mean, sd = _rolling_mean_std(self._ring[at : at + n - first], m)
+        mean, sd = _moments(_sums(self._ring[at : at + n - first]), m)
         _ring_write(self._mean, first, mean)
         _ring_write(self._sd, first, sd)
         if n <= self._bad_until:
@@ -219,7 +209,7 @@ class NaiveDetector:
         k = h - m + 1
         history = self._ring[start : start + h]
         frame = self._ring[start + size - m : start + size]
-        best = _nearest_distance(
+        best = _nearest(
             sliding_dot_product(frame, history),
             frame,
             float(frame.mean()),
@@ -316,10 +306,10 @@ class _History:
     """Admitted chunks stored once, back to back in one float64 buffer.
 
     Each chunk's values are a view into the buffer, which is rebuilt only on
-    admission or eviction, together with zero-prefixed running sums of the
-    buffer and of its squares. room[j] counts the samples from j to the end
-    of j's chunk, so the window of length m at j lies inside one chunk, and
-    is a reference signature, iff room[j] >= m.
+    admission or eviction, together with its mp._sums, from which growth rows
+    take window moments. room[j] counts the samples from j to the end of j's
+    chunk, so the window of length m at j lies inside one chunk, and is a
+    reference signature, iff room[j] >= m.
 
     Scoring carries one growing query: the first best_distance call after
     reset_query is a seed row (one distance_profile call), and each later
@@ -333,8 +323,7 @@ class _History:
         self.buffer = np.empty(0)
         self.room = np.empty(0, dtype=np.int64)
         self.longest = 0
-        self._sums = np.zeros(1)
-        self._sq_sums = np.zeros(1)
+        self._window_sums = _sums(self.buffer)
         self._scratch = np.empty(0)
         self._qt = np.empty(0)
         self.reset_query()
@@ -355,10 +344,7 @@ class _History:
         self.room = np.repeat(ends, lengths) - np.arange(total)
         self.longest = int(lengths.max())
         self.chunks = chunks
-        # the sums mp._rolling_mean_std takes, so window moments match it bit
-        # for bit
-        self._sums = np.concatenate(([0.0], np.cumsum(self.buffer)))
-        self._sq_sums = np.concatenate(([0.0], np.cumsum(self.buffer * self.buffer)))
+        self._window_sums = _sums(self.buffer)
         self._scratch = np.empty(total)
         self.reset_query()
 
@@ -405,71 +391,11 @@ class _History:
         self._qt += term
 
     def _best_of_growth_row(self, query: np.ndarray) -> float:
-        m, k = self._m, self._qt.size
-        # mp._rolling_mean_std's arithmetic on the cached sums: bit-identical
-        mean = (self._sums[m:] - self._sums[:k]) / m
-        var = (self._sq_sums[m:] - self._sq_sums[:k]) / m
-        var -= mean * mean
-        sd = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
-        return _nearest_distance(
+        m = self._m
+        mean, sd = _moments(self._window_sums, m)
+        return _nearest(
             self._qt, query, self._mean, math.sqrt(self._m2 / m), self.buffer, mean, sd, self.room
         )
-
-
-def _nearest_distance(
-    qt: np.ndarray,
-    query: np.ndarray,
-    mu_q: float,
-    sd_q: float,
-    series: np.ndarray,
-    mean: np.ndarray,
-    sd: np.ndarray,
-    room: np.ndarray | None = None,
-) -> float:
-    """Smallest z-normalized distance from ``query`` to a window of ``series``.
-
-    qt[j] is the query's dot product with window j, mean[j] and sd[j] are the
-    window's moments and mu_q, sd_q the query's. With ``room``, window j
-    counts only when room[j] >= m (it lies inside one History chunk); room
-    may run past the last window, and the mask is built only on the rare
-    rows that need it. Keeps distance_profile's
-    conventions: a constant window sits at sqrt(m), a constant query is at 0
-    from constant windows and at sqrt(m) from the rest, and a best at or under
-    NEAR_DUPLICATE recomputes its candidates from z-normalized windows.
-    """
-    m, eps = query.size, DEFAULT_EPS
-    if sd_q <= eps:
-        return 0.0 if _any_constant(sd, room, m) else math.sqrt(m)
-    # a constant window gets rho 0 from the inf divisor; by convention it
-    # sits at sqrt(m), i.e. at rho 1/2
-    rho = (qt - m * mu_q * mean) / (m * sd_q * _divisor(sd, eps))
-    j = int(rho.argmax())
-    if room is not None and room[j] < m:
-        # the best window straddles a chunk boundary
-        rho[room[: rho.size] < m] = -np.inf
-        j = int(rho.argmax())
-    best_rho = float(rho[j])
-    if best_rho < 0.5 and _any_constant(sd, room, m):
-        best_rho = 0.5
-    # sqrt(2m(1 - rho)) falls as rho rises, so the largest rho is nearest
-    best = math.sqrt(2.0 * m * (1.0 - min(max(best_rho, -1.0), 1.0)))
-    if best > NEAR_DUPLICATE:
-        return best
-    d = np.sqrt(2.0 * m * (1.0 - np.clip(rho, -1.0, 1.0)))
-    if room is not None:
-        d[room[: d.size] < m] = np.inf
-    near = np.flatnonzero(d <= NEAR_DUPLICATE)
-    windows = sliding_window_view(series, m)[near]
-    zq = (query - mu_q) / sd_q
-    divisor = _divisor(windows.std(axis=1), eps)
-    d[near] = _exact_distances(zq, windows, windows.mean(axis=1), divisor)
-    return float(d.min())
-
-
-def _any_constant(sd: np.ndarray, room: np.ndarray | None, m: int) -> bool:
-    """Whether a window that counts (see _nearest_distance) is constant."""
-    flat = sd <= DEFAULT_EPS
-    return bool((flat if room is None else flat[room[: flat.size] >= m]).any())
 
 
 class StepGatedDetector:

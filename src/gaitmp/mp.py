@@ -1,13 +1,22 @@
 """Exact matrix profile math on z-normalized Euclidean distances.
 
-Batch self-joins run in STOMP order (incremental dot-product updates row to
-row, two-pass window moments); single-query distance profiles use the MASS
-scheme (sliding dot product plus running window statistics). Both then
-recompute near-duplicate distances from z-normalized windows, where the fast
-formula loses precision: a join row recomputes every candidate within
-NEAR_DUPLICATE of its minimum, a distance profile every entry up to
-NEAR_DUPLICATE. A brute-force double loop over the plain definition is kept
-alongside as an independent oracle.
+Every fast path here turns dot products and window moments into distances
+in one kernel, _fast_distances, which holds the degenerate conventions.
+Window moments come from one helper pair: _sums takes running sums of the
+values and their squares, plus, when the series repeats a value, a running
+count of value changes; _moments turns them into each window's mean and
+stdev. A window with no change of value gets a stdev of exactly 0, where the
+sums alone cancel and can read a constant stretch at a nonzero level as
+varying. A caller whose series does not change (History) caches _sums.
+
+Near-duplicates are recomputed by definition in _exact_distances, because
+sqrt(2m(1-rho)) cancels as rho -> 1. Single-query distance profiles
+(distance_profile, the MASS scheme: sliding dot product plus window moments)
+finish in _profile, and the detectors' score rows in _nearest, which falls
+back to _profile. Self-join rows run in STOMP order (dot products updated
+row to row) and finish in _finish_row. A brute-force double loop over the
+plain definition (brute_force_mp, znorm_distance, znormalize) shares no code
+with any of them and is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -26,14 +35,11 @@ DEFAULT_EPS = 1e-8
 FFT_CUTOFF = 1024
 # Index sentinel for "no valid neighbor"; the matching profile value is +inf.
 NO_NEIGHBOR = -1
-# Fast distances this close to a join row's minimum, and fast distance-profile
-# entries up to it, are recomputed from z-normalized windows: sqrt(2m(1-rho))
-# cancels as rho -> 1, and low-variance windows magnify the rounding of the
-# dot products and moments. A constant query is left to the fast path, whose
-# degenerate convention is exact for it.
+# Fast distances this near to 0, or to a join row's minimum, are recomputed
+# from z-normalized windows (see _fast_distances): sqrt(2m(1-rho)) cancels as
+# rho -> 1, and low-variance windows magnify the rounding of the dot products
+# and moments.
 NEAR_DUPLICATE = 1e-3
-# Windows per batch when the self-join takes two-pass window moments.
-MOMENT_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -93,22 +99,20 @@ def _values(series) -> np.ndarray:
     return arr
 
 
-def znormalize(x, eps: float = DEFAULT_EPS) -> np.ndarray:
+def znormalize(x) -> np.ndarray:
     """Shift to mean 0 and scale to stdev 1; constant input maps to zeros."""
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
         raise DataError("cannot z-normalize non-finite values")
     sd = arr.std()
-    if sd <= eps:
+    if sd <= DEFAULT_EPS:
         return np.zeros_like(arr)
     return (arr - arr.mean()) / sd
 
 
-def znorm_distance(a, b, eps: float = DEFAULT_EPS) -> float:
+def znorm_distance(a, b) -> float:
     """Euclidean distance between the z-normalized windows, in [0, 2*sqrt(m)]."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
@@ -116,10 +120,10 @@ def znorm_distance(a, b, eps: float = DEFAULT_EPS) -> float:
         raise ValueError("windows must have equal length")
     if av.ndim != 1 or av.size < 3:
         raise ValueError("windows must be 1-D with at least 3 samples")
-    return float(np.linalg.norm(znormalize(av, eps) - znormalize(bv, eps)))
+    return float(np.linalg.norm(znormalize(av) - znormalize(bv)))
 
 
-def sliding_dot_product(query, series, method: str = "auto") -> np.ndarray:
+def sliding_dot_product(query, series) -> np.ndarray:
     """Dot product of ``query`` against every same-length window of ``series``.
 
     out[i] = sum_k query[k] * series[i+k]. Uses the direct product below
@@ -133,71 +137,100 @@ def sliding_dot_product(query, series, method: str = "auto") -> np.ndarray:
     m, n = q.size, t.size
     if m > n:
         raise ValueError("query longer than series")
-    if method == "auto":
-        method = "fft" if n >= FFT_CUTOFF else "direct"
-    if method == "direct":
+    if n < FFT_CUTOFF:
         return np.correlate(t, q, mode="valid")
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     k = 1 << int(n).bit_length()
     cross = np.fft.rfft(t, k) * np.conj(np.fft.rfft(q, k))
     return np.fft.irfft(cross, k)[: n - m + 1]
 
 
-def _rolling_mean_std(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    c1 = np.cumsum(x)
-    c2 = np.cumsum(x * x)
-    s1 = c1[m - 1 :].copy()
-    s1[1:] -= c1[: -m]
-    s2 = c2[m - 1 :].copy()
-    s2[1:] -= c2[: -m]
-    mean = s1 / m
-    var = np.maximum(s2 / m - mean * mean, 0.0)
-    return mean, np.sqrt(var)
+def _sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Zero-prefixed running sums of x (row 0) and of x*x (row 1), and, only
+    when x repeats a value, changes[i]: how many p in 1..i have x[p] != x[p-1]."""
+    sums = np.zeros((2, x.size + 1))
+    sums[0, 1:] = x
+    np.multiply(x, x, out=sums[1, 1:])
+    # np.cumsum's arithmetic, without its per-call wrapper
+    np.add.accumulate(sums, axis=1, out=sums)
+    steps = x[1:] != x[:-1]
+    if np.count_nonzero(steps) == steps.size:
+        return sums, None
+    changes = np.zeros(x.size, dtype=np.int64)
+    np.cumsum(steps, out=changes[1:])
+    return sums, changes
 
 
-def _window_mean_std(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-pass mean and stdev of every window, as brute_force_mp takes them.
-
-    The running sums of _rolling_mean_std cancel: a constant window of a long
-    series can come out with a stdev far above eps, which the fast formula
-    turns into arbitrary distances. The self-join is O(n^2), so the O(n*m) cost
-    of measuring each window directly is small beside them.
-    """
-    windows = sliding_window_view(x, m)
-    mean = np.empty(windows.shape[0])
-    sd = np.empty(windows.shape[0])
-    for s in range(0, windows.shape[0], MOMENT_BATCH):
-        part = windows[s : s + MOMENT_BATCH]
-        mean[s : s + MOMENT_BATCH] = part.mean(axis=1)
-        sd[s : s + MOMENT_BATCH] = part.std(axis=1)
+def _moments(sums, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and stdev of every window of length m of the series _sums saw.
+    A window with no change of value gets stdev exactly 0, where the running
+    sums, cancelling, can leave one far above DEFAULT_EPS."""
+    s, changes = sums
+    k = s.shape[1] - m
+    window = s[:, m:] - s[:, :k]
+    window /= m
+    mean, var = window
+    var -= mean * mean
+    sd = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+    if changes is not None:
+        sd[changes[m - 1 :] == changes[:k]] = 0.0
     return mean, sd
 
 
-def _pair_distances(
+def _fast_distances(
+    qt: np.ndarray, m: int, mu_q: float, sd_q: float, mean: np.ndarray, sd: np.ndarray
+) -> np.ndarray:
+    """Distances of a query of length m to every window, from the dot products
+    qt, the query's mean and stdev and the windows'.
+
+    Degenerate convention, as znormalize's: a query or window whose stdev is
+    at or under DEFAULT_EPS z-normalizes to zeros, so two constant ones are at
+    0 and a constant one is at sqrt(m) from any other. Callers recompute
+    near-duplicates of a varying query by definition (_exact_distances), by
+    one of two rules: a distance profile every entry at or under
+    NEAR_DUPLICATE (_profile), a self-join row every candidate within
+    NEAR_DUPLICATE of its minimum (_finish_row), so that its index is the
+    definition's first smallest.
+    """
+    flat = sd <= DEFAULT_EPS
+    if sd_q <= DEFAULT_EPS:
+        return np.where(flat, 0.0, math.sqrt(m))
+    rho = (qt - m * mu_q * mean) / (m * sd_q * np.where(flat, np.inf, sd))
+    d = np.sqrt(2.0 * m * (1.0 - np.clip(rho, -1.0, 1.0)))
+    d[flat] = math.sqrt(m)
+    return d
+
+
+def _exact_distances(query: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Distances by definition from ``query`` to each row of ``windows``, each
+    z-normalized with its own two-pass mean and stdev (zeros when constant)."""
+    rows = np.vstack((query, windows))
+    sd = rows.std(axis=1, keepdims=True)
+    z = (rows - rows.mean(axis=1, keepdims=True)) / np.where(sd > DEFAULT_EPS, sd, np.inf)
+    diff = z[1:] - z[0]
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+
+def _profile(
     qt: np.ndarray,
+    query: np.ndarray,
     mu_q: float,
     sd_q: float,
-    mu_t: np.ndarray,
-    sd_t: np.ndarray,
-    m: int,
-    eps: float,
+    series: np.ndarray,
+    mean: np.ndarray,
+    sd: np.ndarray,
 ) -> np.ndarray:
-    """Distances of one query window against all series windows, from dots.
-
-    Degenerate convention: both windows constant -> 0, exactly one -> sqrt(m).
-    """
-    q_const = sd_q <= eps
-    t_const = sd_t <= eps
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = (qt - m * mu_q * mu_t) / (m * sd_q * sd_t)
-    d = np.sqrt(2.0 * m * (1.0 - np.clip(rho, -1.0, 1.0)))
-    if q_const:
-        return np.where(t_const, 0.0, math.sqrt(m))
-    return np.where(t_const, math.sqrt(m), d)
+    """Distances of ``query`` to every window of ``series`` from _fast_distances,
+    every entry at or under NEAR_DUPLICATE recomputed by definition. For a
+    constant query the convention is already exact, and nothing is."""
+    m = query.size
+    d = _fast_distances(qt, m, mu_q, sd_q, mean, sd)
+    if sd_q > DEFAULT_EPS and d.min() <= NEAR_DUPLICATE:
+        near = np.flatnonzero(d <= NEAR_DUPLICATE)
+        d[near] = _exact_distances(query, sliding_window_view(series, m)[near])
+    return d
 
 
-def distance_profile(query, series, eps: float = DEFAULT_EPS, method: str = "auto") -> np.ndarray:
+def distance_profile(query, series) -> np.ndarray:
     """z-normalized distance of ``query`` to every window of ``series`` (MASS)."""
     q = np.asarray(query, dtype=np.float64)
     t = _values(series)
@@ -207,36 +240,62 @@ def distance_profile(query, series, eps: float = DEFAULT_EPS, method: str = "aut
         raise ValueError("query longer than series")
     if not np.all(np.isfinite(q)) or not np.all(np.isfinite(t)):
         raise DataError("non-finite values in distance profile input")
-    m = q.size
-    qt = sliding_dot_product(q, t, method)
-    mu_t, sd_t = _rolling_mean_std(t, m)
-    mu_q, sd_q = float(q.mean()), float(q.std())
-    d = _pair_distances(qt, mu_q, sd_q, mu_t, sd_t, m, eps)
-    if sd_q > eps and d.min() <= NEAR_DUPLICATE:
-        near = np.flatnonzero(d <= NEAR_DUPLICATE)
-        windows = sliding_window_view(t, m)[near]
-        divisor = _divisor(windows.std(axis=1), eps)
-        d[near] = _exact_distances((q - mu_q) / sd_q, windows, windows.mean(axis=1), divisor)
-    return d
+    mean, sd = _moments(_sums(t), q.size)
+    return _profile(sliding_dot_product(q, t), q, float(q.mean()), float(q.std()), t, mean, sd)
 
 
-def _divisor(sd: np.ndarray, eps: float) -> np.ndarray:
-    """sd, and inf for constant windows so that they z-normalize to zeros."""
-    return np.where(sd > eps, sd, np.inf)
+def _nearest(
+    qt: np.ndarray,
+    query: np.ndarray,
+    mu_q: float,
+    sd_q: float,
+    series: np.ndarray,
+    mean: np.ndarray,
+    sd: np.ndarray,
+    room: np.ndarray | None = None,
+) -> float:
+    """Smallest of _profile's distances, usually without building them.
+
+    The arguments are _profile's. With ``room``, window j counts only when
+    room[j] >= m (it lies inside one History chunk); room may run past the
+    last window, and the mask is built only on the rare rows that need it.
+    The nearest window has the largest correlation rho, so a varying query
+    takes it from the argmax of rho; a constant query, or a best at or under
+    NEAR_DUPLICATE, falls back to _profile.
+    """
+    m = query.size
+    if sd_q > DEFAULT_EPS:
+        flat = sd <= DEFAULT_EPS
+        # a constant window gets rho 0 from the inf divisor; by convention it
+        # sits at sqrt(m), i.e. at rho 1/2
+        rho = (qt - m * mu_q * mean) / (m * sd_q * np.where(flat, np.inf, sd))
+        j = int(rho.argmax())
+        if room is not None and room[j] < m:
+            # the best window straddles a chunk boundary
+            rho[room[: rho.size] < m] = -np.inf
+            j = int(rho.argmax())
+        best_rho = float(rho[j])
+        if best_rho < 0.5 and (flat if room is None else flat[room[: flat.size] >= m]).any():
+            best_rho = 0.5
+        best = math.sqrt(2.0 * m * (1.0 - min(max(best_rho, -1.0), 1.0)))
+        if best > NEAR_DUPLICATE:
+            return best
+    d = _profile(qt, query, mu_q, sd_q, series, mean, sd)
+    if room is not None:
+        d[room[: d.size] < m] = np.inf
+    return float(d.min())
 
 
-def _exact_distances(
-    zq: np.ndarray, windows: np.ndarray, mean: np.ndarray, divisor: np.ndarray
-) -> np.ndarray:
-    """Distances by definition from the z-normalized query zq to each row of
-    windows, given the rows' means and _divisor."""
-    diff = (windows - mean[:, None]) / divisor[:, None] - zq
-    return np.sqrt(np.add.reduce(diff * diff, axis=1))
-
-
-def _check_self_join_args(n: int, m: int) -> None:
+def _check_self_join_args(n: int, m: int, exclusion: int | None) -> int:
+    """Validate a self-join's arguments; return the exclusion radius,
+    ceil(m/2) by default."""
     if m < 3 or 2 * m > n:
         raise ValueError(f"subsequence length m={m} out of range for n={n} (need 3 <= m <= n/2)")
+    if exclusion is None:
+        return (m + 1) // 2
+    if exclusion < 0:
+        raise ValueError("exclusion must be non-negative")
+    return exclusion
 
 
 def _min_with_sentinel(d: np.ndarray) -> tuple[float, int]:
@@ -246,40 +305,27 @@ def _min_with_sentinel(d: np.ndarray) -> tuple[float, int]:
     return float(d[j]), j
 
 
-def _finish_row(
-    d: np.ndarray,
-    zq: np.ndarray,
-    query_const: bool,
-    windows: np.ndarray,
-    mean: np.ndarray,
-    divisor: np.ndarray,
-) -> tuple[float, int]:
-    """Nearest neighbor of one join row from its fast distances d. The fast
-    path is exact for a constant query; otherwise the candidates within
-    NEAR_DUPLICATE of the fast minimum are recomputed by definition, and the
-    first smallest wins."""
+def _finish_row(d: np.ndarray, i: int, windows: np.ndarray, sd: np.ndarray) -> tuple[float, int]:
+    """Nearest neighbor of join row i from its fast distances d, the exclusion
+    zone already at +inf. The fast path is exact for a constant query window;
+    otherwise the candidates within NEAR_DUPLICATE of the fast minimum are
+    recomputed by definition, and the first smallest wins."""
     best, j = _min_with_sentinel(d)
-    if j == NO_NEIGHBOR or query_const:
+    if j == NO_NEIGHBOR or sd[i] <= DEFAULT_EPS:
         return best, j
     near = np.flatnonzero(d <= best + NEAR_DUPLICATE)
-    if best + NEAR_DUPLICATE >= math.sqrt(zq.size):
+    if best + NEAR_DUPLICATE >= math.sqrt(windows.shape[1]):
         # constant windows (fast distance sqrt(m)) may be candidates; they
         # all z-normalize to zeros, so only the first of them can win
-        flat = divisor[near] == np.inf
+        flat = sd[near] <= DEFAULT_EPS
         flat[np.argmax(flat)] = False
         near = near[~flat]
-    exact = _exact_distances(zq, windows[near], mean[near], divisor[near])
+    exact = _exact_distances(windows[i], windows[near])
     k = int(np.argmin(exact))
     return float(exact[k]), int(near[k])
 
 
-def matrix_profile_self(
-    series,
-    m: int,
-    exclusion: int | None = None,
-    eps: float = DEFAULT_EPS,
-    method: str = "auto",
-) -> MatrixProfileResult:
+def matrix_profile_self(series, m: int, exclusion: int | None = None) -> MatrixProfileResult:
     """Exact self-join matrix profile, computed in STOMP order.
 
     Neighbors closer than ``exclusion`` positions (default ceil(m/2)) are
@@ -287,16 +333,11 @@ def matrix_profile_self(
     """
     t = _values(series)
     n = t.size
-    _check_self_join_args(n, m)
-    if exclusion is None:
-        exclusion = (m + 1) // 2
-    if exclusion < 0:
-        raise ValueError("exclusion must be non-negative")
+    exclusion = _check_self_join_args(n, m, exclusion)
 
     num_windows = n - m + 1
-    mu, sd = _window_mean_std(t, m)
-    divisor = _divisor(sd, eps)
-    qt_first = sliding_dot_product(t[:m], t, method)
+    mu, sd = _moments(_sums(t), m)
+    qt_first = sliding_dot_product(t[:m], t)
     qt = qt_first.copy()
     head = t[: num_windows - 1]
     tail = t[m:]
@@ -308,37 +349,29 @@ def matrix_profile_self(
         if i > 0:
             qt[1:] = qt[:-1] - head * t[i - 1] + tail * t[i + m - 1]
             qt[0] = qt_first[i]
-        d = _pair_distances(qt, mu[i], sd[i], mu, sd, m, eps)
+        d = _fast_distances(qt, m, mu[i], sd[i], mu, sd)
         lo = max(0, i - exclusion)
         hi = min(num_windows, i + exclusion + 1)
         d[lo:hi] = np.inf
-        zq = (windows[i] - mu[i]) / divisor[i]
-        profile[i], indices[i] = _finish_row(d, zq, sd[i] <= eps, windows, mu, divisor)
+        profile[i], indices[i] = _finish_row(d, i, windows, sd)
     return MatrixProfileResult(profile, indices, m, exclusion)
 
 
-def brute_force_mp(
-    series,
-    m: int,
-    exclusion: int | None = None,
-    eps: float = DEFAULT_EPS,
-) -> MatrixProfileResult:
+def brute_force_mp(series, m: int, exclusion: int | None = None) -> MatrixProfileResult:
     """Self-join by the plain definition: z-normalize every window, take the
     pairwise Euclidean minimum. No incremental state shared between rows;
     serves as the oracle for matrix_profile_self.
     """
     t = _values(series)
     n = t.size
-    _check_self_join_args(n, m)
-    if exclusion is None:
-        exclusion = (m + 1) // 2
+    exclusion = _check_self_join_args(n, m, exclusion)
 
     windows = np.lib.stride_tricks.sliding_window_view(t, m)
     mu = windows.mean(axis=1)
     sd = windows.std(axis=1)
-    safe_sd = np.where(sd <= eps, 1.0, sd)
+    safe_sd = np.where(sd <= DEFAULT_EPS, 1.0, sd)
     z = (windows - mu[:, None]) / safe_sd[:, None]
-    z[sd <= eps] = 0.0
+    z[sd <= DEFAULT_EPS] = 0.0
 
     num_windows = n - m + 1
     profile = np.empty(num_windows)

@@ -13,7 +13,7 @@ from gaitmp import (
     znorm_distance,
     znormalize,
 )
-from gaitmp.mp import NO_NEIGHBOR
+from gaitmp.mp import FFT_CUTOFF, NO_NEIGHBOR
 
 
 def naive_sliding_dot(query, series):
@@ -48,10 +48,6 @@ class TestZnormalize:
     def test_rejects_nan(self):
         with pytest.raises(DataError):
             znormalize(np.array([1.0, np.nan, 3.0]))
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            znormalize(np.arange(8.0), eps=0.0)
 
 
 class TestZnormDistance:
@@ -99,19 +95,15 @@ class TestSlidingDotProduct:
         assert abs(out[0] - np.dot(t, t)) < 1e-9
 
     def test_fft_and_direct_agree(self):
+        # above FFT_CUTOFF the product takes the FFT route
         rng = np.random.default_rng(4)
-        q, t = rng.normal(size=25), rng.normal(size=2000)
-        d = sliding_dot_product(q, t, method="direct")
-        f = sliding_dot_product(q, t, method="fft")
-        np.testing.assert_allclose(f, d, atol=1e-9)
+        q, t = rng.normal(size=25), rng.normal(size=FFT_CUTOFF + 976)
+        direct = np.correlate(t, q, mode="valid")
+        np.testing.assert_allclose(sliding_dot_product(q, t), direct, atol=1e-9)
 
     def test_query_longer_than_series(self):
         with pytest.raises(ValueError):
             sliding_dot_product(np.arange(5.0), np.arange(3.0))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            sliding_dot_product(np.arange(3.0), np.arange(9.0), method="magic")
 
 
 class TestDistanceProfile:
@@ -148,6 +140,19 @@ class TestDistanceProfile:
     def test_rejects_nan(self):
         with pytest.raises(DataError):
             distance_profile(np.array([1.0, np.nan, 3.0]), np.arange(10.0))
+
+    @pytest.mark.parametrize("level", [0.37, 9.81, 123.0, -4.37])
+    @pytest.mark.parametrize("m", [25, 53, 100])
+    def test_rest_between_motion_matches_definition(self, level, m):
+        # a sensor at rest between two stretches of motion: the running sums
+        # cancel over the rest, whose windows must still read as constant
+        rng = np.random.default_rng(16)
+        t = np.concatenate([rng.normal(size=300), np.full(400, level), rng.normal(size=300)])
+        # from motion, across the start of the rest, and at rest
+        for q in (t[100 : 100 + m], t[300 - m // 2 : 300 - m // 2 + m], np.full(m, level)):
+            np.testing.assert_allclose(
+                distance_profile(q, t), naive_distance_profile(q, t), rtol=0, atol=1e-9
+            )
 
 
 class TestMatrixProfileSelf:
@@ -226,6 +231,12 @@ class TestMatrixProfileSelf:
             matrix_profile_self(np.arange(10.0), m=6)
         with pytest.raises(ValueError):
             matrix_profile_self(np.arange(10.0), m=2)
+
+    @pytest.mark.parametrize("join", [matrix_profile_self, brute_force_mp])
+    def test_negative_exclusion_rejected(self, join):
+        # exclusion -1 would leave every window as its own neighbor at 0
+        with pytest.raises(ValueError, match="exclusion"):
+            join(np.sin(np.arange(40.0)), 8, exclusion=-1)
 
     def test_accepts_time_series(self):
         rng = np.random.default_rng(10)

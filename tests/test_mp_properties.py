@@ -42,7 +42,7 @@ def test_distance_affine_invariance(a, scale, shift):
     assert abs(znorm_distance(scale * a + shift, b) - znorm_distance(a, b)) < 1e-6
 
 
-@settings(max_examples=25, deadline=None)
+@settings(deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=40, max_value=120),
