@@ -264,7 +264,7 @@ def _build_step_config(rate: float, merged: dict) -> StepSystemConfig:
 @click.option("--emit-trace", "trace_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--threshold", type=float, default=None, help="Discord score threshold.")
 @click.option("--signal", default=None, help="Channel to analyze, e.g. gyro:linf.")
-@click.option("--history-len", type=float, default=None, help="History length, seconds (step mode).")
+@click.option("--history-len", type=float, default=None, help="History length, seconds.")
 @click.option("--prime", "prime_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--frame-len", type=int, default=None, help="Frame length, samples (naive mode).")
 @click.option("--hop", type=int, default=None, help="Evaluation stride, samples (naive mode).")
@@ -300,7 +300,10 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
                     "discord_threshold": threshold,
                     "frame_len": frame_len,
                     "hop": hop,
-                    "history_len": None if history_len is None else int(history_len),
+                    # the naive config counts History in samples
+                    "history_len": None
+                    if history_len is None
+                    else round(history_len * rec.sample_rate_hz),
                     "signal": signal,
                 },
             )

@@ -16,16 +16,19 @@ History is one contiguous buffer holding the admitted chunks back to back,
 rebuilt, with the running sums mp._sums keeps for window moments, on
 admission and eviction. History does not change while a step is open, and
 each score row of the step extends the previous one's query by one sample.
-So the first row of a step (the seed row) is one distance profile over the
-buffer, and each later row (a growth row) adds one term to every window's
-dot product with the query, updates the query's mean and variance (Welford),
-and takes window moments from the cached sums. Both detectors finish a score
-from dot products and moments in mp._nearest, the smallest entry of the
-distance profile those would give, with its conventions and its exact
-recomputation of near-duplicates. Windows that straddle a chunk boundary
-splice two signatures together and are dropped before taking the minimum.
-While the Current buffer is longer than every chunk there is no reference
-window, and those samples go unscored.
+The Current buffer is a preallocated float64 array that gains one reading
+per score row, and History is handed a view of it. So the first row of a
+step (the seed row) is one distance profile over the buffer, and each later
+row (a growth row) adds one term to every window's dot product with the
+query, updates the query's mean and variance (Welford), and finishes in
+mp._nearest_from_sums, which ranks the windows from the cached sums without
+building their moments. The naive detector finishes a hop in mp._nearest.
+Both return the smallest entry of the distance profile the dot products
+would give, with its conventions and its exact recomputation of
+near-duplicates (1 - rho <= 1e-6, a band that scales with sqrt(m)). Windows
+that straddle a chunk boundary splice two signatures together and are
+dropped before taking the minimum. While the Current buffer is longer than
+every chunk there is no reference window, and those samples go unscored.
 
 Scores are normalized by the z-normalized distance ceiling 2*sqrt(m) so one
 threshold stays meaningful while m varies.
@@ -61,7 +64,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .mp import TimeSeries, _moments, _nearest, _sums, distance_profile, sliding_dot_product
+from .mp import (
+    TimeSeries,
+    _moments,
+    _nearest,
+    _nearest_from_sums,
+    _sums,
+    distance_profile,
+    sliding_dot_product,
+)
 from .signal import (
     DEFAULT_ENVELOPE_MS,
     SensorSample,
@@ -209,11 +220,14 @@ class NaiveDetector:
         k = h - m + 1
         history = self._ring[start : start + h]
         frame = self._ring[start + size - m : start + size]
+        # frame.mean() and frame.std()'s arithmetic, without their wrappers
+        mu_q = float(np.add.reduce(frame)) / m
+        dev = frame - mu_q
         best = _nearest(
             sliding_dot_product(frame, history),
             frame,
-            float(frame.mean()),
-            float(frame.std()),
+            mu_q,
+            math.sqrt(float(np.add.reduce(dev * dev)) / m),
             history,
             self._mean[start : start + k],
             self._sd[start : start + k],
@@ -391,10 +405,9 @@ class _History:
         self._qt += term
 
     def _best_of_growth_row(self, query: np.ndarray) -> float:
-        m = self._m
-        mean, sd = _moments(self._window_sums, m)
-        return _nearest(
-            self._qt, query, self._mean, math.sqrt(self._m2 / m), self.buffer, mean, sd, self.room
+        sd_q = math.sqrt(self._m2 / self._m)
+        return _nearest_from_sums(
+            self._qt, query, self._mean, sd_q, self.buffer, self._window_sums, self.room
         )
 
 
@@ -432,6 +445,10 @@ class StepGatedDetector:
         self._env_count = 0
         self._env_max_seen = 0.0
         self._history = _History()
+        # the Current buffer: _current[:_current_len] holds the open step's
+        # readings that its last score row saw
+        self._current = np.empty(0)
+        self._current_len = 0
         self._in_step = False
         self._step_start = 0
         self._step_ordinal = -1
@@ -501,6 +518,22 @@ class StepGatedDetector:
     def _env_slice_max(self, start: int, end: int) -> float:
         return max(self._env[start - self._phys : end - self._phys])
 
+    def _current_query(self, i: int) -> np.ndarray:
+        """The open step's readings up to logical index i, as a view of the
+        Current buffer: a row that follows the previous one writes one
+        reading, the first row of a step copies them all."""
+        m = i + 1 - self._step_start
+        if m > self._current.size:
+            grown = np.empty(2 * m)
+            grown[: self._current_len] = self._current[: self._current_len]
+            self._current = grown
+        if self._current_len == m - 1:
+            self._current[m - 1] = self._sig[i - self._phys]
+        else:
+            self._current[:m] = self._sig[self._step_start - self._phys : i + 1 - self._phys]
+        self._current_len = m
+        return self._current[:m]
+
     # -- streaming ---------------------------------------------------------
 
     def push(self, sample: SensorSample) -> tuple[AlarmEvent, ...]:
@@ -555,7 +588,7 @@ class StepGatedDetector:
         # chunk boundary are not reference signatures and are dropped. Once
         # the buffer outgrows every chunk there is no reference window left
         # and the sample goes unscored
-        best = self._history.best_distance(self._sig_slice(self._step_start, i + 1))
+        best = self._history.best_distance(self._current_query(i))
         if not math.isfinite(best):
             return []
         score = best / (2.0 * math.sqrt(m))
@@ -579,6 +612,7 @@ class StepGatedDetector:
                 )
             self._rebase(ev.index)
             self._history.reset_query()
+            self._current_len = 0
             self._in_step = True
             self._step_start = ev.index
             self._step_ordinal += 1

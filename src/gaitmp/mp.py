@@ -10,13 +10,20 @@ sums alone cancel and can read a constant stretch at a nonzero level as
 varying. A caller whose series does not change (History) caches _sums.
 
 Near-duplicates are recomputed by definition in _exact_distances, because
-sqrt(2m(1-rho)) cancels as rho -> 1. Single-query distance profiles
-(distance_profile, the MASS scheme: sliding dot product plus window moments)
-finish in _profile, and the detectors' score rows in _nearest, which falls
-back to _profile. Self-join rows run in STOMP order (dot products updated
-row to row) and finish in _finish_row. A brute-force double loop over the
-plain definition (brute_force_mp, znorm_distance, znormalize) shares no code
-with any of them and is kept as the oracle.
+sqrt(2m(1-rho)) cancels as rho -> 1. The band is 1 - rho <= NEAR_DUPLICATE**2,
+i.e. d <= NEAR_DUPLICATE * sqrt(2m), so it covers the same correlations at
+every m. Single-query distance profiles (distance_profile, the MASS scheme:
+sliding dot product plus window moments) finish in _profile, and the
+detectors' score rows in _nearest, which falls back to _profile. A growth row
+of the step-gated detector finishes in _nearest_from_sums: it ranks the
+windows by their correlation with the query straight from the cached sums
+(the window sums S1 and S2 in one subtraction, as SCAMP ranks by Pearson
+correlation from co-moments), and takes the _moments + _nearest path only
+where a window may be constant or the best is a near-duplicate. Self-join
+rows run in STOMP order (dot products updated row to row) and finish in
+_finish_row. A brute-force double loop over the plain definition
+(brute_force_mp, znorm_distance, znormalize) shares no code with any of them
+and is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ DEFAULT_EPS = 1e-8
 FFT_CUTOFF = 1024
 # Index sentinel for "no valid neighbor"; the matching profile value is +inf.
 NO_NEIGHBOR = -1
-# Fast distances this near to 0, or to a join row's minimum, are recomputed
-# from z-normalized windows (see _fast_distances): sqrt(2m(1-rho)) cancels as
-# rho -> 1, and low-variance windows magnify the rounding of the dot products
-# and moments.
+# Fast distances of a query of length m at or under NEAR_DUPLICATE * sqrt(2m)
+# (1 - rho <= NEAR_DUPLICATE**2), or within NEAR_DUPLICATE of a join row's
+# minimum, are recomputed from z-normalized windows (see _fast_distances):
+# sqrt(2m(1-rho)) cancels as rho -> 1, and low-variance windows magnify the
+# rounding of the dot products and moments. A fixed cut on d would cover a
+# narrower band of rho as m shrinks.
 NEAR_DUPLICATE = 1e-3
 
 
@@ -187,7 +196,7 @@ def _fast_distances(
     0 and a constant one is at sqrt(m) from any other. Callers recompute
     near-duplicates of a varying query by definition (_exact_distances), by
     one of two rules: a distance profile every entry at or under
-    NEAR_DUPLICATE (_profile), a self-join row every candidate within
+    _band(m) (_profile), a self-join row every candidate within
     NEAR_DUPLICATE of its minimum (_finish_row), so that its index is the
     definition's first smallest.
     """
@@ -198,6 +207,12 @@ def _fast_distances(
     d = np.sqrt(2.0 * m * (1.0 - np.clip(rho, -1.0, 1.0)))
     d[flat] = math.sqrt(m)
     return d
+
+
+def _band(m: int) -> float:
+    """Distances of a query of length m at or under this are near-duplicates:
+    1 - rho <= NEAR_DUPLICATE**2."""
+    return NEAR_DUPLICATE * math.sqrt(2.0 * m)
 
 
 def _exact_distances(query: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -220,12 +235,13 @@ def _profile(
     sd: np.ndarray,
 ) -> np.ndarray:
     """Distances of ``query`` to every window of ``series`` from _fast_distances,
-    every entry at or under NEAR_DUPLICATE recomputed by definition. For a
+    every entry at or under _band(m) recomputed by definition. For a
     constant query the convention is already exact, and nothing is."""
     m = query.size
     d = _fast_distances(qt, m, mu_q, sd_q, mean, sd)
-    if sd_q > DEFAULT_EPS and d.min() <= NEAR_DUPLICATE:
-        near = np.flatnonzero(d <= NEAR_DUPLICATE)
+    band = _band(m)
+    if sd_q > DEFAULT_EPS and d.min() <= band:
+        near = np.flatnonzero(d <= band)
         d[near] = _exact_distances(query, sliding_window_view(series, m)[near])
     return d
 
@@ -261,7 +277,7 @@ def _nearest(
     last window, and the mask is built only on the rare rows that need it.
     The nearest window has the largest correlation rho, so a varying query
     takes it from the argmax of rho; a constant query, or a best at or under
-    NEAR_DUPLICATE, falls back to _profile.
+    _band(m), falls back to _profile.
     """
     m = query.size
     if sd_q > DEFAULT_EPS:
@@ -278,12 +294,58 @@ def _nearest(
         if best_rho < 0.5 and (flat if room is None else flat[room[: flat.size] >= m]).any():
             best_rho = 0.5
         best = math.sqrt(2.0 * m * (1.0 - min(max(best_rho, -1.0), 1.0)))
-        if best > NEAR_DUPLICATE:
+        if best > _band(m):
             return best
     d = _profile(qt, query, mu_q, sd_q, series, mean, sd)
     if room is not None:
         d[room[: d.size] < m] = np.inf
     return float(d.min())
+
+
+def _nearest_from_sums(
+    qt: np.ndarray,
+    query: np.ndarray,
+    mu_q: float,
+    sd_q: float,
+    series: np.ndarray,
+    sums,
+    room: np.ndarray,
+) -> float:
+    """_nearest's result, from the running sums _sums took of ``series``
+    instead of window moments.
+
+    Window j has sums S1 and S2 of its values and their squares, and
+    m * stdev = sqrt(m*S2 - S1^2), so (qt - mu_q*S1) / sqrt(m*S2 - S1^2) is
+    rho * sd_q: its argmax is the nearest window, and no window's moments
+    are built. That holds while no window can count as constant, so the
+    moments are taken and the row finished by _nearest when the series
+    repeats a value, when some window has m * stdev at or under
+    2 * m * DEFAULT_EPS (a margin over _moments' rounding), when the query
+    is constant, and when the best is at or under _band(m).
+    """
+    m = query.size
+    s, changes = sums
+    if changes is None and sd_q > DEFAULT_EPS:
+        k = s.shape[1] - m
+        s1, s2 = s[:, m:] - s[:, :k]
+        # in place: s2 becomes (m * stdev)^2, then s1 the rank, of each window
+        s2 *= m
+        s2 -= s1 * s1
+        if s2.min() > (2.0 * m * DEFAULT_EPS) ** 2:
+            s1 *= -mu_q
+            s1 += qt
+            s1 /= np.sqrt(s2, out=s2)
+            j = int(s1.argmax())
+            if room[j] < m:
+                # the best window straddles a chunk boundary
+                s1[room[:k] < m] = -np.inf
+                j = int(s1.argmax())
+            rho = float(s1[j]) / sd_q
+            best = math.sqrt(2.0 * m * (1.0 - min(max(rho, -1.0), 1.0)))
+            if best > _band(m):
+                return best
+    mean, sd = _moments(sums, m)
+    return _nearest(qt, query, mu_q, sd_q, series, mean, sd, room)
 
 
 def _check_self_join_args(n: int, m: int, exclusion: int | None) -> int:

@@ -203,6 +203,19 @@ class TestDetect:
         )
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("seconds, code", [("2", 0), ("1.5", 2)])
+    def test_naive_history_len_is_in_seconds(self, runner, tmp_path, seconds, code):
+        # at 100 Hz, 2 s is 200 samples, the least twice the 100-sample Frame allows
+        gen(runner, tmp_path / "rec")
+        result = runner.invoke(
+            main,
+            ["detect", str(tmp_path / "rec" / "recording.csv"), "--mode", "naive",
+             "-o", str(tmp_path / "a.jsonl"), "--history-len", seconds],
+        )
+        assert result.exit_code == code, result.output
+        if code:
+            assert "history_len must be at least 2*frame_len" in result.output
+
     def test_prime_reference(self, runner, tmp_path):
         gen(runner, tmp_path / "ref", "--anomalous", "0", "--normal", "8")
         gen(runner, tmp_path / "rec")

@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaitmp import brute_force_mp, matrix_profile_self, znorm_distance
+from gaitmp.mp import FFT_CUTOFF, _moments, _nearest_from_sums, _profile, _sums, sliding_dot_product
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -72,3 +74,93 @@ def test_profile_bounded_by_any_admissible_pair(seed):
         return
     d = znorm_distance(t[i : i + m], t[j : j + m])
     assert res.profile[i] <= d + 1e-9
+
+
+def draw_chunks(rng, kinds, query, level, nudge):
+    """History chunks, each at least as long as ``query``, of the listed
+    kinds: gait-scale noise, noise longer than FFT_CUTOFF, a constant at
+    ``level``, noise scaled by 1e-9 (varying, with a stdev under
+    DEFAULT_EPS; beside a level, running sums would lose its digits), noise with one reading repeated once, noise holding a
+    copy of the query nudged by ``nudge``, and two kinds that append two
+    chunks: a split, whose constant runs at ``level`` are each shorter than
+    the query but together at least as long, so the only constant windows
+    straddle the boundary, and a copy of the query nudged by ``nudge``
+    across the boundary."""
+    m = query.size
+    chunks = []
+    for kind in kinds:
+        n = int(rng.integers(m, 3 * m + 20))
+        noise = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), n)
+        if kind == "long":
+            noise = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), FFT_CUTOFF + n)
+        elif kind == "constant":
+            noise = np.full(n, level)
+        elif kind == "stutter":
+            p = int(rng.integers(1, n))
+            noise[p] = noise[p - 1]
+        elif kind == "copy":
+            p = int(rng.integers(n - m + 1))
+            noise[p : p + m] = query + nudge * rng.normal(size=m)
+        elif kind == "quiet":
+            noise = 1e-9 * noise
+        elif kind in ("split", "across"):
+            a = int(rng.integers(1, m))
+            if kind == "split":
+                head, tail = np.full(a, level), np.full(int(rng.integers(m - a, m)), level)
+            else:
+                copy = query + nudge * rng.normal(size=m)
+                head, tail = copy[:a], copy[a:]
+            chunks.append(np.concatenate([noise, head]))
+            noise = np.concatenate([tail, rng.normal(0.0, 1.0, n)])
+        chunks.append(noise)
+    return chunks
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(3, 40),
+    kinds=st.lists(
+        st.sampled_from(["noise", "long", "constant", "quiet", "stutter", "copy", "split", "across"]),
+        min_size=1,
+        max_size=4,
+    ),
+    constant_query=st.booleans(),
+    level=st.floats(0.5, 20.0) | st.floats(-20.0, -0.5),
+    nudge=st.sampled_from([0.0, 1e-7, 1e-3, 0.1]),
+)
+# a valid constant window, every varying one at rho < 1/2: the floor applies
+@example(seed=0, m=30, kinds=["noise", "constant"], constant_query=False, level=2.5, nudge=0.0)
+# constant windows only across a chunk boundary, every valid one at rho < 1/2:
+# the floor must not apply
+@example(seed=0, m=30, kinds=["split"], constant_query=False, level=9.81, nudge=0.0)
+# a constant chunk at 9.81 after 1,000 readings of noise, whose running sums
+# cancel and read it as varying: only the repeated values tell
+@example(seed=12, m=30, kinds=["long", "constant"], constant_query=False, level=9.81, nudge=0.0)
+# History repeats a value, but no window is constant
+@example(seed=0, m=10, kinds=["noise", "stutter"], constant_query=False, level=1.0, nudge=0.0)
+# varying windows with a stdev under DEFAULT_EPS count as constant
+@example(seed=1, m=10, kinds=["quiet", "noise"], constant_query=False, level=0.5, nudge=0.0)
+# a constant query over History without a repeated value
+@example(seed=0, m=5, kinds=["noise"], constant_query=True, level=1.0, nudge=0.0)
+# the best window straddles a chunk boundary and is not a near-duplicate
+@example(seed=0, m=10, kinds=["noise", "across"], constant_query=False, level=1.0, nudge=0.1)
+# near-duplicate bests: at m = 3, d = 1.9e-3 lies inside the band only as it
+# scales with sqrt(m), and the fast distance is 1.2e-9 off; at m = 25, a copy
+# nudged by 1e-7 whose fast distance is 2e-6 off
+@example(seed=2, m=3, kinds=["long", "copy"], constant_query=False, level=1.0, nudge=1e-3)
+@example(seed=0, m=25, kinds=["long", "copy"], constant_query=False, level=1.0, nudge=1e-7)
+def test_growth_finish_matches_the_masked_profile(seed, m, kinds, constant_query, level, nudge):
+    rng = np.random.default_rng(seed)
+    query = np.full(m, level) if constant_query else rng.normal(0.0, 1.0, m)
+    chunks = draw_chunks(rng, kinds, query, level, nudge)
+    series = np.concatenate(chunks)
+    lengths = np.array([c.size for c in chunks])
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(series.size)
+    sums = _sums(series)
+    qt = sliding_dot_product(query, series)
+    mu_q, sd_q = float(query.mean()), float(query.std())
+    d = _profile(qt, query, mu_q, sd_q, series, *_moments(sums, m))
+    want = float(d[room[: d.size] >= m].min())
+    got = _nearest_from_sums(qt, query, mu_q, sd_q, series, sums, room)
+    assert got == pytest.approx(want, rel=0, abs=1e-9)
