@@ -264,7 +264,12 @@ def _build_step_config(rate: float, merged: dict) -> StepSystemConfig:
 @click.option("--emit-trace", "trace_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--threshold", type=float, default=None, help="Discord score threshold.")
 @click.option("--signal", default=None, help="Channel to analyze, e.g. gyro:linf.")
-@click.option("--history-len", type=float, default=None, help="History length, seconds.")
+@click.option(
+    "--history-len",
+    type=float,
+    default=None,
+    help="History length, seconds (a naive config file's history_len counts samples).",
+)
 @click.option("--prime", "prime_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--frame-len", type=int, default=None, help="Frame length, samples (naive mode).")
 @click.option("--hop", type=int, default=None, help="Evaluation stride, samples (naive mode).")

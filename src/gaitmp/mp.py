@@ -18,10 +18,13 @@ detectors' score rows in _nearest, which falls back to _profile. A growth row
 of the step-gated detector finishes in _nearest_from_sums: it ranks the
 windows by their correlation with the query straight from the cached sums
 (the window sums S1 and S2 in one subtraction, as SCAMP ranks by Pearson
-correlation from co-moments), and takes the _moments + _nearest path only
-where a window may be constant or the best is a near-duplicate. Self-join
-rows run in STOMP order (dot products updated row to row) and finish in
-_finish_row. A brute-force double loop over the plain definition
+correlation from co-moments). A window with no change of value is ranked
+there as constant; the row takes the _moments + _nearest path only for a
+constant query, a window the sums cannot tell from constant, or a
+near-duplicate best. _nearest and the growth-row finish share their tail,
+the argmax under the chunk mask and the band check, in _best_of_ranks.
+Self-join rows run in STOMP order (dot products updated row to row) and
+finish in _finish_row. A brute-force double loop over the plain definition
 (brute_force_mp, znorm_distance, znormalize) shares no code with any of them
 and is kept as the oracle.
 """
@@ -260,6 +263,29 @@ def distance_profile(query, series) -> np.ndarray:
     return _profile(sliding_dot_product(q, t), q, float(q.mean()), float(q.std()), t, mean, sd)
 
 
+def _best_of_ranks(
+    rank: np.ndarray, scale: float, m: int, room: np.ndarray | None, flat: np.ndarray | None = None
+) -> float | None:
+    """Distance of a varying query of length m to its nearest window, from
+    each window's rank, rank / scale being its correlation rho with the
+    query. With ``room``, window j counts only when room[j] >= m (it lies
+    inside one History chunk); room may run past the last window, and the
+    mask is built only on the rare rows that need it. A constant window
+    (``flat``) sits at sqrt(m), i.e. at rho 1/2. None when the best is at or
+    under _band(m), where the caller recomputes by definition."""
+    j = int(rank.argmax())
+    if room is not None and room[j] < m:
+        # the best window straddles a chunk boundary
+        rank[room[: rank.size] < m] = -np.inf
+        j = int(rank.argmax())
+    rho = float(rank[j]) / scale
+    if rho < 0.5 and flat is not None:
+        if (flat if room is None else flat[room[: flat.size] >= m]).any():
+            rho = 0.5
+    best = math.sqrt(2.0 * m * (1.0 - min(max(rho, -1.0), 1.0)))
+    return best if best > _band(m) else None
+
+
 def _nearest(
     qt: np.ndarray,
     query: np.ndarray,
@@ -272,11 +298,9 @@ def _nearest(
 ) -> float:
     """Smallest of _profile's distances, usually without building them.
 
-    The arguments are _profile's. With ``room``, window j counts only when
-    room[j] >= m (it lies inside one History chunk); room may run past the
-    last window, and the mask is built only on the rare rows that need it.
-    The nearest window has the largest correlation rho, so a varying query
-    takes it from the argmax of rho; a constant query, or a best at or under
+    The arguments are _profile's, and ``room`` is _best_of_ranks'. The
+    nearest window has the largest correlation rho, so a varying query takes
+    it from the argmax of rho; a constant query, or a best at or under
     _band(m), falls back to _profile.
     """
     m = query.size
@@ -285,16 +309,8 @@ def _nearest(
         # a constant window gets rho 0 from the inf divisor; by convention it
         # sits at sqrt(m), i.e. at rho 1/2
         rho = (qt - m * mu_q * mean) / (m * sd_q * np.where(flat, np.inf, sd))
-        j = int(rho.argmax())
-        if room is not None and room[j] < m:
-            # the best window straddles a chunk boundary
-            rho[room[: rho.size] < m] = -np.inf
-            j = int(rho.argmax())
-        best_rho = float(rho[j])
-        if best_rho < 0.5 and (flat if room is None else flat[room[: flat.size] >= m]).any():
-            best_rho = 0.5
-        best = math.sqrt(2.0 * m * (1.0 - min(max(best_rho, -1.0), 1.0)))
-        if best > _band(m):
+        best = _best_of_ranks(rho, 1.0, m, room, flat)
+        if best is not None:
             return best
     d = _profile(qt, query, mu_q, sd_q, series, mean, sd)
     if room is not None:
@@ -317,32 +333,35 @@ def _nearest_from_sums(
     Window j has sums S1 and S2 of its values and their squares, and
     m * stdev = sqrt(m*S2 - S1^2), so (qt - mu_q*S1) / sqrt(m*S2 - S1^2) is
     rho * sd_q: its argmax is the nearest window, and no window's moments
-    are built. That holds while no window can count as constant, so the
-    moments are taken and the row finished by _nearest when the series
-    repeats a value, when some window has m * stdev at or under
-    2 * m * DEFAULT_EPS (a margin over _moments' rounding), when the query
-    is constant, and when the best is at or under _band(m).
+    are built. A window with no change of value is constant: it gets an inf
+    divisor and rank 0, and _best_of_ranks puts it at rho 1/2, as _nearest
+    does. Any other window that may count as constant would need its
+    moments, so the row is finished by _nearest when some window's
+    m*S2 - S1^2 lies near 0, when the query is constant, and when the best
+    is at or under _band(m).
     """
     m = query.size
     s, changes = sums
-    if changes is None and sd_q > DEFAULT_EPS:
+    if sd_q > DEFAULT_EPS:
         k = s.shape[1] - m
         s1, s2 = s[:, m:] - s[:, :k]
         # in place: s2 becomes (m * stdev)^2, then s1 the rank, of each window
         s2 *= m
         s2 -= s1 * s1
-        if s2.min() > (2.0 * m * DEFAULT_EPS) ** 2:
+        flat = None if changes is None else changes[m - 1 :] == changes[:k]
+        if flat is not None:
+            s2[flat] = np.inf
+        # a window whose m*S2 - S1^2 lies near 0 may count as constant: its
+        # stdev may be at or under DEFAULT_EPS (with a margin of 2), or its
+        # digits lost to the running sums' rounding, which grows to about
+        # n * 2^-52 times their total sum of squares over n readings
+        n = s.shape[1] - 1
+        if s2.min() > max((2.0 * m * DEFAULT_EPS) ** 2, m * n * 2.0**-52 * float(s[1, -1])):
             s1 *= -mu_q
             s1 += qt
             s1 /= np.sqrt(s2, out=s2)
-            j = int(s1.argmax())
-            if room[j] < m:
-                # the best window straddles a chunk boundary
-                s1[room[:k] < m] = -np.inf
-                j = int(s1.argmax())
-            rho = float(s1[j]) / sd_q
-            best = math.sqrt(2.0 * m * (1.0 - min(max(rho, -1.0), 1.0)))
-            if best > _band(m):
+            best = _best_of_ranks(s1, sd_q, m, room, flat)
+            if best is not None:
                 return best
     mean, sd = _moments(sums, m)
     return _nearest(qt, query, mu_q, sd_q, series, mean, sd, room)

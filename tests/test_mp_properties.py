@@ -79,9 +79,10 @@ def test_profile_bounded_by_any_admissible_pair(seed):
 def draw_chunks(rng, kinds, query, level, nudge):
     """History chunks, each at least as long as ``query``, of the listed
     kinds: gait-scale noise, noise longer than FFT_CUTOFF, a constant at
-    ``level``, noise scaled by 1e-9 (varying, with a stdev under
-    DEFAULT_EPS; beside a level, running sums would lose its digits), noise with one reading repeated once, noise holding a
-    copy of the query nudged by ``nudge``, and two kinds that append two
+    ``level``, noise scaled by 1e-9 around ``level`` (varying, with a stdev
+    under DEFAULT_EPS, whose digits the running sums lose), noise with one
+    reading repeated once, noise holding a copy of the query nudged by
+    ``nudge``, and two kinds that append two
     chunks: a split, whose constant runs at ``level`` are each shorter than
     the query but together at least as long, so the only constant windows
     straddle the boundary, and a copy of the query nudged by ``nudge``
@@ -102,7 +103,7 @@ def draw_chunks(rng, kinds, query, level, nudge):
             p = int(rng.integers(n - m + 1))
             noise[p : p + m] = query + nudge * rng.normal(size=m)
         elif kind == "quiet":
-            noise = 1e-9 * noise
+            noise = level + 1e-9 * noise
         elif kind in ("split", "across"):
             a = int(rng.integers(1, m))
             if kind == "split":
@@ -137,6 +138,9 @@ def draw_chunks(rng, kinds, query, level, nudge):
 # a constant chunk at 9.81 after 1,000 readings of noise, whose running sums
 # cancel and read it as varying: only the repeated values tell
 @example(seed=12, m=30, kinds=["long", "constant"], constant_query=False, level=9.81, nudge=0.0)
+# a quiet chunk at 7.93, whose windows' sums cancel to rounding noise that
+# reads as a stdev over DEFAULT_EPS
+@example(seed=6, m=23, kinds=["quiet"], constant_query=False, level=7.93, nudge=0.0)
 # History repeats a value, but no window is constant
 @example(seed=0, m=10, kinds=["noise", "stutter"], constant_query=False, level=1.0, nudge=0.0)
 # varying windows with a stdev under DEFAULT_EPS count as constant
