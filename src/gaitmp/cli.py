@@ -161,8 +161,8 @@ def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, r
     """Detect step boundaries in a recording; emits start,end sample pairs."""
     rec = _load_recording(recording)
     series = rec.project(_parse_signal(signal))
-    env = envelope(series, envelope_ms)
     try:
+        env = envelope(series, envelope_ms)
         det = StepDetector(
             rec.sample_rate_hz,
             threshold_fraction=threshold_fraction,
@@ -351,7 +351,7 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
     multiple=True,
     help="History length in seconds; repeat for several ROC families.",
 )
-@click.option("--grid-points", type=int, default=101, show_default=True)
+@click.option("--grid-points", type=click.IntRange(min=2), default=101, show_default=True)
 @click.option("--rtf-runs", type=click.IntRange(min=1), default=5, show_default=True)
 def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
     """Score recording directories (recording.csv + annotations.csv each)."""

@@ -4,31 +4,31 @@ Two architectures share the alarm vocabulary:
 
 * NaiveDetector: fixed-length Frame buffer queried against a trailing History
   buffer every hop; no gait awareness, so it also fires on non-step motion.
-  Both buffers are views of one ring of the last readings, the moments of
-  each stream window are computed once, when a hop completes it, and a hop
-  costs one sliding dot product plus the finish the growth rows use.
+  Both buffers are views of one array of the last readings, rebuilt each
+  hop, and a hop costs one sliding dot product, the running sums of
+  History, and the finish the growth rows use.
 * StepGatedDetector: segments steps first, accumulates the live step in a
   Current buffer, and queries it (with subsequence length equal to the buffer
   length) against a History of previously completed step signatures. One
   alarm at most per step.
 
 History is one contiguous buffer holding the admitted chunks back to back,
-rebuilt, with the running sums mp._sums keeps for window moments, on
-admission and eviction. History does not change while a step is open, and
-each score row of the step extends the previous one's query by one sample.
-The Current buffer is a preallocated float64 array that gains one reading
-per score row, and History is handed a view of it. So the first row of a
-step (the seed row) is one distance profile over the buffer, and each later
-row (a growth row) adds one term to every window's dot product with the
-query, updates the query's mean and variance (Welford), and finishes in
-mp._nearest_from_sums, which ranks the windows from the cached sums without
-building their moments. The naive detector finishes a hop in mp._nearest.
-Both return the smallest entry of the distance profile the dot products
-would give, with its conventions and its exact recomputation of
-near-duplicates (1 - rho <= 1e-6, a band that scales with sqrt(m)). Windows
-that straddle a chunk boundary splice two signatures together and are
-dropped before taking the minimum. While the Current buffer is longer than
-every chunk there is no reference window, and those samples go unscored.
+rebuilt, with its running sums (mp._sums), on admission and eviction.
+History does not change while a step is open, and each score row of the
+step extends the previous one's query by one sample. The Current buffer is
+a preallocated float64 array that gains one reading per score row, and
+History is handed a view of it. So the first row of a step (the seed row)
+is one distance profile over the buffer, and each later row (a growth row)
+adds one term to every window's dot product with the query, updates the
+query's mean and variance (Welford), and finishes in mp._nearest, which
+ranks the windows from the cached sums without building their moments. A
+naive hop finishes there too. Both return the smallest entry of the
+distance profile the dot products would give, with its conventions and its
+exact recomputation of near-duplicates (1 - rho <= 1e-6, a band that scales
+with sqrt(m)). History windows that straddle a chunk boundary splice two
+signatures together and are dropped before taking the minimum. While the
+Current buffer is longer than every chunk there is no reference window, and
+those samples go unscored.
 
 Scores are normalized by the z-normalized distance ceiling 2*sqrt(m) so one
 threshold stays meaningful while m varies.
@@ -66,9 +66,7 @@ import numpy as np
 from .errors import DataError
 from .mp import (
     TimeSeries,
-    _moments,
     _nearest,
-    _nearest_from_sums,
     _sums,
     distance_profile,
     sliding_dot_product,
@@ -155,15 +153,13 @@ class NaiveDetectorConfig:
 class NaiveDetector:
     """Frame-vs-History hop detector; scores every hop once warmed up.
 
-    The last ``keep`` readings live in a float64 ring of 2 * keep, each one
-    written at p and p + keep, so Frame and History are contiguous views of
-    it. Readings collect in a list between hops. A hop moves them into the
-    ring and takes the moments of the stream windows they complete, with
-    mp._moments over only those windows' samples, into two more rings
-    aligned with the first; each window is measured once. The score is one
-    sliding dot product of Frame against History, finished by mp._nearest.
-    A non-finite reading raises DataError at every hop while it is among the
-    last keep readings; scoring resumes after.
+    Readings collect in a list between hops. A hop appends them to a float64
+    array of the last ``keep`` readings, of which Frame and History are
+    views, and takes the running sums (mp._sums) of History. The score is
+    one sliding dot product of Frame against History, finished from those
+    sums by mp._nearest, the finish the step-gated growth rows use. A
+    non-finite reading raises DataError at every hop while it is among the
+    last keep readings; no state carries it into a later hop.
     """
 
     def __init__(self, config: NaiveDetectorConfig, sample_rate_hz: float):
@@ -171,17 +167,11 @@ class NaiveDetector:
             raise ValueError("sample_rate_hz must be positive")
         self.cfg = config
         self.sample_rate_hz = sample_rate_hz
-        keep = config.history_len + config.frame_len - config.overlap
-        self._keep = keep
-        self._ring = np.zeros(2 * keep)
-        # moments of the window of frame_len readings starting at each reading
-        self._mean = np.zeros(2 * keep)
-        self._sd = np.zeros(2 * keep)
+        self._keep = config.history_len + config.frame_len - config.overlap
+        self._readings = np.empty(0)
         self._block: list[float] = []
         self._count = 0
         self._due = config.warmup
-        # the last count at which a non-finite reading is still buffered
-        self._bad_until = -1
         self.trace: list[TraceRecord] = []
 
     def push(self, value: float) -> tuple[AlarmEvent, ...]:
@@ -192,34 +182,17 @@ class NaiveDetector:
         return self._hop()
 
     def _hop(self) -> tuple[AlarmEvent, ...]:
-        cfg, keep, m, n = self.cfg, self._keep, self.cfg.frame_len, self._count
-        block = np.array(self._block)
-        self._block.clear()
-        self._due = n + cfg.hop
-        finite = np.isfinite(block)
-        if not finite.all():
-            self._bad_until = n - block.size + int(np.flatnonzero(~finite)[-1]) + keep
-            # every hop that would read the stand-in raises instead
-            block[~finite] = 0.0
+        cfg, keep, m = self.cfg, self._keep, self.cfg.frame_len
         # only the last keep readings are ever scored
-        fresh = min(block.size, keep)
-        _ring_write(self._ring, n - fresh, block[block.size - fresh :])
-        # moments of the windows this block completes, except those that
-        # start before the last keep readings
-        first = max(n - block.size - m + 1, n - keep, 0)
-        at = first % keep
-        mean, sd = _moments(_sums(self._ring[at : at + n - first]), m)
-        _ring_write(self._mean, first, mean)
-        _ring_write(self._sd, first, sd)
-        if n <= self._bad_until:
+        readings = np.concatenate((self._readings, self._block[-keep:]))[-keep:]
+        self._readings = readings
+        self._block.clear()
+        self._due = self._count + cfg.hop
+        if not np.isfinite(readings).all():
             raise DataError("non-finite reading among the naive detector's last readings")
-        size = min(n, keep)
-        start = (n - size) % keep
         # history ends overlap samples into the frame, per the buffer layout
-        h = size - (m - cfg.overlap)
-        k = h - m + 1
-        history = self._ring[start : start + h]
-        frame = self._ring[start + size - m : start + size]
+        history = readings[: readings.size - (m - cfg.overlap)]
+        frame = readings[readings.size - m :]
         # frame.mean() and frame.std()'s arithmetic, without their wrappers
         mu_q = float(np.add.reduce(frame)) / m
         dev = frame - mu_q
@@ -229,11 +202,10 @@ class NaiveDetector:
             mu_q,
             math.sqrt(float(np.add.reduce(dev * dev)) / m),
             history,
-            self._mean[start : start + k],
-            self._sd[start : start + k],
+            _sums(history),
         )
         score = best / (2.0 * math.sqrt(m))
-        idx = n - 1
+        idx = self._count - 1
         self.trace.append(TraceRecord(idx, idx, None, m, score))
         if score > cfg.discord_threshold:
             return (AlarmEvent(idx, idx / self.sample_rate_hz, score, m),)
@@ -241,20 +213,6 @@ class NaiveDetector:
 
     def flush(self) -> tuple[AlarmEvent, ...]:
         return ()
-
-
-def _ring_write(ring: np.ndarray, t: int, values: np.ndarray) -> None:
-    """Store ``values``, the readings from stream index t on and at most keep
-    of them, at t % keep and t % keep + keep of a ring of 2 * keep. Any keep
-    consecutive readings then form one slice of the ring."""
-    keep = ring.size // 2
-    p = t % keep
-    end = p + values.size
-    ring[p:end] = values
-    low = min(end, keep)
-    ring[p + keep : low + keep] = values[: low - p]
-    if end > keep:
-        ring[: end - keep] = values[keep - p :]
 
 
 # -- step-gated detector ---------------------------------------------------
@@ -321,7 +279,7 @@ class _History:
 
     Each chunk's values are a view into the buffer, which is rebuilt only on
     admission or eviction, together with its mp._sums, from which growth rows
-    take window moments. room[j] counts the samples from j to the end of j's
+    rank the windows. room[j] counts the samples from j to the end of j's
     chunk, so the window of length m at j lies inside one chunk, and is a
     reference signature, iff room[j] >= m.
 
@@ -406,7 +364,7 @@ class _History:
 
     def _best_of_growth_row(self, query: np.ndarray) -> float:
         sd_q = math.sqrt(self._m2 / self._m)
-        return _nearest_from_sums(
+        return _nearest(
             self._qt, query, self._mean, sd_q, self.buffer, self._window_sums, self.room
         )
 

@@ -13,17 +13,16 @@ Near-duplicates are recomputed by definition in _exact_distances, because
 sqrt(2m(1-rho)) cancels as rho -> 1. The band is 1 - rho <= NEAR_DUPLICATE**2,
 i.e. d <= NEAR_DUPLICATE * sqrt(2m), so it covers the same correlations at
 every m. Single-query distance profiles (distance_profile, the MASS scheme:
-sliding dot product plus window moments) finish in _profile, and the
-detectors' score rows in _nearest, which falls back to _profile. A growth row
-of the step-gated detector finishes in _nearest_from_sums: it ranks the
-windows by their correlation with the query straight from the cached sums
-(the window sums S1 and S2 in one subtraction, as SCAMP ranks by Pearson
-correlation from co-moments). A window with no change of value is ranked
-there as constant; the row takes the _moments + _nearest path only for a
-constant query, a window the sums cannot tell from constant, or a
-near-duplicate best. _nearest and the growth-row finish share their tail,
-the argmax under the chunk mask and the band check, in _best_of_ranks.
-Self-join rows run in STOMP order (dot products updated row to row) and
+sliding dot product plus window moments) finish in _profile. The detectors'
+score rows, a naive hop and a step-gated growth row alike, want only the
+profile's smallest entry and finish in _nearest: it ranks the windows by
+their correlation with the query straight from the running sums (the window
+sums S1 and S2 in one subtraction, as SCAMP ranks by Pearson correlation
+from co-moments), with an optional mask of windows that straddle a History
+chunk boundary. A window with no change of value is ranked there as
+constant; the row falls back to _profile over _moments for a constant
+query, a window the sums cannot tell from constant, or a near-duplicate
+best. Self-join rows run in STOMP order (dot products updated row to row) and
 finish in _finish_row. A brute-force double loop over the plain definition
 (brute_force_mp, znorm_distance, znormalize) shares no code with any of them
 and is kept as the oracle.
@@ -263,87 +262,33 @@ def distance_profile(query, series) -> np.ndarray:
     return _profile(sliding_dot_product(q, t), q, float(q.mean()), float(q.std()), t, mean, sd)
 
 
-def _best_of_ranks(
-    rank: np.ndarray, scale: float, m: int, room: np.ndarray | None, flat: np.ndarray | None = None
-) -> float | None:
-    """Distance of a varying query of length m to its nearest window, from
-    each window's rank, rank / scale being its correlation rho with the
-    query. With ``room``, window j counts only when room[j] >= m (it lies
-    inside one History chunk); room may run past the last window, and the
-    mask is built only on the rare rows that need it. A constant window
-    (``flat``) sits at sqrt(m), i.e. at rho 1/2. None when the best is at or
-    under _band(m), where the caller recomputes by definition."""
-    j = int(rank.argmax())
-    if room is not None and room[j] < m:
-        # the best window straddles a chunk boundary
-        rank[room[: rank.size] < m] = -np.inf
-        j = int(rank.argmax())
-    rho = float(rank[j]) / scale
-    if rho < 0.5 and flat is not None:
-        if (flat if room is None else flat[room[: flat.size] >= m]).any():
-            rho = 0.5
-    best = math.sqrt(2.0 * m * (1.0 - min(max(rho, -1.0), 1.0)))
-    return best if best > _band(m) else None
-
-
 def _nearest(
     qt: np.ndarray,
     query: np.ndarray,
     mu_q: float,
     sd_q: float,
     series: np.ndarray,
-    mean: np.ndarray,
-    sd: np.ndarray,
+    sums,
     room: np.ndarray | None = None,
 ) -> float:
-    """Smallest of _profile's distances, usually without building them.
+    """Smallest of _profile's distances, from the running sums _sums took of
+    ``series``, usually without building any distance or window moment.
 
-    The arguments are _profile's, and ``room`` is _best_of_ranks'. The
-    nearest window has the largest correlation rho, so a varying query takes
-    it from the argmax of rho; a constant query, or a best at or under
-    _band(m), falls back to _profile.
-    """
-    m = query.size
-    if sd_q > DEFAULT_EPS:
-        flat = sd <= DEFAULT_EPS
-        # a constant window gets rho 0 from the inf divisor; by convention it
-        # sits at sqrt(m), i.e. at rho 1/2
-        rho = (qt - m * mu_q * mean) / (m * sd_q * np.where(flat, np.inf, sd))
-        best = _best_of_ranks(rho, 1.0, m, room, flat)
-        if best is not None:
-            return best
-    d = _profile(qt, query, mu_q, sd_q, series, mean, sd)
-    if room is not None:
-        d[room[: d.size] < m] = np.inf
-    return float(d.min())
-
-
-def _nearest_from_sums(
-    qt: np.ndarray,
-    query: np.ndarray,
-    mu_q: float,
-    sd_q: float,
-    series: np.ndarray,
-    sums,
-    room: np.ndarray,
-) -> float:
-    """_nearest's result, from the running sums _sums took of ``series``
-    instead of window moments.
-
-    Window j has sums S1 and S2 of its values and their squares, and
-    m * stdev = sqrt(m*S2 - S1^2), so (qt - mu_q*S1) / sqrt(m*S2 - S1^2) is
-    rho * sd_q: its argmax is the nearest window, and no window's moments
-    are built. A window with no change of value is constant: it gets an inf
-    divisor and rank 0, and _best_of_ranks puts it at rho 1/2, as _nearest
-    does. Any other window that may count as constant would need its
-    moments, so the row is finished by _nearest when some window's
-    m*S2 - S1^2 lies near 0, when the query is constant, and when the best
-    is at or under _band(m).
+    With ``room``, window j counts only when room[j] >= m (it lies inside one
+    History chunk); room may run past the last window. Window j has sums S1
+    and S2 of its values and their squares, and m * stdev = sqrt(m*S2 - S1^2),
+    so (qt - mu_q*S1) / sqrt(m*S2 - S1^2) is rho * sd_q, and the nearest
+    window is its argmax. A window with no change of value is constant: it
+    gets an inf divisor and rank 0, and sits by convention at sqrt(m), i.e. at
+    rho 1/2. Any other window that may count as constant would need its
+    moments, so _profile finishes the row when some window's m*S2 - S1^2 lies
+    near 0, when the query is constant, and when the best is at or under
+    _band(m).
     """
     m = query.size
     s, changes = sums
+    k = s.shape[1] - m
     if sd_q > DEFAULT_EPS:
-        k = s.shape[1] - m
         s1, s2 = s[:, m:] - s[:, :k]
         # in place: s2 becomes (m * stdev)^2, then s1 the rank, of each window
         s2 *= m
@@ -360,11 +305,23 @@ def _nearest_from_sums(
             s1 *= -mu_q
             s1 += qt
             s1 /= np.sqrt(s2, out=s2)
-            best = _best_of_ranks(s1, sd_q, m, room, flat)
-            if best is not None:
+            j = int(s1.argmax())
+            if room is not None and room[j] < m:
+                # the best window straddles a chunk boundary; the mask is
+                # built only on the rare rows that need it
+                s1[room[:k] < m] = -np.inf
+                j = int(s1.argmax())
+            rho = float(s1[j]) / sd_q
+            if rho < 0.5 and flat is not None:
+                if (flat if room is None else flat[room[:k] >= m]).any():
+                    rho = 0.5
+            best = math.sqrt(2.0 * m * (1.0 - min(max(rho, -1.0), 1.0)))
+            if best > _band(m):
                 return best
-    mean, sd = _moments(sums, m)
-    return _nearest(qt, query, mu_q, sd_q, series, mean, sd, room)
+    d = _profile(qt, query, mu_q, sd_q, series, *_moments(sums, m))
+    if room is not None:
+        d[room[:k] < m] = np.inf
+    return float(d.min())
 
 
 def _check_self_join_args(n: int, m: int, exclusion: int | None) -> int:

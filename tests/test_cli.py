@@ -338,9 +338,11 @@ class TestUsageErrors:
             ["bench", "{rec}", "--signal", "both:l2"],
             ["detect", "{rec}", "-o", "{out}/a.jsonl", "--signal", "both:l2"],
             ["detect", "{rec}", "-o", "{out}/a.jsonl", "--mode", "naive", "--signal", "both:l2"],
+            ["segment", "{rec}", "--envelope-ms", "0"],
+            ["evaluate", "{dir}", "-o", "{out}", "--grid-points", "-1"],
         ],
         ids=["bench-runs-0", "evaluate-rtf-runs-0", "segment-both", "mp-both", "bench-both",
-             "detect-both", "detect-naive-both"],
+             "detect-both", "detect-naive-both", "segment-envelope-0", "evaluate-grid-points--1"],
     )
     def test_exit_2_without_traceback(self, runner, tmp_path, args):
         gen(runner, tmp_path / "rec")

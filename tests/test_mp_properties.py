@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaitmp import brute_force_mp, matrix_profile_self, znorm_distance
-from gaitmp.mp import FFT_CUTOFF, _moments, _nearest_from_sums, _profile, _sums, sliding_dot_product
+from gaitmp.mp import FFT_CUTOFF, _moments, _nearest, _profile, _sums, sliding_dot_product
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -166,5 +166,8 @@ def test_growth_finish_matches_the_masked_profile(seed, m, kinds, constant_query
     mu_q, sd_q = float(query.mean()), float(query.std())
     d = _profile(qt, query, mu_q, sd_q, series, *_moments(sums, m))
     want = float(d[room[: d.size] >= m].min())
-    got = _nearest_from_sums(qt, query, mu_q, sd_q, series, sums, room)
+    got = _nearest(qt, query, mu_q, sd_q, series, sums, room)
     assert got == pytest.approx(want, rel=0, abs=1e-9)
+    # a naive hop's call: no room, every window counts
+    got = _nearest(qt, query, mu_q, sd_q, series, sums)
+    assert got == pytest.approx(float(d.min()), rel=0, abs=1e-9)
