@@ -64,18 +64,6 @@ def _parse_signal(text: str) -> SignalSelector:
         _fail(str(exc))
 
 
-def _config(path, defaults: dict, flags: dict) -> dict:
-    """Defaults, overridden by the config file, overridden by the given flags."""
-    merged = dict(defaults)
-    if path is not None:
-        try:
-            merged.update(ds.parse_config(Path(path).read_text(), defaults))
-        except (DataError, OSError) as exc:
-            _fail(f"{path}: {exc}")
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    return merged
-
-
 @click.group()
 def main():
     """Gait anomaly detection over streaming matrix profiles."""
@@ -224,37 +212,45 @@ def mp(recording, m, exclusion, signal, out, oracle):
 
 # -- detect -----------------------------------------------------------------
 
-_STEP_DEFAULTS = {
-    "discord_threshold": StepSystemConfig.discord_threshold,
-    "history_len_s": StepSystemConfig.history_len_s,
-    "min_query_len_ms": StepSystemConfig.min_query_len_ms,
-    "envelope_window_ms": StepSystemConfig.envelope_window_ms,
-    "bootstrap_horizon_s": StepSystemConfig.bootstrap_horizon_s,
-    "admission_guard": StepSystemConfig.admission_guard,
-    "signal": "gyro:linf",
-}
-
-_NAIVE_DEFAULTS = {
-    "discord_threshold": NaiveDetectorConfig.discord_threshold,
-    "frame_len": NaiveDetectorConfig.frame_len,
-    "hop": NaiveDetectorConfig.hop,
-    "history_len": NaiveDetectorConfig.history_len,
-    "overlap_fraction": NaiveDetectorConfig.overlap_fraction,
-    "signal": "gyro:linf",
+# each mode's config dataclass and the fields its config file may set
+_MODES = {
+    "step": (
+        StepSystemConfig,
+        ("discord_threshold", "history_len_s", "min_query_len_ms", "envelope_window_ms",
+         "bootstrap_horizon_s", "admission_guard", "signal"),
+    ),
+    "naive": (
+        NaiveDetectorConfig,
+        ("discord_threshold", "frame_len", "hop", "history_len_s", "overlap_fraction", "signal"),
+    ),
 }
 
 
-def _build_step_config(rate: float, merged: dict) -> StepSystemConfig:
-    return StepSystemConfig(
-        sample_rate_hz=rate,
-        signal=_parse_signal(merged["signal"]),
-        discord_threshold=merged["discord_threshold"],
-        history_len_s=merged["history_len_s"],
-        min_query_len_ms=merged["min_query_len_ms"],
-        envelope_window_ms=merged["envelope_window_ms"],
-        bootstrap_horizon_s=merged["bootstrap_horizon_s"],
-        admission_guard=merged["admission_guard"],
-    )
+def _detector(mode: str, rate: float, config_path=None, **flags):
+    """A fresh detector for mode at rate. Each field takes the config
+    dataclass's default, overridden by the config file, overridden by the
+    flag of the same name unless that is None. A flag set for a field the
+    mode lacks, and a value the config rejects, are usage errors."""
+    cls, keys = _MODES[mode]
+    for key, value in flags.items():
+        if value is not None and key not in keys:
+            _fail(f"--{key.replace('_', '-')} does not apply to {mode} mode")
+    base = cls()
+    merged = {k: getattr(base, k) for k in keys}
+    merged["signal"] = str(base.signal)
+    if config_path is not None:
+        try:
+            merged.update(ds.parse_config(Path(config_path).read_text(), merged))
+        except (DataError, OSError) as exc:
+            _fail(f"{config_path}: {exc}")
+    merged.update({k: v for k, v in flags.items() if v is not None})
+    merged["signal"] = _parse_signal(merged["signal"])
+    try:
+        if mode == "step":
+            return StepGatedDetector(StepSystemConfig(sample_rate_hz=rate, **merged))
+        return NaiveDetector(NaiveDetectorConfig(**merged), rate)
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 @main.command()
@@ -264,12 +260,7 @@ def _build_step_config(rate: float, merged: dict) -> StepSystemConfig:
 @click.option("--emit-trace", "trace_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--threshold", type=float, default=None, help="Discord score threshold.")
 @click.option("--signal", default=None, help="Channel to analyze, e.g. gyro:linf.")
-@click.option(
-    "--history-len",
-    type=float,
-    default=None,
-    help="History length, seconds (a naive config file's history_len counts samples).",
-)
+@click.option("--history-len", type=float, default=None, help="History length, seconds.")
 @click.option("--prime", "prime_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--frame-len", type=int, default=None, help="Frame length, samples (naive mode).")
 @click.option("--hop", type=int, default=None, help="Evaluation stride, samples (naive mode).")
@@ -277,52 +268,16 @@ def _build_step_config(rate: float, merged: dict) -> StepSystemConfig:
 def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_len, prime_path, frame_len, hop, config_path):
     """Replay a recording through a detector and write the alarms raised."""
     rec = _load_recording(recording)
+    if mode == "naive" and prime_path is not None:
+        _fail("--prime does not apply to naive mode")
+    detector = _detector(
+        mode, rec.sample_rate_hz, config_path, discord_threshold=threshold,
+        history_len_s=history_len, signal=signal, frame_len=frame_len, hop=hop,
+    )
     try:
-        if mode == "step":
-            merged = _config(
-                config_path,
-                _STEP_DEFAULTS,
-                {
-                    "discord_threshold": threshold,
-                    "history_len_s": history_len,
-                    "signal": signal,
-                },
-            )
-            detector = StepGatedDetector(_build_step_config(rec.sample_rate_hz, merged))
-            if prime_path is not None:
-                ref = ds.load_recording(prime_path).project(
-                    _parse_signal(merged["signal"])
-                )
-                detector.prime_history(ref)
-            result = replay(detector, rec)
-        else:
-            if prime_path is not None:
-                _fail("--prime applies to step mode only")
-            merged = _config(
-                config_path,
-                _NAIVE_DEFAULTS,
-                {
-                    "discord_threshold": threshold,
-                    "frame_len": frame_len,
-                    "hop": hop,
-                    # the naive config counts History in samples
-                    "history_len": None
-                    if history_len is None
-                    else round(history_len * rec.sample_rate_hz),
-                    "signal": signal,
-                },
-            )
-            detector = NaiveDetector(
-                NaiveDetectorConfig(
-                    frame_len=merged["frame_len"],
-                    hop=merged["hop"],
-                    history_len=merged["history_len"],
-                    overlap_fraction=merged["overlap_fraction"],
-                    discord_threshold=merged["discord_threshold"],
-                ),
-                rec.sample_rate_hz,
-            )
-            result = replay(detector, rec, signal=_parse_signal(merged["signal"]))
+        if prime_path is not None:
+            detector.prime_history(ds.load_recording(prime_path).project(detector.cfg.signal))
+        result = replay(detector, rec)
     except (DataError, ValueError) as exc:
         _fail(str(exc))
     try:
@@ -355,7 +310,7 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
 @click.option("--rtf-runs", type=click.IntRange(min=1), default=5, show_default=True)
 def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
     """Score recording directories (recording.csv + annotations.csv each)."""
-    sel = _parse_signal(signal)
+    _parse_signal(signal)  # a bad selector fails before any recording loads
     folders = [Path(d) for d in inputs]
     names = [f.name for f in folders]
     ids = names if len(set(names)) == len(names) else [str(f) for f in folders]
@@ -371,14 +326,11 @@ def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
         if truth and truth[-1].end > rec.n:
             _fail(f"{folder}: annotations extend past the recording")
         pairs.append((rec, truth))
-    rates = {rec.sample_rate_hz for rec, _ in pairs}
-    if len(rates) != 1:
-        _fail(f"recordings disagree on sample rate: {sorted(rates)}")
-    rate = rates.pop()
-
-    if mode == "naive" and history_lens:
-        _fail("--history-len families apply to step mode only")
-    lens = sorted(set(history_lens)) or [StepSystemConfig.history_len_s]
+    rates = sorted({rec.sample_rate_hz for rec, _ in pairs})
+    rate = rates[0]
+    if rates[-1] - rate >= ds.UNIFORMITY_TOL * rate:
+        _fail(f"recordings disagree on sample rate: {rates}")
+    lens = sorted(set(history_lens)) or [None]
 
     out_dir = Path(out)
     try:
@@ -389,33 +341,20 @@ def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
     families = []
     grid = threshold_grid(grid_points)
     for hl in lens:
-        if mode == "step":
-            def make_detector(hl=hl):
-                return StepGatedDetector(
-                    StepSystemConfig(sample_rate_hz=rate, signal=sel, history_len_s=hl)
-                )
-            run_signal = None
-        else:
-            def make_detector():
-                return NaiveDetector(NaiveDetectorConfig(), rate)
-            run_signal = sel
+        def make_detector(hl=hl):
+            return _detector(mode, rate, history_len_s=hl, signal=signal)
+        history_len_s = hl if hl is not None else _MODES[mode][0].history_len_s
         try:
-            report = evaluate_recordings(
-                pairs,
-                make_detector,
-                thresholds=grid,
-                signal=run_signal,
-                rtf_runs=rtf_runs,
-            )
+            report = evaluate_recordings(pairs, make_detector, thresholds=grid, rtf_runs=rtf_runs)
         except (DataError, ValueError) as exc:
             _fail(str(exc))
-        suffix = "" if len(lens) == 1 else f"-h{hl:g}"
+        suffix = "" if len(lens) == 1 else f"-h{history_len_s:g}"
         write_roc_csv(report.roc, out_dir / f"roc{suffix}.csv")
         write_f1_csv(report.f1_by_threshold, out_dir / f"f1_by_threshold{suffix}.csv")
         write_earliness_csv(report.per_recording, out_dir / f"earliness{suffix}.csv")
-        families.append({"history_len_s": hl, **report_to_dict(report)})
+        families.append({"history_len_s": history_len_s, **report_to_dict(report)})
         click.echo(
-            f"history {hl:g}s: auc {report.auc:.4f} "
+            f"history {history_len_s:g}s: auc {report.auc:.4f} "
             f"f1 {report.aggregate_f1:.4f} at threshold {report.optimal_threshold:.2f}"
         )
 
@@ -437,18 +376,11 @@ def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
 def bench(recording, mode, signal, runs, assert_realtime):
     """Measure the real-time factor of a full replay."""
     rec = _load_recording(recording)
-    sel = _parse_signal(signal)
-    if mode == "step":
-        def make_detector():
-            return StepGatedDetector(
-                StepSystemConfig(sample_rate_hz=rec.sample_rate_hz, signal=sel)
-            )
-        run_signal = None
-    else:
-        def make_detector():
-            return NaiveDetector(NaiveDetectorConfig(), rec.sample_rate_hz)
-        run_signal = sel
-    rtf = real_time_factor(make_detector, rec, runs=runs, signal=run_signal)
+
+    def make_detector():
+        return _detector(mode, rec.sample_rate_hz, signal=signal)
+
+    rtf = real_time_factor(make_detector, rec, runs=runs)
     click.echo(f"rtf {rtf:.4f}")
     if assert_realtime and rtf >= 1.0:
         sys.exit(1)

@@ -4,6 +4,8 @@ Two architectures share the alarm vocabulary:
 
 * NaiveDetector: fixed-length Frame buffer queried against a trailing History
   buffer every hop; no gait awareness, so it also fires on non-step motion.
+  It is pushed the scalars of its config's signal; History is set in
+  seconds and held as round(history_len_s * rate) samples.
   Both buffers are views of one array of the last readings, rebuilt each
   hop, and a hop costs one sliding dot product, the running sums of
   History, and the finish the growth rows use.
@@ -63,6 +65,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .dataset import UNIFORMITY_TOL
 from .errors import DataError
 from .mp import (
     TimeSeries,
@@ -123,17 +126,18 @@ class TraceRecord:
 class NaiveDetectorConfig:
     frame_len: int = 100
     hop: int = 10
-    history_len: int = 1000
+    history_len_s: float = 10.0
     overlap_fraction: float = 0.25
     discord_threshold: float = DEFAULT_DISCORD_THRESHOLD
+    signal: SignalSelector = field(default_factory=SignalSelector)
 
     def __post_init__(self):
         if self.frame_len < 3:
             raise ValueError("frame_len must be at least 3")
         if self.hop < 1:
             raise ValueError("hop must be at least 1")
-        if self.history_len < 2 * self.frame_len:
-            raise ValueError("history_len must be at least 2*frame_len")
+        if not (self.history_len_s > 0):
+            raise ValueError("history_len_s must be positive")
         if not (0 <= self.overlap_fraction < 1):
             raise ValueError("overlap_fraction must be in [0, 1)")
         if not (0 <= self.discord_threshold <= 1):
@@ -165,9 +169,16 @@ class NaiveDetector:
     def __init__(self, config: NaiveDetectorConfig, sample_rate_hz: float):
         if not (sample_rate_hz > 0):
             raise ValueError("sample_rate_hz must be positive")
+        # History in samples
+        self.history_len = round(config.history_len_s * sample_rate_hz)
+        if self.history_len < 2 * config.frame_len:
+            raise ValueError(
+                "history_len_s must span at least 2*frame_len samples, "
+                f"got {self.history_len} at {sample_rate_hz:g} Hz"
+            )
         self.cfg = config
         self.sample_rate_hz = sample_rate_hz
-        self._keep = config.history_len + config.frame_len - config.overlap
+        self._keep = self.history_len + config.frame_len - config.overlap
         self._readings = np.empty(0)
         self._block: list[float] = []
         self._count = 0
@@ -445,17 +456,24 @@ class StepGatedDetector:
         )
 
     def prime_history(self, reference) -> None:
-        """Preload History with a reference signal before streaming."""
+        """Preload History with a reference signal before streaming. A
+        TimeSeries reference must be sampled at the configured rate, within
+        the UNIFORMITY_TOL by which a Recording holds two periods equal."""
         if self._raw_count:
             raise ValueError("prime_history must run before any samples are pushed")
-        values = reference.values if isinstance(reference, TimeSeries) else np.asarray(
-            reference, dtype=np.float64
-        )
+        rate = self.cfg.sample_rate_hz
+        if isinstance(reference, TimeSeries):
+            if abs(reference.sample_rate_hz - rate) >= UNIFORMITY_TOL * rate:
+                raise ValueError(
+                    f"reference sampled at {reference.sample_rate_hz:g} Hz, "
+                    f"the detector at {rate:g} Hz"
+                )
+            values = reference.values
+        else:
+            values = np.asarray(reference, dtype=np.float64)
         if values.size < self.cfg.min_query_len:
             raise ValueError("reference shorter than one minimum query window")
-        ref_env = envelope(
-            TimeSeries(values, self.cfg.sample_rate_hz), self.cfg.envelope_window_ms
-        )
+        ref_env = envelope(TimeSeries(values, rate), self.cfg.envelope_window_ms)
         self._admit(values, float(ref_env.values.max()), provisional=False, raw_i=-1)
 
     # -- buffer plumbing ---------------------------------------------------
@@ -602,32 +620,27 @@ class ReplayResult:
     detector: object
 
 
-def replay(detector, recording, signal: SignalSelector | None = None) -> ReplayResult:
+def replay(detector, recording) -> ReplayResult:
     """Push a whole recording through a detector, timing the hot path.
 
-    Step-gated detectors consume SensorSamples and use their own configured
-    projection; the naive detector takes the scalar stream selected here.
-    For a step-gated detector wall_s covers building each SensorSample from
-    the recording's rows as well as push and flush; the samples stream one
-    block at a time, so memory does not grow with the recording. The naive
-    detector's scalars are projected before the clock starts.
+    Each detector reads the signal its own config selects. A step-gated one
+    is pushed SensorSamples, built from the recording's rows one block at a
+    time, and projects each itself; the naive one is pushed the recording
+    projected on its cfg.signal. wall_s covers that ingest as well as push
+    and flush.
     """
     import time
 
     alarms: list[AlarmEvent] = []
+    t0 = time.perf_counter()
     if isinstance(detector, StepGatedDetector):
-        t0 = time.perf_counter()
-        for s in recording.iter_samples():
-            alarms.extend(detector.push(s))
-        alarms.extend(detector.flush())
-        wall = time.perf_counter() - t0
+        stream = recording.iter_samples()
     else:
-        values = recording.project(signal or SignalSelector()).values
-        t0 = time.perf_counter()
-        for v in values:
-            alarms.extend(detector.push(v))
-        alarms.extend(detector.flush())
-        wall = time.perf_counter() - t0
+        stream = recording.project(detector.cfg.signal).values
+    for x in stream:
+        alarms.extend(detector.push(x))
+    alarms.extend(detector.flush())
+    wall = time.perf_counter() - t0
     return ReplayResult(alarms, list(detector.trace), wall, detector)
 
 

@@ -174,12 +174,13 @@ def earliness(
     return float(np.mean(delays))
 
 
-def real_time_factor(make_detector, recording, runs: int = 5, signal=None) -> float:
+def real_time_factor(make_detector, recording, runs: int = 5) -> float:
     """Median wall-time over duration across full replays, fresh detector each.
 
-    The wall time is replay's wall_s, which for a step-gated detector covers
-    building the SensorSamples from the recording's rows as well as push and
-    flush. runs must be at least 1.
+    The wall time is replay's wall_s: ingest of the signal the detector's
+    config selects (building SensorSamples from the recording's rows, or the
+    naive detector's projection) as well as push and flush. runs must be at
+    least 1.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
@@ -188,7 +189,7 @@ def real_time_factor(make_detector, recording, runs: int = 5, signal=None) -> fl
     duration = recording.n / recording.sample_rate_hz
     ratios = []
     for _ in range(runs):
-        res = replay(make_detector(), recording, signal=signal)
+        res = replay(make_detector(), recording)
         ratios.append(res.wall_s / duration)
     return statistics.median(ratios)
 
@@ -198,7 +199,6 @@ def evaluate_recordings(
     make_detector,
     *,
     thresholds=None,
-    signal=None,
     measure_rtf: bool = True,
     rtf_runs: int = 5,
 ) -> EvaluationReport:
@@ -217,7 +217,7 @@ def evaluate_recordings(
     longest = None
     for k, (rec, truth) in enumerate(pairs):
         det = make_detector()
-        res = replay(det, rec, signal=signal)
+        res = replay(det, rec)
         fs = rec.sample_rate_hz
         per_theta = [
             (float(th), alarms_from_trace(res.trace, float(th), fs)) for th in grid
@@ -248,7 +248,7 @@ def evaluate_recordings(
 
     rtf = None
     if measure_rtf and longest is not None:
-        rtf = real_time_factor(make_detector, longest, runs=rtf_runs, signal=signal)
+        rtf = real_time_factor(make_detector, longest, runs=rtf_runs)
 
     return EvaluationReport(
         per_recording=tuple(per_recording),

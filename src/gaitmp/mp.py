@@ -24,8 +24,7 @@ constant; the row falls back to _profile over _moments for a constant
 query, a window the sums cannot tell from constant, or a near-duplicate
 best. Self-join rows run in STOMP order (dot products updated row to row) and
 finish in _finish_row. A brute-force double loop over the plain definition
-(brute_force_mp, znorm_distance, znormalize) shares no code with any of them
-and is kept as the oracle.
+(brute_force_mp) shares no code with any of them and is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -110,30 +109,6 @@ def _values(series) -> np.ndarray:
     return arr
 
 
-def znormalize(x) -> np.ndarray:
-    """Shift to mean 0 and scale to stdev 1; constant input maps to zeros."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("expected a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("cannot z-normalize non-finite values")
-    sd = arr.std()
-    if sd <= DEFAULT_EPS:
-        return np.zeros_like(arr)
-    return (arr - arr.mean()) / sd
-
-
-def znorm_distance(a, b) -> float:
-    """Euclidean distance between the z-normalized windows, in [0, 2*sqrt(m)]."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise ValueError("windows must have equal length")
-    if av.ndim != 1 or av.size < 3:
-        raise ValueError("windows must be 1-D with at least 3 samples")
-    return float(np.linalg.norm(znormalize(av) - znormalize(bv)))
-
-
 def sliding_dot_product(query, series) -> np.ndarray:
     """Dot product of ``query`` against every same-length window of ``series``.
 
@@ -193,7 +168,7 @@ def _fast_distances(
     """Distances of a query of length m to every window, from the dot products
     qt, the query's mean and stdev and the windows'.
 
-    Degenerate convention, as znormalize's: a query or window whose stdev is
+    Degenerate convention, as brute_force_mp's: a query or window whose stdev is
     at or under DEFAULT_EPS z-normalizes to zeros, so two constant ones are at
     0 and a constant one is at sqrt(m) from any other. Callers recompute
     near-duplicates of a varying query by definition (_exact_distances), by

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from gaitmp.cli import main
 from gaitmp.dataset import LabeledSegment, load_annotations, load_recording, save_annotations
-from gaitmp.detectors import AlarmEvent, TraceRecord, load_jsonl
+from gaitmp.detectors import AlarmEvent, NaiveDetectorConfig, TraceRecord, load_jsonl
 
 
 @pytest.fixture()
@@ -214,7 +214,61 @@ class TestDetect:
         )
         assert result.exit_code == code, result.output
         if code:
-            assert "history_len must be at least 2*frame_len" in result.output
+            assert "history_len_s must span at least 2*frame_len samples" in result.output
+
+    def test_naive_config_history_len_s_matches_the_flag(self, runner, tmp_path):
+        gen(runner, tmp_path / "rec")
+        cfg = tmp_path / "naive.cfg"
+        cfg.write_text("history_len_s = 5\n")
+        rec_csv = str(tmp_path / "rec" / "recording.csv")
+        runs = {
+            "file": ["--config", str(cfg)],
+            "flag": ["--history-len", "5"],
+            "default": [],
+        }
+        for name, extra in runs.items():
+            result = runner.invoke(
+                main,
+                ["detect", rec_csv, "--mode", "naive", "--threshold", "0.3",
+                 "-o", str(tmp_path / f"{name}.jsonl"),
+                 "--emit-trace", str(tmp_path / f"{name}-trace.jsonl"), *extra],
+            )
+            assert result.exit_code == 0, result.output
+        file_alarms = load_jsonl(AlarmEvent, tmp_path / "file.jsonl")
+        assert file_alarms and file_alarms == load_jsonl(AlarmEvent, tmp_path / "flag.jsonl")
+        assert (tmp_path / "file-trace.jsonl").read_bytes() == (
+            tmp_path / "flag-trace.jsonl"
+        ).read_bytes()
+        # 5 s of History is not the default 10 s
+        assert (tmp_path / "file-trace.jsonl").read_bytes() != (
+            tmp_path / "default-trace.jsonl"
+        ).read_bytes()
+
+    def test_naive_config_rejects_the_old_history_len_key(self, runner, tmp_path):
+        gen(runner, tmp_path / "rec")
+        cfg = tmp_path / "naive.cfg"
+        cfg.write_text("frame_len = 50\nhistory_len = 500\n")
+        result = runner.invoke(
+            main,
+            ["detect", str(tmp_path / "rec" / "recording.csv"), "--mode", "naive",
+             "-o", str(tmp_path / "a.jsonl"), "--config", str(cfg)],
+        )
+        assert result.exit_code == 2
+        assert f"{cfg}: config line 2: unknown key 'history_len'" in result.output
+        assert not (tmp_path / "a.jsonl").exists()
+
+    @pytest.mark.parametrize("flag", [["--frame-len", "50"], ["--hop", "5"]])
+    def test_naive_only_flags_rejected_in_step_mode(self, runner, tmp_path, flag):
+        gen(runner, tmp_path / "rec")
+        result = runner.invoke(
+            main,
+            ["detect", str(tmp_path / "rec" / "recording.csv"),
+             "-o", str(tmp_path / "a.jsonl"), *flag],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"{flag[0]} does not apply to step mode" in result.output
+        assert not (tmp_path / "a.jsonl").exists()
 
     def test_prime_reference(self, runner, tmp_path):
         gen(runner, tmp_path / "ref", "--anomalous", "0", "--normal", "8")
@@ -227,6 +281,33 @@ class TestDetect:
         )
         assert result.exit_code == 0, result.output
         assert len(load_jsonl(AlarmEvent, alarms_path)) == 2
+
+    def test_prime_at_another_rate_is_usage_error(self, runner, tmp_path):
+        gen(runner, tmp_path / "ref", "--anomalous", "0", "--normal", "8", "--rate", "50")
+        gen(runner, tmp_path / "rec")
+        result = runner.invoke(
+            main,
+            ["detect", str(tmp_path / "rec" / "recording.csv"), "-o", str(tmp_path / "a.jsonl"),
+             "--prime", str(tmp_path / "ref" / "recording.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "reference sampled at 50 Hz" in result.output
+        assert not (tmp_path / "a.jsonl").exists()
+
+    def test_prime_at_the_same_rate_read_from_timestamps(self, runner, tmp_path):
+        # a 60 Hz prime under 10 s and a 60 Hz recording over 40 s read rates
+        # about 2e-10 and 2e-9 off 60 from their %.12g timestamps
+        gen(runner, tmp_path / "ref", "--anomalous", "0", "--normal", "3", "--rate", "60")
+        gen(runner, tmp_path / "rec", "--normal", "40", "--rate", "60")
+        rates = [load_recording(tmp_path / d / "recording.csv").sample_rate_hz for d in ("ref", "rec")]
+        assert rates[0] != rates[1]
+        result = runner.invoke(
+            main,
+            ["detect", str(tmp_path / "rec" / "recording.csv"), "-o", str(tmp_path / "a.jsonl"),
+             "--prime", str(tmp_path / "ref" / "recording.csv")],
+        )
+        assert result.exit_code == 0, result.output
 
     def test_prime_rejected_in_naive_mode(self, runner, tmp_path):
         gen(runner, tmp_path / "rec")
@@ -271,6 +352,45 @@ class TestEvaluate:
         assert [f["history_len_s"] for f in data["families"]] == [5.0, 20.0]
         assert (out / "roc-h5.csv").exists()
         assert (out / "roc-h20.csv").exists()
+
+    @pytest.mark.parametrize(
+        "lens, labels, suffixes",
+        [([], [NaiveDetectorConfig().history_len_s], [""]), (["5", "10"], [5.0, 10.0], ["-h5", "-h10"])],
+        ids=["default", "families"],
+    )
+    def test_naive_families_are_labelled_from_the_naive_config(
+        self, runner, tmp_path, lens, labels, suffixes
+    ):
+        gen(runner, tmp_path / "r0")
+        out = tmp_path / "report"
+        result = runner.invoke(
+            main,
+            ["evaluate", str(tmp_path / "r0"), "-o", str(out), "--mode", "naive",
+             *[a for hl in lens for a in ("--history-len", hl)], "--rtf-runs", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        assert all(f"history {hl:g}s:" in result.output for hl in labels)
+        data = json.loads((out / "report.json").read_text())
+        assert [f["history_len_s"] for f in data["families"]] == labels
+        assert sorted(p.name for p in out.glob("roc*.csv")) == sorted(
+            f"roc{suffix}.csv" for suffix in suffixes
+        )
+
+    @pytest.mark.parametrize(
+        "rates, normals, code",
+        [(["60", "60"], ["3", "40"], 0), (["50", "100"], ["8", "8"], 2)],
+        ids=["same-rate-read-apart", "different-rates"],
+    )
+    def test_recordings_must_share_a_rate(self, runner, tmp_path, rates, normals, code):
+        for k, (rate, normal) in enumerate(zip(rates, normals)):
+            gen(runner, tmp_path / f"r{k}", "--rate", rate, "--normal", normal)
+        result = runner.invoke(
+            main,
+            ["evaluate", str(tmp_path / "r0"), str(tmp_path / "r1"),
+             "-o", str(tmp_path / "report"), "--rtf-runs", "1"],
+        )
+        assert result.exit_code == code, result.output
+        assert ("disagree on sample rate" in result.output) == bool(code)
 
     def test_input_order_does_not_change_report(self, runner, tmp_path):
         gen(runner, tmp_path / "r0")
@@ -323,6 +443,16 @@ class TestBench:
         assert result.exit_code == 0, result.output
         assert result.output.startswith("rtf ")
         assert float(result.output.split()[1]) < 1.0
+
+    def test_naive_mode_prints_rtf(self, runner, tmp_path):
+        gen(runner, tmp_path / "rec")
+        result = runner.invoke(
+            main,
+            ["bench", str(tmp_path / "rec" / "recording.csv"), "--mode", "naive",
+             "--signal", "accel:l2", "--runs", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("rtf ")
 
 
 class TestUsageErrors:

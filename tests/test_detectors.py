@@ -22,7 +22,7 @@ from gaitmp.detectors import (
     _History,
     replay,
 )
-from gaitmp.mp import DEFAULT_EPS, FFT_CUTOFF, distance_profile
+from gaitmp.mp import DEFAULT_EPS, FFT_CUTOFF, TimeSeries, distance_profile
 from gaitmp.signal import SignalSelector
 
 
@@ -65,11 +65,23 @@ class TestNaiveConfig:
         with pytest.raises(ValueError):
             NaiveDetectorConfig(hop=0)
         with pytest.raises(ValueError):
-            NaiveDetectorConfig(history_len=150)
+            NaiveDetectorConfig(history_len_s=0.0)
+        # History must span two Frames; the check needs the rate
+        with pytest.raises(ValueError, match="2\\*frame_len"):
+            NaiveDetector(NaiveDetectorConfig(history_len_s=1.5), 100.0)
+        with pytest.raises(ValueError, match="2\\*frame_len"):
+            NaiveDetector(NaiveDetectorConfig(), 10.0)
         with pytest.raises(ValueError):
             NaiveDetectorConfig(overlap_fraction=1.0)
         with pytest.raises(ValueError):
             NaiveDetectorConfig(discord_threshold=1.5)
+
+    @pytest.mark.parametrize(
+        "seconds, rate, samples",
+        [(10.0, 100.0, 1000), (2.0, 100.0, 200), (10.0, 50.0, 500), (250.0, 1.0, 250)],
+    )
+    def test_history_is_set_in_seconds(self, seconds, rate, samples):
+        assert NaiveDetector(NaiveDetectorConfig(history_len_s=seconds), rate).history_len == samples
 
 
 class TestNaiveDetector:
@@ -124,6 +136,15 @@ class TestNaiveDetector:
         det = NaiveDetector(NaiveDetectorConfig(), 100.0)
         assert det.flush() == ()
 
+    @pytest.mark.parametrize("signal", ["gyro:linf", "accel:l2", "gyro:x"])
+    def test_replay_reads_the_configured_signal(self, signal):
+        rec, _ = make_recording()
+        cfg = NaiveDetectorConfig(signal=SignalSelector.parse(signal))
+        by_hand = NaiveDetector(cfg, rec.sample_rate_hz)
+        alarms = [a for v in rec.project(cfg.signal).values for a in by_hand.push(v)]
+        res = replay(NaiveDetector(cfg, rec.sample_rate_hz), rec)
+        assert res.trace == by_hand.trace and res.alarms == alarms
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind", [float, np.float64])
     @pytest.mark.parametrize(
@@ -135,11 +156,11 @@ class TestNaiveDetector:
             (NaiveDetectorConfig(), [180]),
             # a hop longer than the frame, with two bad readings in one block:
             # windows after a bad reading are measured in the same hop
-            (NaiveDetectorConfig(frame_len=10, hop=30, history_len=40), [50, 70]),
+            (NaiveDetectorConfig(frame_len=10, hop=30, history_len_s=0.4), [50, 70]),
         ],
     )
     def test_non_finite_reading_is_rejected_while_it_is_buffered(self, bad, kind, cfg, where):
-        keep = cfg.history_len + cfg.frame_len - cfg.overlap
+        keep = NaiveDetector(cfg, 100.0).history_len + cfg.frame_len - cfg.overlap
         values = np.sin(np.arange(1500) * 0.3) + np.random.default_rng(0).normal(0.0, 0.1, 1500)
         clean = NaiveDetector(cfg, 100.0)
         for v in values:
@@ -163,10 +184,10 @@ class TestNaiveDetector:
 
 
 def naive_hops(values, cfg):
-    """(sample index, score) for every hop of a NaiveDetector: Frame and
-    History cut from a list of the last keep readings, one distance_profile
-    per hop."""
-    m, keep = cfg.frame_len, cfg.history_len + cfg.frame_len - cfg.overlap
+    """(sample index, score) for every hop of a NaiveDetector at 1 Hz, where
+    history_len_s counts samples: Frame and History cut from a list of the
+    last keep readings, one distance_profile per hop."""
+    m, keep = cfg.frame_len, round(cfg.history_len_s) + cfg.frame_len - cfg.overlap
     hops = []
     for n in range(cfg.warmup, len(values) + 1, cfg.hop):
         arr = np.array(values[max(0, n - keep) : n])
@@ -265,17 +286,18 @@ class TestNaiveHops:
         cfg = NaiveDetectorConfig(
             frame_len=frame_len,
             hop=hop,
-            history_len=2 * frame_len + extra,
+            history_len_s=2 * frame_len + extra,
             overlap_fraction=overlap_fraction,
             discord_threshold=threshold,
         )
-        keep = cfg.history_len + cfg.frame_len - cfg.overlap
+        # at 1 Hz History counts as many samples as seconds
+        det = NaiveDetector(cfg, 1.0)
+        keep = det.history_len + cfg.frame_len - cfg.overlap
         # fill the last keep readings, then slide them for a while (more_hops
         # -1: stop before)
         hops = -(-max(keep - cfg.warmup, 0) // hop) + more_hops
         length = cfg.warmup + hop * hops
         values = draw_stream(np.random.default_rng(seed), kinds, level, length, frame_len)
-        det = NaiveDetector(cfg, 100.0)
         alarms = [a.sample_index for v in values for a in det.push(v)]
         want = naive_hops(values, cfg)
         assert [r.sample_index for r in det.trace] == [i for i, _ in want]
@@ -410,6 +432,30 @@ class TestStepGatedBehavior:
         det = StepGatedDetector(StepSystemConfig())
         with pytest.raises(ValueError):
             det.prime_history(np.zeros(10))
+
+    def test_prime_history_rejects_a_reference_at_another_rate(self):
+        rec, _ = make_recording()
+        slow, _ = generate(SynthConfig(n_normal_steps=8, n_anomalous_steps=0, sample_rate_hz=50.0))
+        det = StepGatedDetector(StepSystemConfig(sample_rate_hz=rec.sample_rate_hz))
+        with pytest.raises(ValueError, match="50 Hz"):
+            det.prime_history(slow.project(SignalSelector()))
+        assert det.admissions == []
+        det.prime_history(rec.project(SignalSelector()))
+        assert det.admissions[0]["length"] == rec.n
+
+    def test_prime_history_accepts_a_rate_read_from_timestamps(self):
+        # 1/median(diff(t)) of a saved 60 Hz file lands a few 1e-9 off 60;
+        # that is the same rate, and so is anything within UNIFORMITY_TOL
+        ref, _ = generate(SynthConfig(n_normal_steps=8, n_anomalous_steps=0, sample_rate_hz=60.0))
+        values = ref.project(SignalSelector()).values
+        for rate in (60.0 * (1 + 2e-9), 60.0 * (1 - 2e-9), 60.3):
+            det = StepGatedDetector(StepSystemConfig(sample_rate_hz=60.0))
+            det.prime_history(TimeSeries(values, rate))
+            assert det.admissions[0]["length"] == values.size
+        with pytest.raises(ValueError, match="60.6 Hz, the detector at 60 Hz"):
+            StepGatedDetector(StepSystemConfig(sample_rate_hz=60.0)).prime_history(
+                TimeSeries(values, 60.6)
+            )
 
     def test_prime_history_rejects_after_streaming(self):
         rec, _ = make_recording()

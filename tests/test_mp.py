@@ -10,10 +10,9 @@ from gaitmp import (
     distance_profile,
     matrix_profile_self,
     sliding_dot_product,
-    znorm_distance,
-    znormalize,
 )
 from gaitmp.mp import FFT_CUTOFF, NO_NEIGHBOR
+from oracle import znorm_distance, znormalize
 
 
 def naive_sliding_dot(query, series):
