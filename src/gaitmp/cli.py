@@ -160,7 +160,7 @@ def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, r
         )
     except ValueError as exc:
         _fail(str(exc))
-    det.recompute_threshold(env.values)
+    det.recompute_threshold(float(env.values.max()))
     rows = ["start,end"] + [f"{s.start},{s.end}" for s in det.detect_boundaries(env.values)]
     text = "\n".join(rows) + "\n"
     if out is None:
@@ -381,7 +381,7 @@ def bench(recording, mode, signal, runs, assert_realtime):
         return _detector(mode, rec.sample_rate_hz, signal=signal)
 
     rtf = real_time_factor(make_detector, rec, runs=runs)
-    click.echo(f"rtf {rtf:.4f}")
+    click.echo(f"rtf {rtf:.4g}")
     if assert_realtime and rtf >= 1.0:
         sys.exit(1)
 

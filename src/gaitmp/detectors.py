@@ -45,16 +45,18 @@ detectable:
 * A completed step's signature [start, end) is admitted when its end event
   fires, unless the step's peak score exceeded the admission guard: suspect
   steps are quarantined, otherwise one anomaly would mask every identical
-  follow-up. The guard sits below the alarm threshold so that borderline
-  anomalies stay out of the reference memory even when they do not alarm,
-  and it makes History evolution independent of the alarm threshold (which
-  is what lets a recorded trace be re-thresholded faithfully).
+  follow-up. The guard is a number of its own, below the default alarm
+  threshold so that borderline anomalies stay out of the reference memory
+  even when they do not alarm. It never follows the alarm threshold: History
+  evolves the same at every threshold, which is what lets a recorded trace
+  be re-thresholded faithfully.
 * Eviction is whole-chunk FIFO once total retained samples exceed the cap.
 
-The segmentation threshold is recomputed from the envelope maxima of the
-History chunks on every admission; while History is still empty it falls
-back to a fraction of the envelope maximum seen so far, but only after a
-bootstrap horizon of silence-dominated data has passed.
+Steps are segmented by a StepDetector with its default settings, which
+owns the threshold rule (steps.StepDetector.recompute_threshold). Each
+admission hands it the largest envelope maximum of the History chunks;
+while History is still empty it is handed the envelope maximum seen so far,
+but only after a bootstrap horizon of silence-dominated data has passed.
 """
 
 from __future__ import annotations
@@ -83,17 +85,7 @@ from .signal import (
     envelope_window_samples,
     project,
 )
-from .steps import (
-    DEFAULT_INITIAL_THRESHOLD,
-    DEFAULT_MIN_STEP_MS,
-    DEFAULT_ONSET_MS,
-    DEFAULT_RELEASE_MS,
-    DEFAULT_THRESHOLD_FLOOR,
-    DEFAULT_THRESHOLD_FRACTION,
-    ENDED,
-    STARTED,
-    StepDetector,
-)
+from .steps import STARTED, StepDetector
 
 DEFAULT_DISCORD_THRESHOLD = 0.5
 
@@ -238,32 +230,21 @@ class StepSystemConfig:
     min_query_len_ms: float = 250.0
     envelope_window_ms: float = DEFAULT_ENVELOPE_MS
     bootstrap_horizon_s: float = 3.0
-    threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION
-    initial_threshold: float = DEFAULT_INITIAL_THRESHOLD
-    threshold_floor: float = DEFAULT_THRESHOLD_FLOOR
-    onset_ms: float = DEFAULT_ONSET_MS
-    release_ms: float = DEFAULT_RELEASE_MS
-    min_step_ms: float = DEFAULT_MIN_STEP_MS
-    admission_guard: float | None = 0.35
+    admission_guard: float = 0.35
 
     def __post_init__(self):
         if not (self.sample_rate_hz > 0 and self.history_len_s > 0):
             raise ValueError("sample_rate_hz and history_len_s must be positive")
         if not (0 <= self.discord_threshold <= 1):
             raise ValueError("discord_threshold must be in [0, 1]")
-        if self.admission_guard is not None and not (0 <= self.admission_guard <= 1):
-            raise ValueError("admission_guard must be in [0, 1] or None")
+        # a number, never None: a guard that followed the alarm threshold
+        # would make History, and so every later score, depend on it
+        if self.admission_guard is None or not (0 <= self.admission_guard <= 1):
+            raise ValueError("admission_guard must be a number in [0, 1]")
         if self.min_query_len < 3:
             raise ValueError("min_query_len_ms must span at least 3 samples")
         if not (self.bootstrap_horizon_s > 0):
             raise ValueError("bootstrap_horizon_s must be positive")
-
-    @property
-    def effective_guard(self) -> float:
-        """Admission guard level; falls back to the alarm threshold."""
-        if self.admission_guard is None:
-            return self.discord_threshold
-        return self.admission_guard
 
     @property
     def min_query_len(self) -> int:
@@ -394,15 +375,7 @@ class StepGatedDetector:
         self._env_stream = StreamingEnvelope(
             envelope_window_samples(config.envelope_window_ms, fs)
         )
-        self._step = StepDetector(
-            fs,
-            threshold_fraction=config.threshold_fraction,
-            initial_threshold=config.initial_threshold,
-            threshold_floor=config.threshold_floor,
-            onset_ms=config.onset_ms,
-            release_ms=config.release_ms,
-            min_step_ms=config.min_step_ms,
-        )
+        self._step = StepDetector(fs)
         self._horizon = config.bootstrap_horizon
         # _sig and _env hold the readings from logical index _phys on; the
         # ones before _base are dead and trimmed in batches of >= _horizon
@@ -421,15 +394,11 @@ class StepGatedDetector:
         self._in_step = False
         self._step_start = 0
         self._step_ordinal = -1
-        self._latched = False
         self._step_peak = 0.0
         self._seq = 0
         self.trace: list[TraceRecord] = []
         self.step_events: list[dict] = []
         self.admissions: list[dict] = []
-
-    def history_samples(self) -> int:
-        return self._history.buffer.size
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -437,15 +406,11 @@ class StepGatedDetector:
 
     # -- history ----------------------------------------------------------
 
-    def _recompute_threshold(self) -> None:
-        maxima = np.array([c.env_max for c in self._history.chunks])
-        self._step.recompute_threshold(maxima if maxima.size else None)
-
     def _admit(self, values: np.ndarray, env_max: float, provisional: bool, raw_i: int) -> None:
         if values.size == 0:
             return
         self._history.admit(_Chunk(values, env_max, provisional), self.cfg.history_len)
-        self._recompute_threshold()
+        self._step.recompute_threshold(max(c.env_max for c in self._history.chunks))
         self.admissions.append(
             {
                 "seq": self._next_seq(),
@@ -544,10 +509,7 @@ class StepGatedDetector:
         idle = not self._in_step
         if idle and not self._history.chunks and i + 1 - self._base >= self._horizon:
             # cold start: no admitted steps yet, adapt from what was seen
-            self._step.threshold = max(
-                self.cfg.threshold_fraction * self._env_max_seen,
-                self.cfg.threshold_floor,
-            )
+            self._step.recompute_threshold(self._env_max_seen)
         if idle and i + 1 - self._base > self._horizon:
             self._rebase(i + 1 - self._horizon)
 
@@ -568,10 +530,12 @@ class StepGatedDetector:
         if not math.isfinite(best):
             return []
         score = best / (2.0 * math.sqrt(m))
+        # one alarm per step: the first row above the threshold, while the
+        # step's peak so far is not
+        first = score > self.cfg.discord_threshold >= self._step_peak
         self._step_peak = max(self._step_peak, score)
         self.trace.append(TraceRecord(raw_i, i, self._step_ordinal, m, score))
-        if score > self.cfg.discord_threshold and not self._latched:
-            self._latched = True
+        if first:
             return [AlarmEvent(raw_i, raw_i / self.cfg.sample_rate_hz, score, m)]
         return []
 
@@ -592,11 +556,10 @@ class StepGatedDetector:
             self._in_step = True
             self._step_start = ev.index
             self._step_ordinal += 1
-            self._latched = False
             self._step_peak = 0.0
         else:
             self._in_step = False
-            if self._step_peak <= self.cfg.effective_guard:
+            if self._step_peak <= self.cfg.admission_guard:
                 self._admit(
                     self._sig_slice(self._step_start, ev.index),
                     self._env_slice_max(self._step_start, ev.index),

@@ -68,8 +68,8 @@ class StepDetector:
     """Threshold-crossing segmenter with identical batch and streaming paths.
 
     The threshold starts prohibitively high so nothing is detected until
-    recompute_threshold has seen real history; it then tracks a fraction of
-    the history envelope maximum, clamped below by an absolute floor.
+    recompute_threshold is given an envelope maximum; it then tracks a
+    fraction of that maximum, clamped below by an absolute floor.
     """
 
     def __init__(
@@ -107,16 +107,10 @@ class StepDetector:
 
     # -- threshold ---------------------------------------------------------
 
-    def recompute_threshold(self, history_envelope=None) -> float:
-        """Track a fraction of the history envelope max; empty history keeps
-        the (high) initial threshold so cold start detects nothing."""
-        values = None if history_envelope is None else _env_values(history_envelope)
-        if values is None or values.size == 0:
-            self.threshold = self.initial_threshold
-        else:
-            self.threshold = max(
-                self.threshold_fraction * float(values.max()), self.threshold_floor
-            )
+    def recompute_threshold(self, env_max: float) -> float:
+        """Set the threshold to a fraction of ``env_max``, the largest
+        envelope value of the reference, but no lower than the floor."""
+        self.threshold = max(self.threshold_fraction * env_max, self.threshold_floor)
         return self.threshold
 
     # -- batch -------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_criterion_5_earliness_below_step_period(desk_sweep):
 
 def test_criterion_6_cold_start_stays_silent(fig2_run):
     _, truth, det, res = fig2_run
-    assert det.cfg.initial_threshold >= 1e9
+    assert det._step.initial_threshold >= 1e9
     first = det.admissions[0]
     assert first["provisional"] is True
     assert first["seq"] == 1
@@ -198,7 +198,7 @@ def test_criterion_7_batch_stream_segmentation_equality():
             )
             env = envelope(rec.project(SignalSelector()), 100.0).values
             batch = StepDetector(rec.sample_rate_hz)
-            batch.recompute_threshold(env)
+            batch.recompute_threshold(env.max())
             expected = batch.detect_boundaries(env)
             stream = StepDetector(rec.sample_rate_hz)
             stream.threshold = batch.threshold

@@ -454,6 +454,14 @@ class TestBench:
         assert result.exit_code == 0, result.output
         assert result.output.startswith("rtf ")
 
+    def test_prints_four_significant_digits(self, runner, tmp_path, monkeypatch):
+        # a faster-than-realtime factor keeps its digits, not just its first
+        monkeypatch.setattr("gaitmp.cli.real_time_factor", lambda *a, **k: 0.000742)
+        gen(runner, tmp_path / "rec")
+        result = runner.invoke(main, ["bench", str(tmp_path / "rec" / "recording.csv")])
+        assert result.exit_code == 0, result.output
+        assert result.output == "rtf 0.000742\n"
+
 
 class TestUsageErrors:
     """Bad input exits 2 with a message, never a traceback."""

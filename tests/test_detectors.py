@@ -23,7 +23,7 @@ from gaitmp.detectors import (
     replay,
 )
 from gaitmp.mp import DEFAULT_EPS, FFT_CUTOFF, TimeSeries, distance_profile
-from gaitmp.signal import SignalSelector
+from gaitmp.signal import SensorSample, SignalSelector, envelope
 
 
 def make_recording(kind="shape-replaced", seed=0):
@@ -312,10 +312,6 @@ class TestStepSystemConfig:
         assert cfg.history_len == 1000
         assert cfg.bootstrap_horizon == 300
 
-    def test_effective_guard_fallback(self):
-        assert StepSystemConfig(admission_guard=None, discord_threshold=0.7).effective_guard == 0.7
-        assert StepSystemConfig(admission_guard=0.2).effective_guard == 0.2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             StepSystemConfig(sample_rate_hz=0.0)
@@ -323,6 +319,8 @@ class TestStepSystemConfig:
             StepSystemConfig(discord_threshold=-0.1)
         with pytest.raises(ValueError):
             StepSystemConfig(admission_guard=1.2)
+        with pytest.raises(ValueError):
+            StepSystemConfig(admission_guard=None)
         with pytest.raises(ValueError):
             StepSystemConfig(min_query_len_ms=10.0)
         with pytest.raises(ValueError):
@@ -391,7 +389,7 @@ class TestStepGatedOnFixture:
 
     def test_history_cap_respected(self, tremor_run):
         _, _, det, _ = tremor_run
-        assert det.history_samples() <= det.cfg.history_len
+        assert det._history.buffer.size <= det.cfg.history_len
 
 
 class TestStepGatedBehavior:
@@ -412,11 +410,12 @@ class TestStepGatedBehavior:
         ]
 
     def test_admission_guard_blocks_reference_poisoning(self):
-        # with the guard disabled and alarms off, the first anomaly enters
-        # History and the second one matches it instead of standing out
+        # with a guard that admits every step and alarms off, the first
+        # anomaly enters History and the second one matches it instead of
+        # standing out
         rec, truth = make_recording()
         det = StepGatedDetector(
-            StepSystemConfig(discord_threshold=1.0, admission_guard=None)
+            StepSystemConfig(discord_threshold=1.0, admission_guard=1.0)
         )
         replay(det, rec)
         spans = ab_spans(truth)
@@ -427,6 +426,24 @@ class TestStepGatedBehavior:
         ab_ords = sorted(k for k in per if in_any(starts[k] + 10, spans))
         assert max(per[ab_ords[0]]) > 0.5
         assert max(per[ab_ords[1]]) < 0.1
+
+    @pytest.mark.parametrize("scale", [0.0, 0.05])
+    def test_cold_start_threshold_follows_the_step_rule(self, scale):
+        # a quiet stream keeps the initial threshold until the envelope
+        # reaches the bootstrap horizon; on that reading the threshold is half
+        # the largest envelope value so far, or the floor on an all-zero stream
+        cfg = StepSystemConfig()
+        det = StepGatedDetector(cfg)
+        gyro = scale * np.random.default_rng(5).normal(size=(2 * cfg.bootstrap_horizon, 3))
+        for k, g in enumerate(gyro):
+            det.push(SensorSample(k / cfg.sample_rate_hz, (0.0, 0.0, 9.81), g))
+            if det._env_count == cfg.bootstrap_horizon:
+                break
+            assert det._step.threshold == det._step.initial_threshold
+        seen = TimeSeries(np.abs(gyro[: k + 1]).max(axis=1), cfg.sample_rate_hz)
+        env = envelope(seen, cfg.envelope_window_ms).values[: cfg.bootstrap_horizon]
+        assert det._step.threshold == (0.5 * env.max() if scale else 1e-6)
+        assert not det._history.chunks
 
     def test_prime_history_rejects_short_reference(self):
         det = StepGatedDetector(StepSystemConfig())
@@ -602,7 +619,7 @@ def assert_same_run(fast, slow):
     scores = np.array([r.score for r in fast.trace])
     expected = np.array([r.score for r in slow.trace])
     np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-9)
-    assert fast.detector.history_samples() == slow.detector.history_samples()
+    assert fast.detector._history.buffer.size == slow.detector._history.buffer.size
     assert [c.values.size for c in fast.detector._history.chunks] == [
         c.values.size for c in slow.detector._history.chunks
     ]
@@ -674,7 +691,6 @@ class TestHistoryBuffer:
     def test_chunks_are_views_of_one_buffer(self, tremor_run):
         _, _, det, _ = tremor_run
         history = det._history
-        assert history.buffer.size == det.history_samples()
         assert sum(c.values.size for c in history.chunks) == history.buffer.size
         assert all(np.shares_memory(c.values, history.buffer) for c in history.chunks)
 

@@ -57,22 +57,21 @@ def stream_segments(det, env):
 
 
 class TestThreshold:
-    def test_empty_history_keeps_initial(self):
-        det = detector(initial_threshold=1e9)
-        assert det.recompute_threshold(None) == 1e9
-        assert det.recompute_threshold(np.array([])) == 1e9
+    def test_fresh_detector_starts_at_initial(self):
+        assert detector().threshold == detector().initial_threshold == 1e12
+        assert detector(initial_threshold=1e9).threshold == 1e9
 
     def test_fraction_of_max(self):
         det = detector()
-        assert det.recompute_threshold(np.array([10.0, 200.0, 50.0])) == 100.0
+        assert det.recompute_threshold(np.array([10.0, 200.0, 50.0]).max()) == 100.0
 
     def test_zero_history_clamps_to_floor(self):
         det = detector()
-        assert det.recompute_threshold(np.zeros(100)) == 1e-6
+        assert det.recompute_threshold(np.zeros(100).max()) == 1e-6
 
     def test_zero_history_without_floor(self):
         det = detector(threshold_floor=0.0)
-        assert det.recompute_threshold(np.zeros(100)) == 0.0
+        assert det.recompute_threshold(np.zeros(100).max()) == 0.0
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
@@ -134,7 +133,7 @@ class TestBatchBoundaries:
     def test_five_pulses_cover_impacts(self):
         env, impacts = pulse_train(n_pulses=5)
         det = detector()
-        det.recompute_threshold(env)
+        det.recompute_threshold(env.max())
         segs = det.detect_boundaries(env)
         assert len(segs) == 5
         for seg, c in zip(segs, impacts):
@@ -152,7 +151,7 @@ class TestBatchBoundaries:
         counts = []
         for frac in (0.2, 0.4, 0.6, 0.8, 0.99):
             det = detector(threshold_fraction=frac)
-            det.recompute_threshold(env)
+            det.recompute_threshold(env.max())
             counts.append(len(det.detect_boundaries(env)))
         assert counts == sorted(counts, reverse=True)
 
@@ -237,7 +236,7 @@ class TestStreaming:
     def test_pulse_train_equivalence(self):
         env, _ = pulse_train(n_pulses=7)
         det = detector()
-        det.recompute_threshold(env)
+        det.recompute_threshold(env.max())
         batch = det.detect_boundaries(env)
         segs, _ = stream_segments(det, env)
         assert segs == batch == sorted(batch, key=lambda s: s.start)
