@@ -35,6 +35,12 @@ those samples go unscored.
 Scores are normalized by the z-normalized distance ceiling 2*sqrt(m) so one
 threshold stays meaningful while m varies.
 
+Alarms and score rows are AlarmEvent and TraceRecord NamedTuples, so they
+unpack and compare like tuples. A push that raises (a reading whose
+projection is not finite raises DataError) leaves the detector unchanged:
+the rejected reading takes no sample_index, and the next reading gets the
+one it would have had.
+
 History admission rules for the step-gated detector, chosen so a freshly
 started system cannot alarm on silence and consecutive anomalies stay
 detectable:
@@ -63,7 +69,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +97,7 @@ from .steps import STARTED, StepDetector
 DEFAULT_DISCORD_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class AlarmEvent:
+class AlarmEvent(NamedTuple):
     """One threshold crossing of the normalized discord score."""
 
     sample_index: int
@@ -100,8 +106,7 @@ class AlarmEvent:
     query_len: int
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One scored detector update; step_ordinal is None for the naive mode."""
 
     sample_index: int
@@ -372,6 +377,8 @@ class StepGatedDetector:
     def __init__(self, config: StepSystemConfig = StepSystemConfig()):
         self.cfg = config
         fs = config.sample_rate_hz
+        self._signal = config.signal
+        self._min_query_len = config.min_query_len
         self._env_stream = StreamingEnvelope(
             envelope_window_samples(config.envelope_window_ms, fs)
         )
@@ -478,14 +485,17 @@ class StepGatedDetector:
     # -- streaming ---------------------------------------------------------
 
     def push(self, sample: SensorSample) -> tuple[AlarmEvent, ...]:
+        value = project(sample, self._signal)
+        # the envelope validates the value before any state changes, so a
+        # push that raises leaves the detector as it was
+        finished = self._env_stream.push(value)
         raw_i = self._raw_count
-        self._raw_count += 1
-        value = project(sample, self.cfg.signal)
+        self._raw_count = raw_i + 1
         self._sig.append(value)
-        alarms: list[AlarmEvent] = []
-        for env_value in self._env_stream.push(value):
-            alarms.extend(self._absorb_env(env_value, raw_i))
-        return tuple(alarms)
+        if not finished:
+            return ()
+        # a push finalizes at most one envelope value
+        return self._absorb_env(finished[0], raw_i)
 
     def flush(self) -> tuple[AlarmEvent, ...]:
         """Drain the envelope lag and settle open segmentation state."""
@@ -497,30 +507,31 @@ class StepGatedDetector:
             self._on_step_event(ev, raw_i)
         return tuple(alarms)
 
-    def _absorb_env(self, env_value: float, raw_i: int) -> list[AlarmEvent]:
+    def _absorb_env(self, env_value: float, raw_i: int) -> tuple[AlarmEvent, ...]:
         i = self._env_count
-        self._env_count += 1
+        self._env_count = i + 1
         self._env.append(env_value)
-        self._env_max_seen = max(self._env_max_seen, env_value)
+        if env_value > self._env_max_seen:
+            self._env_max_seen = env_value
 
         for ev in self._step.feed(env_value, i):
             self._on_step_event(ev, raw_i)
 
-        idle = not self._in_step
-        if idle and not self._history.chunks and i + 1 - self._base >= self._horizon:
+        if self._in_step:
+            return self._maybe_score(i, raw_i)
+        if not self._history.chunks and i + 1 - self._base >= self._horizon:
             # cold start: no admitted steps yet, adapt from what was seen
             self._step.recompute_threshold(self._env_max_seen)
-        if idle and i + 1 - self._base > self._horizon:
+        if i + 1 - self._base > self._horizon:
             self._rebase(i + 1 - self._horizon)
+        return ()
 
-        return self._maybe_score(i, raw_i)
-
-    def _maybe_score(self, i: int, raw_i: int) -> list[AlarmEvent]:
-        if not self._in_step:
-            return []
+    def _maybe_score(self, i: int, raw_i: int) -> tuple[AlarmEvent, ...]:
+        """Score the open step up to logical index i; call only while a
+        step is open."""
         m = i + 1 - self._step_start
-        if m < self.cfg.min_query_len:
-            return []
+        if m < self._min_query_len:
+            return ()
         # the subsequence length is the Current buffer length, scored with one
         # distance profile over the whole History buffer; windows straddling a
         # chunk boundary are not reference signatures and are dropped. Once
@@ -528,7 +539,7 @@ class StepGatedDetector:
         # and the sample goes unscored
         best = self._history.best_distance(self._current_query(i))
         if not math.isfinite(best):
-            return []
+            return ()
         score = best / (2.0 * math.sqrt(m))
         # one alarm per step: the first row above the threshold, while the
         # step's peak so far is not
@@ -536,8 +547,8 @@ class StepGatedDetector:
         self._step_peak = max(self._step_peak, score)
         self.trace.append(TraceRecord(raw_i, i, self._step_ordinal, m, score))
         if first:
-            return [AlarmEvent(raw_i, raw_i / self.cfg.sample_rate_hz, score, m)]
-        return []
+            return (AlarmEvent(raw_i, raw_i / self.cfg.sample_rate_hz, score, m),)
+        return ()
 
     def _on_step_event(self, ev, raw_i: int) -> None:
         if ev.kind == STARTED:
@@ -634,10 +645,10 @@ def alarms_from_trace(
 
 
 def dump_jsonl(records, path) -> None:
-    """Write one JSON object per dataclass record, keys in field order."""
+    """Write one JSON object per record, keys in field order."""
     with open(path, "w") as f:
         for r in records:
-            f.write(json.dumps(asdict(r)) + "\n")
+            f.write(json.dumps(r._asdict()) + "\n")
 
 
 def load_jsonl(cls, path) -> list:

@@ -208,10 +208,14 @@ def evaluate_recordings(
     pairs in any order produces an identical report. The operating point for
     the per-recording numbers and the aggregate F1 is the Youden-optimal
     threshold of the pooled ROC. With measure_rtf, rtf_runs must be at least
-    1; that is checked before any recording is replayed.
+    1; that, and that no truth list has overlapping segments, is checked
+    before any recording is replayed.
     """
     if measure_rtf and rtf_runs < 1:
         raise ValueError(f"rtf_runs must be at least 1, got {rtf_runs}")
+    pairs = list(pairs)
+    for _, truth in pairs:
+        validate_segments(truth)
     grid = _check_thresholds(threshold_grid() if thresholds is None else thresholds)
     entries = []
     longest = None

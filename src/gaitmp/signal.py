@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -79,27 +80,21 @@ class SignalSelector:
         return f"{self.source}:{self.channel}"
 
 
-def _reduce(vec: tuple[float, float, float], channel: str) -> float:
-    if channel == "x":
-        return vec[0]
-    if channel == "y":
-        return vec[1]
-    if channel == "z":
-        return vec[2]
-    # summed left to right, the order NumPy uses for three elements, so the
-    # result equals Recording.project bit for bit
-    x, y, z = abs(vec[0]), abs(vec[1]), abs(vec[2])
-    if channel == "l1":
-        return x + y + z
-    if channel == "l2":
-        return math.sqrt(x * x + y * y + z * z)
-    return max(x, y, z)
+# one reducer per channel; l1 sums left to right, the order NumPy uses for
+# three elements, so every reducer equals Recording.project bit for bit
+_REDUCERS = {
+    "x": itemgetter(0),
+    "y": itemgetter(1),
+    "z": itemgetter(2),
+    "l1": lambda v: abs(v[0]) + abs(v[1]) + abs(v[2]),
+    "l2": lambda v: math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]),
+    "linf": lambda v: max(abs(v[0]), abs(v[1]), abs(v[2])),
+}
 
 
 def project(sample: SensorSample, sel: SignalSelector) -> float:
     """Reduce one sample to a scalar."""
-    vec = sample.accel if sel.source == "accel" else sample.gyro
-    return _reduce(vec, sel.channel)
+    return _REDUCERS[sel.channel](sample.accel if sel.source == "accel" else sample.gyro)
 
 
 def envelope_window_samples(window_ms: float, sample_rate_hz: float) -> int:
@@ -164,6 +159,7 @@ class StreamingEnvelope:
         if not math.isfinite(value):
             raise DataError("non-finite sample in envelope stream")
         v = abs(float(value))
+        w = self.window_samples
         buf = self._buf
         while buf and buf[-1][1] <= v:
             buf.pop()
@@ -171,9 +167,9 @@ class StreamingEnvelope:
         buf.append((k, v))
         self._next_in = k + 1
         # the window closing at k is [k - w + 1, k]; one index leaves per push
-        if buf[0][0] <= k - self.window_samples:
+        if buf[0][0] <= k - w:
             buf.popleft()
-        if k >= self._next_out + self.window_samples // 2:
+        if k >= self._next_out + w // 2:
             self._next_out += 1
             return [buf[0][1]]
         return []

@@ -158,6 +158,9 @@ class StepDetector:
         if index != self._next_index:
             raise ValueError(f"expected index {self._next_index}, got {index}")
         self._next_index += 1
+        if self._phase == "idle" and envelope_sample <= self.threshold:
+            # nothing is open and nothing starts
+            return ()
         events: list[StepEvent] = []
 
         # Once the merge horizon is past, no future rise can attach to the

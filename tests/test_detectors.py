@@ -532,6 +532,40 @@ class TestStepGatedBehavior:
         kinds = [e["kind"] for e in det.step_events]
         assert kinds.count("started") == kinds.count("ended")
 
+    def test_a_push_that_raises_changes_nothing(self):
+        # the gyro reading is finite but its l2 norm overflows to inf: that
+        # push raises, and a caller that goes on gets the clean run's outputs
+        rec, _ = generate(SynthConfig(n_normal_steps=20, n_anomalous_steps=2, rng_seed=3))
+        cfg = StepSystemConfig(signal=SignalSelector("gyro", "l2"))
+        runs = []
+        for reject_at in (None, 500):
+            det = StepGatedDetector(cfg)
+            alarms = []
+            for k, s in enumerate(rec.iter_samples()):
+                if k == reject_at:
+                    with pytest.raises(DataError):
+                        det.push(SensorSample(0.0, (0.0, 0.0, 9.8), (1e200, 1e200, 0.0)))
+                alarms.extend(det.push(s))
+            alarms.extend(det.flush())
+            runs.append((det.trace, det.step_events, det.admissions, alarms))
+        assert runs[0][0] and runs[0][3]
+        assert runs[1] == runs[0]
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (AlarmEvent(412, 4.12, 0.6, 57), "score"),
+            (TraceRecord(5000, 4900, None, 100, 0.25), "step_ordinal"),
+        ],
+    )
+    def test_immutable_and_hashable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        assert hash(record) == hash(type(record)(*record))
+        assert len({record, type(record)(*record)}) == 1
+
 
 class TestSerialization:
     def test_alarm_round_trip(self, tmp_path, tremor_run):

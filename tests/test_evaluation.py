@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gaitmp.dataset import LabeledSegment, SynthConfig, generate
 from gaitmp.detectors import AlarmEvent, StepGatedDetector, StepSystemConfig
+from gaitmp.errors import DataError
 from gaitmp.evaluation import (
     ConfusionCounts,
     RocPoint,
@@ -304,6 +305,20 @@ class TestHarness:
 
         with pytest.raises(ValueError, match="rtf_runs"):
             evaluate_recordings(fixture_pairs((0,)), make_detector, rtf_runs=runs)
+        assert made == []
+
+    def test_overlapping_truth_rejected_before_any_replay(self):
+        made = []
+
+        def make_detector():
+            made.append(1)
+            return step_detector()
+
+        pairs = fixture_pairs((0, 1, 2, 3))
+        rec, truth = pairs[-1]
+        pairs[-1] = (rec, truth + [seg(truth[-1].start, truth[-1].end, "ok")])
+        with pytest.raises(DataError, match="overlap"):
+            evaluate_recordings(pairs, make_detector, measure_rtf=False)
         assert made == []
 
 
