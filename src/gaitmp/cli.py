@@ -35,7 +35,12 @@ from .evaluation import (
     write_roc_csv,
 )
 from .mp import brute_force_mp, matrix_profile_self
-from .signal import DEFAULT_ENVELOPE_MS, SignalSelector, envelope
+from .signal import (
+    DEFAULT_ENVELOPE_MS,
+    SignalSelector,
+    StreamingEnvelope,
+    envelope_window_samples,
+)
 from .steps import (
     DEFAULT_MIN_STEP_MS,
     DEFAULT_ONSET_MS,
@@ -43,6 +48,8 @@ from .steps import (
     DEFAULT_THRESHOLD_FRACTION,
     StepDetector,
 )
+
+DEFAULT_SIGNAL = str(SignalSelector())
 
 
 def _fail(message: str, code: int = 2) -> None:
@@ -134,7 +141,7 @@ def generate(out, normal, anomalous, position, kind, seed, rate, period, noise, 
 @main.command()
 @click.argument("recording", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--signal", default="gyro:linf", show_default=True)
+@click.option("--signal", default=DEFAULT_SIGNAL, show_default=True)
 @click.option("--envelope-ms", type=float, default=DEFAULT_ENVELOPE_MS, show_default=True)
 @click.option(
     "--threshold-fraction",
@@ -147,10 +154,12 @@ def generate(out, normal, anomalous, position, kind, seed, rate, period, noise, 
 @click.option("--min-step-ms", type=float, default=DEFAULT_MIN_STEP_MS, show_default=True)
 def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, release_ms, min_step_ms):
     """Detect step boundaries in a recording; emits start,end sample pairs."""
+    # the detector's streaming envelope and segmenter, with one threshold
+    # taken from the whole recording's envelope
     rec = _load_recording(recording)
     series = rec.project(_parse_signal(signal))
     try:
-        env = envelope(series, envelope_ms)
+        env_stream = StreamingEnvelope(envelope_window_samples(envelope_ms, rec.sample_rate_hz))
         det = StepDetector(
             rec.sample_rate_hz,
             threshold_fraction=threshold_fraction,
@@ -160,8 +169,16 @@ def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, r
         )
     except ValueError as exc:
         _fail(str(exc))
-    det.recompute_threshold(float(env.values.max()))
-    rows = ["start,end"] + [f"{s.start},{s.end}" for s in det.detect_boundaries(env.values)]
+    env = []
+    for value in series.values.tolist():
+        env.extend(env_stream.push(value))
+    env.extend(env_stream.flush())
+    det.recompute_threshold(max(env))
+    events = [ev for i, v in enumerate(env) for ev in det.feed(v, i)]
+    events.extend(det.flush())
+    # the events alternate STARTED, ENDED, one pair per step
+    bounds = [ev.index for ev in events]
+    rows = ["start,end"] + [f"{s},{e}" for s, e in zip(bounds[::2], bounds[1::2])]
     text = "\n".join(rows) + "\n"
     if out is None:
         click.echo(text, nl=False)
@@ -177,7 +194,7 @@ def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, r
 @click.argument("recording", type=click.Path(exists=True, dir_okay=False))
 @click.option("-m", "--window", "m", type=int, required=True, help="Subsequence length.")
 @click.option("--exclusion", type=int, default=None, help="Self-match exclusion radius.")
-@click.option("--signal", default="gyro:linf", show_default=True)
+@click.option("--signal", default=DEFAULT_SIGNAL, show_default=True)
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--oracle", is_flag=True, help="Cross-check against the brute-force path.")
 def mp(recording, m, exclusion, signal, out, oracle):
@@ -212,17 +229,11 @@ def mp(recording, m, exclusion, signal, out, oracle):
 
 # -- detect -----------------------------------------------------------------
 
-# each mode's config dataclass and the fields its config file may set
+# each mode's config dataclass and the fields its config file may set: all
+# but the sample rate, which the recording fixes
 _MODES = {
-    "step": (
-        StepSystemConfig,
-        ("discord_threshold", "history_len_s", "min_query_len_ms", "envelope_window_ms",
-         "bootstrap_horizon_s", "admission_guard", "signal"),
-    ),
-    "naive": (
-        NaiveDetectorConfig,
-        ("discord_threshold", "frame_len", "hop", "history_len_s", "overlap_fraction", "signal"),
-    ),
+    mode: (cls, tuple(f.name for f in dataclasses.fields(cls) if f.name != "sample_rate_hz"))
+    for mode, cls in (("step", StepSystemConfig), ("naive", NaiveDetectorConfig))
 }
 
 
@@ -298,7 +309,7 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("-o", "--out", required=True, type=click.Path(file_okay=False))
 @click.option("--mode", type=click.Choice(["step", "naive"]), default="step", show_default=True)
-@click.option("--signal", default="gyro:linf", show_default=True)
+@click.option("--signal", default=DEFAULT_SIGNAL, show_default=True)
 @click.option(
     "--history-len",
     "history_lens",
@@ -370,7 +381,7 @@ def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
 @main.command()
 @click.argument("recording", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["step", "naive"]), default="step", show_default=True)
-@click.option("--signal", default="gyro:linf", show_default=True)
+@click.option("--signal", default=DEFAULT_SIGNAL, show_default=True)
 @click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--assert-realtime", is_flag=True, help="Exit 1 unless faster than realtime.")
 def bench(recording, mode, signal, runs, assert_realtime):

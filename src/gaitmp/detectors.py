@@ -88,7 +88,6 @@ from .signal import (
     SensorSample,
     SignalSelector,
     StreamingEnvelope,
-    envelope,
     envelope_window_samples,
     project,
 )
@@ -440,13 +439,14 @@ class StepGatedDetector:
                     f"reference sampled at {reference.sample_rate_hz:g} Hz, "
                     f"the detector at {rate:g} Hz"
                 )
-            values = reference.values
         else:
-            values = np.asarray(reference, dtype=np.float64)
+            reference = TimeSeries(reference, rate)
+        values = reference.values
         if values.size < self.cfg.min_query_len:
             raise ValueError("reference shorter than one minimum query window")
-        ref_env = envelope(TimeSeries(values, rate), self.cfg.envelope_window_ms)
-        self._admit(values, float(ref_env.values.max()), provisional=False, raw_i=-1)
+        # every envelope value is some |value| and every |value| lies in
+        # some window, so the envelope maximum is the largest |value|
+        self._admit(values, float(np.abs(values).max()), provisional=False, raw_i=-1)
 
     # -- buffer plumbing ---------------------------------------------------
 

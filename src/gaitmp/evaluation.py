@@ -223,12 +223,11 @@ def evaluate_recordings(
         det = make_detector()
         res = replay(det, rec)
         fs = rec.sample_rate_hz
-        per_theta = [
-            (float(th), alarms_from_trace(res.trace, float(th), fs)) for th in grid
+        counts = [
+            match_alarms(alarms_from_trace(res.trace, float(th), fs), truth) for th in grid
         ]
-        counts = [match_alarms(al, truth) for _, al in per_theta]
         rid = rec.meta.recording_id if rec.meta is not None else f"unnamed-{k:04d}"
-        entries.append((rid, truth, fs, per_theta, counts))
+        entries.append((rid, truth, fs, res.trace, counts))
         if longest is None or rec.n > longest.n:
             longest = rec
     if not entries:
@@ -244,11 +243,10 @@ def evaluate_recordings(
     j_opt = int(np.argmin(np.abs(grid - theta)))
 
     per_recording = []
-    for rid, truth, fs, per_theta, counts in entries:
+    for rid, truth, fs, trace, counts in entries:
         c = counts[j_opt]
-        per_recording.append(
-            RecordingResult(rid, c, f1(c), earliness(per_theta[j_opt][1], truth, fs))
-        )
+        alarms = alarms_from_trace(trace, float(grid[j_opt]), fs)
+        per_recording.append(RecordingResult(rid, c, f1(c), earliness(alarms, truth, fs)))
 
     rtf = None
     if measure_rtf and longest is not None:

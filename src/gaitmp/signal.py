@@ -1,11 +1,12 @@
-"""Sensor samples, their projection, and max-amplitude envelopes.
+"""Sensor samples, their projection, and the max-amplitude envelope.
 
 A SensorSample is one 6-dof IMU reading held as an immutable tuple; its
 constructor checks every value, while Recording.iter_samples builds samples
 from rows it has already checked a block at a time. Each sample is reduced to
 one scalar per step of the pipeline: pick a source (accel or gyro) and a
 channel (single axis or a vector norm). Step detection then runs on the
-rectified running-max envelope of that scalar.
+rectified running-max envelope of that scalar, which StreamingEnvelope
+computes one reading at a time.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DataError
-from .mp import TimeSeries
 
 SOURCES = ("accel", "gyro")
 CHANNELS = ("x", "y", "z", "l1", "l2", "linf")
@@ -103,30 +101,15 @@ def envelope_window_samples(window_ms: float, sample_rate_hz: float) -> int:
     return max(1, round(window_ms * sample_rate_hz / 1000.0))
 
 
-def envelope(series: TimeSeries, window_ms: float = DEFAULT_ENVELOPE_MS) -> TimeSeries:
-    """Centered running max of |series| over a window_ms-wide window.
-
-    Edges use the truncated window, so output length equals input length and
-    no phase lag is introduced.
-    """
-    w = envelope_window_samples(window_ms, series.sample_rate_hz)
-    x = np.abs(series.values)
-    if w == 1:
-        return TimeSeries(x, series.sample_rate_hz)
-    left = (w - 1) // 2
-    right = w // 2
-    padded = np.pad(x, (left, right), constant_values=-np.inf)
-    out = np.lib.stride_tricks.sliding_window_view(padded, w).max(axis=1)
-    return TimeSeries(out, series.sample_rate_hz)
-
-
 @dataclass
 class StreamingEnvelope:
-    """Online form of envelope(); emits each value once its window closes.
+    """Centered running max of |x| over window_samples readings.
 
-    A centered window of w samples needs w//2 future samples before position
-    i is final, so push(x_k) finalizes position k - w//2 (when that exists)
-    and flush() drains the right-truncated tail.
+    The value at position i is the largest |x[j]| for j in
+    [i - (w-1)//2, i + w//2], truncated at both ends of the stream, so there
+    is one value per reading and no phase lag. Position i needs w//2 future
+    readings before it is final, so push(x_k) finalizes position k - w//2
+    (when that exists) and flush() drains the right-truncated tail.
 
     The window maximum comes from a monotonic deque of (index, |value|)
     pairs whose values strictly decrease from front to back: a new value

@@ -1,25 +1,23 @@
 """Adaptive-threshold step segmentation over an amplitude envelope.
 
 A step is a run of envelope samples above an adaptive threshold, widened by
-an onset offset on the left and a release offset on the right. Runs whose
-widened extents overlap are merged; merged runs shorter than a minimum
-duration are discarded as noise.
+an onset offset on the left and a release offset on the right, and clamped
+to the stream. Runs whose widened extents overlap are merged; merged runs
+shorter than a minimum duration are discarded as noise.
 
-The batch path (detect_boundaries) and the streaming path (feed/flush) must
-produce identical segment lists for the same input and threshold. Streaming
-therefore defers events until their outcome is settled: a "started" event is
-held back until the segment is guaranteed to survive the duration filter, and
-an "ended" event until no future rise can merge into the segment. Both may be
-emitted with indices behind the current stream position.
+StepDetector segments a stream one envelope sample at a time (feed, then
+flush at the end), and reports each step as a STARTED and an ENDED event
+over the half-open range [start, end). It defers each event until its
+outcome is settled, so the steps it reports are exactly those of the
+definition above applied to the whole stream: a STARTED event is held back
+until the step is guaranteed to survive the duration filter, and an ENDED
+event until no future rise can merge into the step. Both may carry indices
+behind the current stream position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from .mp import TimeSeries
 
 DEFAULT_THRESHOLD_FRACTION = 0.5
 DEFAULT_INITIAL_THRESHOLD = 1e12
@@ -33,22 +31,6 @@ ENDED = "ended"
 
 
 @dataclass(frozen=True)
-class StepSegment:
-    """Half-open sample range [start, end) covering one step."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"bad segment [{self.start}, {self.end})")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
 class StepEvent:
     kind: str
     index: int
@@ -58,14 +40,8 @@ class StepEvent:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
 
-def _env_values(env) -> np.ndarray:
-    if isinstance(env, TimeSeries):
-        return env.values
-    return np.asarray(env, dtype=np.float64)
-
-
 class StepDetector:
-    """Threshold-crossing segmenter with identical batch and streaming paths.
+    """Streaming threshold-crossing segmenter.
 
     The threshold starts prohibitively high so nothing is detected until
     recompute_threshold is given an envelope maximum; it then tracks a
@@ -112,34 +88,6 @@ class StepDetector:
         envelope value of the reference, but no lower than the floor."""
         self.threshold = max(self.threshold_fraction * env_max, self.threshold_floor)
         return self.threshold
-
-    # -- batch -------------------------------------------------------------
-
-    def detect_boundaries(self, env) -> list[StepSegment]:
-        """Segment a complete envelope with the current threshold."""
-        x = _env_values(env)
-        n = x.size
-        above = x > self.threshold
-        raw: list[tuple[int, int]] = []
-        rise = -1
-        in_run = False
-        for i in range(n):
-            if above[i] and not in_run:
-                in_run = True
-                rise = i
-            elif not above[i] and in_run:
-                in_run = False
-                raw.append((max(0, rise - self.onset), min(n, i + self.release)))
-        if in_run:
-            raw.append((max(0, rise - self.onset), n))
-
-        merged: list[list[int]] = []
-        for s, e in raw:
-            if merged and s < merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        return [StepSegment(s, e) for s, e in merged if e - s >= self.min_step]
 
     # -- streaming ---------------------------------------------------------
 

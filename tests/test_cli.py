@@ -6,6 +6,9 @@ from click.testing import CliRunner
 from gaitmp.cli import main
 from gaitmp.dataset import LabeledSegment, load_annotations, load_recording, save_annotations
 from gaitmp.detectors import AlarmEvent, NaiveDetectorConfig, TraceRecord, load_jsonl
+from gaitmp.signal import SignalSelector, envelope_window_samples
+from gaitmp.steps import StepDetector
+from oracle import envelope_by_definition, segments_by_definition
 
 
 @pytest.fixture()
@@ -76,6 +79,42 @@ class TestSegment:
         )
         assert result.exit_code == 0
         assert out.read_text().startswith("start,end\n")
+
+    @staticmethod
+    def segments_by_definition(path, flags):
+        rec = load_recording(path)
+        step_flags = {k: v for k, v in flags.items() if k != "envelope_ms"}
+        w = envelope_window_samples(flags.get("envelope_ms", 100.0), rec.sample_rate_hz)
+        env = envelope_by_definition(rec.project(SignalSelector()).values, w)
+        det = StepDetector(rec.sample_rate_hz, **step_flags)
+        det.recompute_threshold(env.max())
+        return segments_by_definition(det, env)
+
+    @pytest.mark.parametrize("rate", [100.0, 60.0])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {},
+            {"envelope_ms": 37.0, "onset_ms": 80.0, "release_ms": 20.0, "min_step_ms": 300.0},
+        ],
+    )
+    def test_rows_are_the_segments_of_the_definition(self, runner, tmp_path, rate, flags):
+        gen(runner, tmp_path / "rec", "--rate", f"{rate:g}")
+        path = tmp_path / "rec" / "recording.csv"
+        args = [f"--{k.replace('_', '-')}={v:g}" for k, v in flags.items()]
+        expected = self.segments_by_definition(path, flags)
+        assert len(expected) > 5
+        # the same recording cut one reading before its third step ends, so
+        # the output's last step ends only when the stream does
+        n_cut = expected[2][1] - 1
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(path.read_text().splitlines(keepends=True)[: 1 + n_cut]))
+        cut_expected = self.segments_by_definition(cut, flags)
+        assert cut_expected[-1][1] == n_cut
+        for p, segs in ((path, expected), (cut, cut_expected)):
+            result = runner.invoke(main, ["segment", str(p), *args])
+            assert result.exit_code == 0, result.output
+            assert result.output == "".join(f"{s},{e}\n" for s, e in [("start", "end"), *segs])
 
 
 class TestMp:

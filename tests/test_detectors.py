@@ -23,7 +23,8 @@ from gaitmp.detectors import (
     replay,
 )
 from gaitmp.mp import DEFAULT_EPS, FFT_CUTOFF, TimeSeries, distance_profile
-from gaitmp.signal import SensorSample, SignalSelector, envelope
+from gaitmp.signal import SensorSample, SignalSelector, envelope_window_samples
+from oracle import envelope_by_definition
 
 
 def make_recording(kind="shape-replaced", seed=0):
@@ -440,8 +441,9 @@ class TestStepGatedBehavior:
             if det._env_count == cfg.bootstrap_horizon:
                 break
             assert det._step.threshold == det._step.initial_threshold
-        seen = TimeSeries(np.abs(gyro[: k + 1]).max(axis=1), cfg.sample_rate_hz)
-        env = envelope(seen, cfg.envelope_window_ms).values[: cfg.bootstrap_horizon]
+        seen = np.abs(gyro[: k + 1]).max(axis=1)
+        w = envelope_window_samples(cfg.envelope_window_ms, cfg.sample_rate_hz)
+        env = envelope_by_definition(seen, w)[: cfg.bootstrap_horizon]
         assert det._step.threshold == (0.5 * env.max() if scale else 1e-6)
         assert not det._history.chunks
 
@@ -449,6 +451,13 @@ class TestStepGatedBehavior:
         det = StepGatedDetector(StepSystemConfig())
         with pytest.raises(ValueError):
             det.prime_history(np.zeros(10))
+
+    def test_prime_history_rejects_a_non_finite_array_before_admitting(self):
+        det = StepGatedDetector(StepSystemConfig())
+        with pytest.raises(DataError):
+            det.prime_history(np.r_[np.zeros(399), np.nan])
+        assert det.admissions == []
+        assert det._history.chunks == []
 
     def test_prime_history_rejects_a_reference_at_another_rate(self):
         rec, _ = make_recording()

@@ -3,19 +3,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaitmp import DataError, TimeSeries
+from gaitmp import DataError
 from gaitmp.signal import (
     SensorSample,
     SignalSelector,
     StreamingEnvelope,
-    envelope,
     envelope_window_samples,
     project,
 )
+from oracle import envelope_by_definition
 
 
 def sample(gyro=(0.0, 0.0, 0.0), accel=(0.0, 0.0, 0.0), t=0.0):
     return SensorSample(t=t, accel=accel, gyro=gyro)
+
+
+def stream_envelope(values, w=10):
+    """Every envelope value a StreamingEnvelope of w samples emits, flush
+    included; w = 10 is the default 100 ms window at 100 Hz."""
+    se = StreamingEnvelope(window_samples=w)
+    out = []
+    for v in values:
+        out.extend(se.push(v))
+    out.extend(se.flush())
+    return np.array(out)
 
 
 class TestProject:
@@ -93,60 +104,45 @@ class TestEnvelope:
             envelope_window_samples(0.0, 100.0)
 
     def test_constant_series(self):
-        ts = TimeSeries(np.full(50, -3.0), 100.0)
-        np.testing.assert_array_equal(envelope(ts).values, np.full(50, 3.0))
+        np.testing.assert_array_equal(stream_envelope(np.full(50, -3.0)), np.full(50, 3.0))
 
     def test_unit_impulse_spreads_over_window(self):
         x = np.zeros(40)
         x[20] = 1.0
-        env = envelope(TimeSeries(x, 100.0), window_ms=100.0).values
         # w=10 centered: impulse at 20 covers outputs 15..24
-        assert (env[15:25] == 1.0).all()
-        assert (env[:15] == 0.0).all()
-        assert (env[25:] == 0.0).all()
+        for env in (stream_envelope(x), envelope_by_definition(x, 10)):
+            assert (env[15:25] == 1.0).all()
+            assert (env[:15] == 0.0).all()
+            assert (env[25:] == 0.0).all()
 
     def test_dominates_rectified_signal(self):
-        rng = np.random.default_rng(0)
-        ts = TimeSeries(rng.normal(size=200), 100.0)
-        env = envelope(ts).values
-        assert (env >= np.abs(ts.values) - 1e-12).all()
+        x = np.random.default_rng(0).normal(size=200)
+        assert (stream_envelope(x) >= np.abs(x) - 1e-12).all()
 
     def test_monotone_in_window_width(self):
-        rng = np.random.default_rng(1)
-        ts = TimeSeries(rng.normal(size=200), 100.0)
-        narrow = envelope(ts, window_ms=50.0).values
-        wide = envelope(ts, window_ms=150.0).values
+        x = np.random.default_rng(1).normal(size=200)
+        narrow = stream_envelope(x, envelope_window_samples(50.0, 100.0))
+        wide = stream_envelope(x, envelope_window_samples(150.0, 100.0))
         assert (wide >= narrow - 1e-12).all()
 
     def test_rectification(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=120)
-        a = envelope(TimeSeries(x, 100.0)).values
-        b = envelope(TimeSeries(-x, 100.0)).values
-        np.testing.assert_array_equal(a, b)
+        x = np.random.default_rng(2).normal(size=120)
+        np.testing.assert_array_equal(stream_envelope(x), stream_envelope(-x))
 
     def test_keeps_length_and_rate(self):
-        ts = TimeSeries(np.arange(33.0), 64.0)
-        env = envelope(ts, window_ms=100.0)
-        assert env.n == 33
-        assert env.sample_rate_hz == 64.0
+        # 100 ms at 64 Hz is a 6-sample window; one value per reading
+        w = envelope_window_samples(100.0, 64.0)
+        assert w == 6
+        env = stream_envelope(np.arange(33.0), w)
+        assert env.size == 33
+        np.testing.assert_array_equal(env, envelope_by_definition(np.arange(33.0), w))
 
 
 class TestStreamingEnvelope:
-    def stream(self, values, w):
-        se = StreamingEnvelope(window_samples=w)
-        out = []
-        for v in values:
-            out.extend(se.push(v))
-        out.extend(se.flush())
-        return np.array(out)
-
     @pytest.mark.parametrize("w", [1, 2, 3, 9, 10, 25])
-    def test_matches_batch(self, w):
-        rng = np.random.default_rng(w)
-        x = rng.normal(size=150)
-        batch = envelope(TimeSeries(x, 1000.0), window_ms=w).values  # w samples at 1 kHz
-        np.testing.assert_array_equal(self.stream(x, w), batch)
+    def test_matches_definition(self, w):
+        x = np.random.default_rng(w).normal(size=150)
+        np.testing.assert_array_equal(stream_envelope(x, w), envelope_by_definition(x, w))
 
     def test_emission_lag_is_half_window(self):
         se = StreamingEnvelope(window_samples=10)
@@ -180,7 +176,7 @@ class TestStreamingEnvelope:
     @example(seed=1, n=200, w=10, shape="increasing")
     @example(seed=2, n=200, w=9, shape="decreasing")
     @example(seed=3, n=7, w=30, shape="normal")
-    def test_matches_batch_property(self, seed, n, w, shape):
+    def test_matches_definition_property(self, seed, n, w, shape):
         # ties and monotone runs are where a monotonic-deque maximum can slip,
         # and w > n leaves every value to flush()
         x = np.random.default_rng(seed).normal(size=n)
@@ -190,5 +186,4 @@ class TestStreamingEnvelope:
             x = np.cumsum(np.abs(x) + 0.01)
             if shape == "decreasing":
                 x = x[::-1]
-        batch = envelope(TimeSeries(x, 1000.0), window_ms=w).values
-        np.testing.assert_array_equal(self.stream(x, w), batch)
+        np.testing.assert_array_equal(stream_envelope(x, w), envelope_by_definition(x, w))

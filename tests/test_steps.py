@@ -7,8 +7,8 @@ from gaitmp.steps import (
     STARTED,
     StepDetector,
     StepEvent,
-    StepSegment,
 )
+from oracle import segments_by_definition
 
 
 def detector(rate=100.0, **kw):
@@ -29,8 +29,9 @@ def pulse_train(n_pulses=5, period=100, width=30, amp=200.0, n_pad=50):
 
 
 def segments_from_events(events):
-    """Pair started/ended events back into ordered segments; unbalanced
-    events raise, so streams that emit them fail the tests that use this."""
+    """Pair started/ended events back into ordered (start, end) segments;
+    unbalanced events and empty or negative ranges raise, so streams that
+    emit them fail the tests that use this."""
     segments = []
     start = None
     for ev in events:
@@ -41,7 +42,9 @@ def segments_from_events(events):
         else:
             if start is None:
                 raise ValueError("ended event without a started event")
-            segments.append(StepSegment(start, ev.index))
+            if not 0 <= start < ev.index:
+                raise ValueError(f"bad segment [{start}, {ev.index})")
+            segments.append((start, ev.index))
             start = None
     if start is not None:
         raise ValueError("stream ended with an unterminated step")
@@ -54,6 +57,14 @@ def stream_segments(det, env):
         events.extend(det.feed(v, i))
     events.extend(det.flush())
     return segments_from_events(events), events
+
+
+def checked_segments(det, env):
+    """The streamed segments of env, after checking that they are the
+    segments of the definition."""
+    segs, _ = stream_segments(det, env)
+    assert segs == segments_by_definition(det, env)
+    return segs
 
 
 class TestThreshold:
@@ -80,39 +91,39 @@ class TestThreshold:
             detector(threshold_fraction=1.5)
 
 
-class TestBatchBoundaries:
+class TestBoundaries:
     def test_flat_zero_envelope(self):
         det = detector()
         det.threshold = 1.0
-        assert det.detect_boundaries(np.zeros(500)) == []
+        assert checked_segments(det, np.zeros(500)) == []
 
     def test_rectangular_pulse_exact_extent(self):
         det = detector(onset_ms=0.0, release_ms=0.0, min_step_ms=0.0)
         det.threshold = 1.0
         env = np.zeros(100)
         env[40:60] = 5.0
-        assert det.detect_boundaries(env) == [StepSegment(40, 60)]
+        assert checked_segments(det, env) == [(40, 60)]
 
     def test_offsets_widen_segment(self):
         det = detector(onset_ms=50.0, release_ms=50.0, min_step_ms=0.0)  # 5 samples each
         det.threshold = 1.0
         env = np.zeros(100)
         env[40:60] = 5.0
-        assert det.detect_boundaries(env) == [StepSegment(35, 65)]
+        assert checked_segments(det, env) == [(35, 65)]
 
     def test_offsets_clamp_to_data(self):
         det = detector(onset_ms=50.0, release_ms=50.0, min_step_ms=0.0)
         det.threshold = 1.0
         env = np.zeros(50)
         env[2:48] = 5.0
-        assert det.detect_boundaries(env) == [StepSegment(0, 50)]
+        assert checked_segments(det, env) == [(0, 50)]
 
     def test_short_blip_dropped(self):
         det = detector(onset_ms=0.0, release_ms=0.0, min_step_ms=150.0)  # 15 samples
         det.threshold = 1.0
         env = np.zeros(100)
         env[40:50] = 5.0  # 10 samples < 15
-        assert det.detect_boundaries(env) == []
+        assert checked_segments(det, env) == []
 
     def test_close_pulses_merge(self):
         det = detector(onset_ms=50.0, release_ms=50.0, min_step_ms=0.0)
@@ -120,7 +131,7 @@ class TestBatchBoundaries:
         env = np.zeros(200)
         env[50:70] = 5.0
         env[75:95] = 5.0  # gap 5 < onset+release
-        assert det.detect_boundaries(env) == [StepSegment(45, 100)]
+        assert checked_segments(det, env) == [(45, 100)]
 
     def test_separated_pulses_stay_apart(self):
         det = detector(onset_ms=50.0, release_ms=50.0, min_step_ms=0.0)
@@ -128,23 +139,23 @@ class TestBatchBoundaries:
         env = np.zeros(300)
         env[50:70] = 5.0
         env[120:140] = 5.0
-        assert det.detect_boundaries(env) == [StepSegment(45, 75), StepSegment(115, 145)]
+        assert checked_segments(det, env) == [(45, 75), (115, 145)]
 
     def test_five_pulses_cover_impacts(self):
         env, impacts = pulse_train(n_pulses=5)
         det = detector()
         det.recompute_threshold(env.max())
-        segs = det.detect_boundaries(env)
+        segs = checked_segments(det, env)
         assert len(segs) == 5
-        for seg, c in zip(segs, impacts):
-            assert seg.start <= c < seg.end
+        for (start, end), c in zip(segs, impacts):
+            assert start <= c < end
 
     def test_open_segment_at_end_is_kept(self):
         det = detector(onset_ms=0.0, release_ms=0.0, min_step_ms=0.0)
         det.threshold = 1.0
         env = np.zeros(100)
         env[80:] = 5.0
-        assert det.detect_boundaries(env) == [StepSegment(80, 100)]
+        assert checked_segments(det, env) == [(80, 100)]
 
     def test_monotone_in_threshold_fraction_on_pulse_train(self):
         env, _ = pulse_train(n_pulses=6, amp=200.0)
@@ -152,7 +163,7 @@ class TestBatchBoundaries:
         for frac in (0.2, 0.4, 0.6, 0.8, 0.99):
             det = detector(threshold_fraction=frac)
             det.recompute_threshold(env.max())
-            counts.append(len(det.detect_boundaries(env)))
+            counts.append(len(checked_segments(det, env)))
         assert counts == sorted(counts, reverse=True)
 
 
@@ -164,7 +175,7 @@ class TestStreaming:
         env[40:60] = 5.0
         segs, events = stream_segments(det, env)
         assert [e.kind for e in events] == ["started", "ended"]
-        assert segs == [StepSegment(40, 60)]
+        assert segs == [(40, 60)]
 
     def test_sub_threshold_stream_silent(self):
         det = detector()
@@ -207,13 +218,13 @@ class TestStreaming:
         env = np.zeros(200)
         env[50:60] = 5.0
         env[63:73] = 5.0
-        batch = det.detect_boundaries(env)
-        assert batch == [StepSegment(47, 76)]
+        expected = segments_by_definition(det, env)
+        assert expected == [(47, 76)]
         segs, _ = stream_segments(det, env)
-        assert segs == batch
+        assert segs == expected
 
     @pytest.mark.parametrize("case", ["mid", "end_open", "end_pending", "touching"])
-    def test_stream_equals_batch_handpicked(self, case):
+    def test_stream_equals_definition_handpicked(self, case):
         det = detector(onset_ms=50.0, release_ms=50.0, min_step_ms=150.0)
         det.threshold = 1.0
         env = np.zeros(150)
@@ -227,9 +238,9 @@ class TestStreaming:
         elif case == "touching":
             env[30:50] = 5.0
             env[60:80] = 5.0  # widened: [25,55) and [55,85) touch, no merge
-        batch = det.detect_boundaries(env)
+        expected = segments_by_definition(det, env)
         segs, _ = stream_segments(det, env)
-        assert segs == batch
+        assert segs == expected
         if case == "touching":
             assert len(segs) == 2
 
@@ -237,9 +248,9 @@ class TestStreaming:
         env, _ = pulse_train(n_pulses=7)
         det = detector()
         det.recompute_threshold(env.max())
-        batch = det.detect_boundaries(env)
+        expected = segments_by_definition(det, env)
         segs, _ = stream_segments(det, env)
-        assert segs == batch == sorted(batch, key=lambda s: s.start)
+        assert segs == expected == sorted(expected)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -249,7 +260,7 @@ class TestStreaming:
         release=st.integers(0, 8),
         min_step=st.integers(0, 25),
     )
-    def test_stream_equals_batch_fuzzed(self, seed, n, onset, release, min_step):
+    def test_stream_equals_definition_fuzzed(self, seed, n, onset, release, min_step):
         rng = np.random.default_rng(seed)
         # blocky envelopes exercise crossings, merges and the duration filter
         env = rng.choice([0.0, 0.5, 2.0, 3.0], size=n, p=[0.4, 0.2, 0.2, 0.2])
@@ -260,11 +271,11 @@ class TestStreaming:
             min_step_ms=float(min_step),
         )
         det.threshold = 1.0
-        batch = det.detect_boundaries(env)
+        expected = segments_by_definition(det, env)
         segs, _ = stream_segments(det, env)
-        assert segs == batch
-        for a, b in zip(batch, batch[1:]):
-            assert a.end <= b.start
+        assert segs == expected
+        for (_, end), (start, _) in zip(expected, expected[1:]):
+            assert end <= start
 
 
 class TestEventReassembly:
@@ -275,7 +286,7 @@ class TestEventReassembly:
             StepEvent("started", 31),
             StepEvent("ended", 47),
         ]
-        assert segments_from_events(events) == [StepSegment(3, 20), StepSegment(31, 47)]
+        assert segments_from_events(events) == [(3, 20), (31, 47)]
 
     def test_unbalanced_events_rejected(self):
         with pytest.raises(ValueError):
