@@ -71,6 +71,27 @@ def _parse_signal(text: str) -> SignalSelector:
         _fail(str(exc))
 
 
+def _settings(cls, config_path, flags: dict, exclude=()) -> dict:
+    """Keyword arguments for the config dataclass cls, one per field but
+    those in exclude: the dataclass default, overridden by config_path's
+    `key = value` lines, overridden by the flag of the same name unless that
+    is None. A SignalSelector stays text, as the file and the flags give it.
+    A config file that cannot be read or parsed is a usage error."""
+    base = cls()
+    merged = {
+        f.name: getattr(base, f.name) for f in dataclasses.fields(cls) if f.name not in exclude
+    }
+    if "signal" in merged:
+        merged["signal"] = str(merged["signal"])
+    if config_path is not None:
+        try:
+            merged.update(ds.parse_config(Path(config_path).read_text(), merged))
+        except (DataError, OSError) as exc:
+            _fail(f"{config_path}: {exc}")
+    merged.update({k: v for k, v in flags.items() if v is not None})
+    return merged
+
+
 @click.group()
 def main():
     """Gait anomaly detection over streaming matrix profiles."""
@@ -83,7 +104,7 @@ def main():
 @click.option("-o", "--out", required=True, type=click.Path(file_okay=False))
 @click.option("--normal", type=int, default=None, help="Number of normal steps.")
 @click.option("--anomalous", type=int, default=None, help="Number of anomalous steps.")
-@click.option("--position", default=None, help="Anomaly run position, or 'auto'.")
+@click.option("--position", default=None, help="Anomaly run position (a step index), or 'auto'.")
 @click.option("--kind", type=click.Choice(ds.ANOMALY_KINDS), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--rate", type=float, default=None, help="Sample rate in Hz.")
@@ -97,13 +118,7 @@ def main():
 )
 def generate(out, normal, anomalous, position, kind, seed, rate, period, noise, config_path):
     """Write a synthetic recording plus exact ground-truth annotations."""
-    cfg = ds.SynthConfig()
-    if config_path:
-        try:
-            cfg = ds.synth_config_from_file(config_path, base=cfg)
-        except (DataError, ValueError, OSError) as exc:
-            _fail(f"{config_path}: {exc}")
-    overrides = {
+    settings = _settings(ds.SynthConfig, config_path, {
         "n_normal_steps": normal,
         "n_anomalous_steps": anomalous,
         "anomaly_kind": kind,
@@ -111,15 +126,15 @@ def generate(out, normal, anomalous, position, kind, seed, rate, period, noise, 
         "sample_rate_hz": rate,
         "step_period_s": period,
         "noise_std": noise,
-    }
+    })
+    # set after the file: 'auto' reads as None, which must still override
     if position is not None:
-        overrides["anomaly_position"] = (
-            None if position in ("none", "auto") else int(position)
-        )
+        try:
+            settings["anomaly_position"] = ds.parse_value(position, None)
+        except ValueError:
+            _fail(f"--position: expected an integer, none or auto, got {position!r}")
     try:
-        cfg = dataclasses.replace(
-            cfg, **{k: v for k, v in overrides.items() if v is not None}
-        )
+        cfg = ds.SynthConfig(**settings)
         recording, truth = ds.generate(cfg)
     except (DataError, ValueError) as exc:
         _fail(str(exc))
@@ -229,37 +244,26 @@ def mp(recording, m, exclusion, signal, out, oracle):
 
 # -- detect -----------------------------------------------------------------
 
-# each mode's config dataclass and the fields its config file may set: all
-# but the sample rate, which the recording fixes
-_MODES = {
-    mode: (cls, tuple(f.name for f in dataclasses.fields(cls) if f.name != "sample_rate_hz"))
-    for mode, cls in (("step", StepSystemConfig), ("naive", NaiveDetectorConfig))
-}
+# each mode's config dataclass; its config file sets every field but the
+# sample rate, which the recording fixes
+_MODES = {"step": StepSystemConfig, "naive": NaiveDetectorConfig}
 
 
 def _detector(mode: str, rate: float, config_path=None, **flags):
-    """A fresh detector for mode at rate. Each field takes the config
-    dataclass's default, overridden by the config file, overridden by the
-    flag of the same name unless that is None. A flag set for a field the
-    mode lacks, and a value the config rejects, are usage errors."""
-    cls, keys = _MODES[mode]
+    """A fresh detector for mode at rate, its config built by _settings. A
+    flag set for a field the mode lacks, and a value the config rejects, are
+    usage errors."""
+    cls = _MODES[mode]
+    names = {f.name for f in dataclasses.fields(cls)}
     for key, value in flags.items():
-        if value is not None and key not in keys:
+        if value is not None and key not in names:
             _fail(f"--{key.replace('_', '-')} does not apply to {mode} mode")
-    base = cls()
-    merged = {k: getattr(base, k) for k in keys}
-    merged["signal"] = str(base.signal)
-    if config_path is not None:
-        try:
-            merged.update(ds.parse_config(Path(config_path).read_text(), merged))
-        except (DataError, OSError) as exc:
-            _fail(f"{config_path}: {exc}")
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    merged["signal"] = _parse_signal(merged["signal"])
+    settings = _settings(cls, config_path, flags, exclude=("sample_rate_hz",))
+    settings["signal"] = _parse_signal(settings["signal"])
     try:
         if mode == "step":
-            return StepGatedDetector(StepSystemConfig(sample_rate_hz=rate, **merged))
-        return NaiveDetector(NaiveDetectorConfig(**merged), rate)
+            return StepGatedDetector(StepSystemConfig(sample_rate_hz=rate, **settings))
+        return NaiveDetector(NaiveDetectorConfig(**settings), rate)
     except ValueError as exc:
         _fail(str(exc))
 
@@ -354,7 +358,7 @@ def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
     for hl in lens:
         def make_detector(hl=hl):
             return _detector(mode, rate, history_len_s=hl, signal=signal)
-        history_len_s = hl if hl is not None else _MODES[mode][0].history_len_s
+        history_len_s = hl if hl is not None else _MODES[mode].history_len_s
         try:
             report = evaluate_recordings(pairs, make_detector, thresholds=grid, rtf_runs=rtf_runs)
         except (DataError, ValueError) as exc:

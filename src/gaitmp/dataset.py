@@ -4,16 +4,17 @@ Recordings are 6-channel IMU CSVs (time, 3-axis accel, 3-axis gyro), held
 as read-only column arrays; iter_samples streams them as SensorSamples a
 block of rows at a time, checking each block once rather than each reading.
 Annotations label half-open sample ranges as normal ("ok") or anomalous
-("ab") steps. The generator synthesizes walking bouts from a smooth step
-template with seeded jitter and injects one of three anomaly kinds, returning
-exact ground-truth segments alongside the samples.
+("ab") steps. The generator synthesizes walking bouts from one fixed smooth
+step template (the STEP_* constants) with seeded jitter and injects one of
+three anomaly kinds, returning exact ground-truth segments alongside the
+samples. parse_config reads the `key = value` config files of the CLI.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -234,18 +235,11 @@ def load_annotations(path) -> list[LabeledSegment]:
 
 # -- synthesis -------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class StepTemplate:
-    """Normal step waveform parameters (amplitudes in deg/s, durations in s)."""
-
-    amplitude_dps: float = 120.0
-    duration_s: float = 0.45
-    accel_amplitude: float = 4.0
-
-    def __post_init__(self):
-        if self.amplitude_dps <= 0 or self.duration_s <= 0 or self.accel_amplitude < 0:
-            raise ValueError("template amplitudes and duration must be positive")
+# The normal step waveform: peak gyro rate (deg/s), duration (s) and peak
+# acceleration (m/s^2) at unit template scale.
+STEP_AMPLITUDE_DPS = 120.0
+STEP_DURATION_S = 0.45
+STEP_ACCEL_AMPLITUDE = 4.0
 
 
 @dataclass(frozen=True)
@@ -255,7 +249,6 @@ class SynthConfig:
     n_anomalous_steps: int = 2
     anomaly_position: int | None = None  # step index where the ab block starts
     step_period_s: float = 1.0
-    template: StepTemplate = field(default_factory=StepTemplate)
     anomaly_kind: str = "shape-replaced"
     noise_std: float = 2.0
     rng_seed: int = 0
@@ -321,11 +314,10 @@ def _accel_channels(tau, scale):
 
 def _step_arrays(config: SynthConfig, anomalous: bool):
     """One step's (gyro, accel) waveforms at unit template scale."""
-    tpl = config.template
-    n = round(tpl.duration_s * config.sample_rate_hz)
+    n = round(STEP_DURATION_S * config.sample_rate_hz)
     kind = config.anomaly_kind if anomalous else None
     if kind == "time-warped":
-        n = round(1.6 * tpl.duration_s * config.sample_rate_hz)
+        n = round(1.6 * STEP_DURATION_S * config.sample_rate_hz)
     tau = np.arange(n) / n
     if kind == "shape-replaced":
         gyro = _tremor_channels(tau)
@@ -335,7 +327,7 @@ def _step_arrays(config: SynthConfig, anomalous: bool):
         # hard drive into saturation: flattened peaks change the shape, which
         # pure rescaling would not (z-normalization removes linear gain)
         gyro = np.tanh(8.0 * gyro)
-    return gyro * tpl.amplitude_dps, _accel_channels(tau, tpl.accel_amplitude)
+    return gyro * STEP_AMPLITUDE_DPS, _accel_channels(tau, STEP_ACCEL_AMPLITUDE)
 
 
 def generate(config: SynthConfig) -> tuple[Recording, list[LabeledSegment]]:
@@ -386,13 +378,20 @@ def generate(config: SynthConfig) -> tuple[Recording, list[LabeledSegment]]:
 # -- key = value config files ---------------------------------------------
 
 
+def parse_value(text: str, default):
+    """text as a value of default's type; for a default of None, an int, or
+    None for none/auto. Raises ValueError when text does not parse."""
+    if default is None:
+        return None if text.lower() in ("none", "auto") else int(text)
+    return type(default)(text)
+
+
 def parse_config(text: str, defaults: dict) -> dict:
     """Parse 'key = value' lines into {key: value} for keys of defaults.
 
-    '#' starts a comment; blank lines are ignored. Each value takes the type
-    of its key's default; a key whose default is None takes an int, or
-    none/auto for None. Unknown keys and unparsable values raise DataError
-    naming the line.
+    '#' starts a comment; blank lines are ignored. Each value is read by
+    parse_value against its key's default. Unknown keys and unparsable
+    values raise DataError naming the line.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -405,40 +404,9 @@ def parse_config(text: str, defaults: dict) -> dict:
         key, value = key.strip(), value.strip()
         if key not in defaults:
             raise DataError(f"config line {lineno}: unknown key {key!r}")
-        default = defaults[key]
         try:
-            if default is None:
-                out[key] = None if value.lower() in ("none", "auto") else int(value)
-            else:
-                out[key] = type(default)(value)
+            out[key] = parse_value(value, defaults[key])
         except ValueError:
             raise DataError(f"config line {lineno}: {key}: cannot parse {value!r}") from None
     return out
 
-
-_TEMPLATE_PREFIX = "template."
-
-
-def parse_synth_config(text: str, base: SynthConfig | None = None) -> SynthConfig:
-    """Parse 'key = value' lines into a SynthConfig.
-
-    Keys are SynthConfig field names; template fields use the dotted form
-    template.<field>.
-    """
-    cfg, tpl = SynthConfig(), StepTemplate()
-    defaults = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "template"}
-    defaults.update({_TEMPLATE_PREFIX + f.name: getattr(tpl, f.name) for f in fields(tpl)})
-    overrides = parse_config(text, defaults)
-    tpl_overrides = {
-        key[len(_TEMPLATE_PREFIX):]: overrides.pop(key)
-        for key in list(overrides)
-        if key.startswith(_TEMPLATE_PREFIX)
-    }
-    base = base or SynthConfig()
-    if tpl_overrides:
-        overrides["template"] = replace(base.template, **tpl_overrides)
-    return replace(base, **overrides)
-
-
-def synth_config_from_file(path, base: SynthConfig | None = None) -> SynthConfig:
-    return parse_synth_config(Path(path).read_text(), base=base)

@@ -5,14 +5,15 @@ Two architectures share the alarm vocabulary:
 * NaiveDetector: fixed-length Frame buffer queried against a trailing History
   buffer every hop; no gait awareness, so it also fires on non-step motion.
   It is pushed the scalars of its config's signal; History is set in
-  seconds and held as round(history_len_s * rate) samples.
+  seconds and held as round(history_len_s * rate) samples, and its end
+  overlaps the Frame's first OVERLAP_FRACTION.
   Both buffers are views of one array of the last readings, rebuilt each
   hop, and a hop costs one sliding dot product, the running sums of
   History, and the finish the growth rows use.
 * StepGatedDetector: segments steps first, accumulates the live step in a
-  Current buffer, and queries it (with subsequence length equal to the buffer
-  length) against a History of previously completed step signatures. One
-  alarm at most per step.
+  Current buffer, and, once it spans MIN_QUERY_MS, queries it (with
+  subsequence length equal to the buffer length) against a History of
+  previously completed step signatures. One alarm at most per step.
 
 History is one contiguous buffer holding the admitted chunks back to back,
 rebuilt, with its running sums (mp._sums), on admission and eviction.
@@ -62,7 +63,7 @@ Steps are segmented by a StepDetector with its default settings, which
 owns the threshold rule (steps.StepDetector.recompute_threshold). Each
 admission hands it the largest envelope maximum of the History chunks;
 while History is still empty it is handed the envelope maximum seen so far,
-but only after a bootstrap horizon of silence-dominated data has passed.
+but only after BOOTSTRAP_HORIZON_S of silence-dominated data has passed.
 """
 
 from __future__ import annotations
@@ -94,6 +95,13 @@ from .signal import (
 from .steps import STARTED, StepDetector
 
 DEFAULT_DISCORD_THRESHOLD = 0.5
+# the share of the naive Frame that History's end overlaps
+OVERLAP_FRACTION = 0.25
+# the shortest step-gated query, in ms: shorter ones are not scored
+MIN_QUERY_MS = 250.0
+# the envelope readings the step-gated detector sees before it sets its
+# first step threshold from them, in seconds, when History is empty
+BOOTSTRAP_HORIZON_S = 3.0
 
 
 class AlarmEvent(NamedTuple):
@@ -123,7 +131,6 @@ class NaiveDetectorConfig:
     frame_len: int = 100
     hop: int = 10
     history_len_s: float = 10.0
-    overlap_fraction: float = 0.25
     discord_threshold: float = DEFAULT_DISCORD_THRESHOLD
     signal: SignalSelector = field(default_factory=SignalSelector)
 
@@ -134,14 +141,12 @@ class NaiveDetectorConfig:
             raise ValueError("hop must be at least 1")
         if not (self.history_len_s > 0):
             raise ValueError("history_len_s must be positive")
-        if not (0 <= self.overlap_fraction < 1):
-            raise ValueError("overlap_fraction must be in [0, 1)")
         if not (0 <= self.discord_threshold <= 1):
             raise ValueError("discord_threshold must be in [0, 1]")
 
     @property
     def overlap(self) -> int:
-        return int(self.overlap_fraction * self.frame_len)
+        return int(OVERLAP_FRACTION * self.frame_len)
 
     @property
     def warmup(self) -> int:
@@ -231,9 +236,7 @@ class StepSystemConfig:
     signal: SignalSelector = field(default_factory=SignalSelector)
     history_len_s: float = 10.0
     discord_threshold: float = DEFAULT_DISCORD_THRESHOLD
-    min_query_len_ms: float = 250.0
     envelope_window_ms: float = DEFAULT_ENVELOPE_MS
-    bootstrap_horizon_s: float = 3.0
     admission_guard: float = 0.35
 
     def __post_init__(self):
@@ -246,13 +249,13 @@ class StepSystemConfig:
         if self.admission_guard is None or not (0 <= self.admission_guard <= 1):
             raise ValueError("admission_guard must be a number in [0, 1]")
         if self.min_query_len < 3:
-            raise ValueError("min_query_len_ms must span at least 3 samples")
-        if not (self.bootstrap_horizon_s > 0):
-            raise ValueError("bootstrap_horizon_s must be positive")
+            raise ValueError(
+                f"sample_rate_hz must put at least 3 samples in {MIN_QUERY_MS:g} ms"
+            )
 
     @property
     def min_query_len(self) -> int:
-        return round(self.min_query_len_ms * self.sample_rate_hz / 1000.0)
+        return round(MIN_QUERY_MS * self.sample_rate_hz / 1000.0)
 
     @property
     def history_len(self) -> int:
@@ -260,7 +263,7 @@ class StepSystemConfig:
 
     @property
     def bootstrap_horizon(self) -> int:
-        return round(self.bootstrap_horizon_s * self.sample_rate_hz)
+        return round(BOOTSTRAP_HORIZON_S * self.sample_rate_hz)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -269,30 +269,11 @@ def evaluate_recordings(
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    return {
-        "per_recording": [
-            {
-                "recording_id": r.recording_id,
-                "counts": {
-                    "tp": r.counts.tp,
-                    "fp": r.counts.fp,
-                    "fn": r.counts.fn,
-                    "tn": r.counts.tn,
-                },
-                "f1": r.f1,
-                "mean_earliness_s": r.mean_earliness_s,
-            }
-            for r in report.per_recording
-        ],
-        "roc": [
-            {"fpr": p.fpr, "tpr": p.tpr, "threshold": p.threshold}
-            for p in report.roc
-        ],
-        "auc": report.auc,
-        "optimal_threshold": report.optimal_threshold,
-        "aggregate_f1": report.aggregate_f1,
-        "real_time_factor": report.real_time_factor,
-    }
+    """The report as nested dicts and lists for JSON, without
+    f1_by_threshold, which has a CSV of its own."""
+    out = asdict(report)
+    del out["f1_by_threshold"]
+    return out
 
 
 def write_roc_csv(points, path) -> None:

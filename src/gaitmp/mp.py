@@ -12,8 +12,9 @@ varying. A caller whose series does not change (History) caches _sums.
 Near-duplicates are recomputed by definition in _exact_distances, because
 sqrt(2m(1-rho)) cancels as rho -> 1. The band is 1 - rho <= NEAR_DUPLICATE**2,
 i.e. d <= NEAR_DUPLICATE * sqrt(2m), so it covers the same correlations at
-every m. Single-query distance profiles (distance_profile, the MASS scheme:
-sliding dot product plus window moments) finish in _profile. The detectors'
+every m. Single-query distance profiles (distance_profile: after MASS, a
+sliding dot product plus window moments, though the product is the direct
+one, not MASS's FFT convolution) finish in _profile. The detectors'
 score rows, a naive hop and a step-gated growth row alike, want only the
 profile's smallest entry and finish in _nearest: it ranks the windows by
 their correlation with the query straight from the running sums (the window
@@ -39,8 +40,6 @@ from .errors import DataError
 
 # Stdev at or below this counts as a constant (degenerate) window.
 DEFAULT_EPS = 1e-8
-# Below this series length the direct dot product beats the FFT route.
-FFT_CUTOFF = 1024
 # Index sentinel for "no valid neighbor"; the matching profile value is +inf.
 NO_NEIGHBOR = -1
 # Fast distances of a query of length m at or under NEAR_DUPLICATE * sqrt(2m)
@@ -112,22 +111,16 @@ def _values(series) -> np.ndarray:
 def sliding_dot_product(query, series) -> np.ndarray:
     """Dot product of ``query`` against every same-length window of ``series``.
 
-    out[i] = sum_k query[k] * series[i+k]. Uses the direct product below
-    FFT_CUTOFF series samples and an FFT convolution above; both paths agree
-    to float rounding.
+    out[i] = sum_k query[k] * series[i+k], by the direct product
+    (np.correlate).
     """
     q = np.asarray(query, dtype=np.float64)
     t = _values(series)
     if q.ndim != 1 or q.size < 1:
         raise ValueError("query must be a non-empty 1-D sequence")
-    m, n = q.size, t.size
-    if m > n:
+    if q.size > t.size:
         raise ValueError("query longer than series")
-    if n < FFT_CUTOFF:
-        return np.correlate(t, q, mode="valid")
-    k = 1 << int(n).bit_length()
-    cross = np.fft.rfft(t, k) * np.conj(np.fft.rfft(q, k))
-    return np.fft.irfft(cross, k)[: n - m + 1]
+    return np.correlate(t, q, mode="valid")
 
 
 def _sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -224,7 +217,7 @@ def _profile(
 
 
 def distance_profile(query, series) -> np.ndarray:
-    """z-normalized distance of ``query`` to every window of ``series`` (MASS)."""
+    """z-normalized distance of ``query`` to every window of ``series``."""
     q = np.asarray(query, dtype=np.float64)
     t = _values(series)
     if q.ndim != 1 or q.size < 3:

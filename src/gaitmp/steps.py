@@ -20,8 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 DEFAULT_THRESHOLD_FRACTION = 0.5
-DEFAULT_INITIAL_THRESHOLD = 1e12
-DEFAULT_THRESHOLD_FLOOR = 1e-6
+# the threshold before the first recompute_threshold: high enough that
+# nothing counts as a step
+INITIAL_THRESHOLD = 1e12
+# the least threshold recompute_threshold sets, so an all-zero envelope
+# does not read as one endless step
+THRESHOLD_FLOOR = 1e-6
 DEFAULT_ONSET_MS = 50.0
 DEFAULT_RELEASE_MS = 50.0
 DEFAULT_MIN_STEP_MS = 150.0
@@ -43,17 +47,15 @@ class StepEvent:
 class StepDetector:
     """Streaming threshold-crossing segmenter.
 
-    The threshold starts prohibitively high so nothing is detected until
+    The threshold starts at INITIAL_THRESHOLD so nothing is detected until
     recompute_threshold is given an envelope maximum; it then tracks a
-    fraction of that maximum, clamped below by an absolute floor.
+    fraction of that maximum, clamped below by THRESHOLD_FLOOR.
     """
 
     def __init__(
         self,
         sample_rate_hz: float,
         threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
-        initial_threshold: float = DEFAULT_INITIAL_THRESHOLD,
-        threshold_floor: float = DEFAULT_THRESHOLD_FLOOR,
         onset_ms: float = DEFAULT_ONSET_MS,
         release_ms: float = DEFAULT_RELEASE_MS,
         min_step_ms: float = DEFAULT_MIN_STEP_MS,
@@ -62,16 +64,14 @@ class StepDetector:
             raise ValueError("sample_rate_hz must be positive")
         if not (0 < threshold_fraction <= 1):
             raise ValueError("threshold_fraction must be in (0, 1]")
-        if min(onset_ms, release_ms, min_step_ms, threshold_floor) < 0:
-            raise ValueError("offsets, min duration and floor must be non-negative")
+        if min(onset_ms, release_ms, min_step_ms) < 0:
+            raise ValueError("offsets and min duration must be non-negative")
         self.sample_rate_hz = sample_rate_hz
         self.threshold_fraction = threshold_fraction
-        self.initial_threshold = initial_threshold
-        self.threshold_floor = threshold_floor
         self.onset = round(onset_ms * sample_rate_hz / 1000.0)
         self.release = round(release_ms * sample_rate_hz / 1000.0)
         self.min_step = round(min_step_ms * sample_rate_hz / 1000.0)
-        self.threshold = initial_threshold
+        self.threshold = INITIAL_THRESHOLD
         self.reset_stream()
 
     def reset_stream(self) -> None:
@@ -86,7 +86,7 @@ class StepDetector:
     def recompute_threshold(self, env_max: float) -> float:
         """Set the threshold to a fraction of ``env_max``, the largest
         envelope value of the reference, but no lower than the floor."""
-        self.threshold = max(self.threshold_fraction * env_max, self.threshold_floor)
+        self.threshold = max(self.threshold_fraction * env_max, THRESHOLD_FLOOR)
         return self.threshold
 
     # -- streaming ---------------------------------------------------------

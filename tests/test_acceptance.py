@@ -23,7 +23,7 @@ from gaitmp.evaluation import (
 )
 from gaitmp.mp import brute_force_mp, matrix_profile_self
 from gaitmp.signal import SignalSelector, StreamingEnvelope, envelope_window_samples
-from gaitmp.steps import StepDetector
+from gaitmp.steps import INITIAL_THRESHOLD, StepDetector
 from oracle import envelope_by_definition, segments_by_definition
 from test_steps import segments_from_events
 
@@ -170,7 +170,7 @@ def test_criterion_5_earliness_below_step_period(desk_sweep):
 
 def test_criterion_6_cold_start_stays_silent(fig2_run):
     _, truth, det, res = fig2_run
-    assert det._step.initial_threshold >= 1e9
+    assert INITIAL_THRESHOLD >= 1e9
     first = det.admissions[0]
     assert first["provisional"] is True
     assert first["seq"] == 1

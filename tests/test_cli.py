@@ -59,6 +59,63 @@ class TestGenerate:
         truth = load_annotations(tmp_path / "rec" / "annotations.csv")
         assert sum(1 for s in truth if not s.is_anomalous) == 4
 
+    def test_config_file_keys_match_their_flags(self, runner, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(
+            "# walking bout\n"
+            "n_normal_steps = 8\n"
+            "n_anomalous_steps = 3\n"
+            "anomaly_kind = time-warped\n"
+            "noise_std = 1.5  # deg/s\n"
+            "rng_seed = 77\n"
+            "anomaly_position = 4\n"
+        )
+        runs = {
+            "file": ["--config", str(cfg)],
+            "flags": ["--normal", "8", "--anomalous", "3", "--kind", "time-warped",
+                      "--noise", "1.5", "--seed", "77", "--position", "4"],
+        }
+        for name, extra in runs.items():
+            result = runner.invoke(main, ["generate", "-o", str(tmp_path / name), *extra])
+            assert result.exit_code == 0, result.output
+            assert "seed 77" in result.output
+        for csv in ("recording.csv", "annotations.csv"):
+            assert (tmp_path / "file" / csv).read_bytes() == (tmp_path / "flags" / csv).read_bytes()
+        truth = load_annotations(tmp_path / "file" / "annotations.csv")
+        assert [s.label for s in truth] == ["ok"] * 4 + ["ab"] * 3 + ["ok"] * 4
+
+    @pytest.mark.parametrize(
+        "text, line", [("wat = 3", 1), ("# steps\nn_normal_steps = many", 2)]
+    )
+    def test_bad_config_line_is_usage_error_naming_it(self, runner, tmp_path, text, line):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(text + "\n")
+        result = runner.invoke(main, ["generate", "-o", str(tmp_path / "rec"), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"{cfg}: config line {line}" in result.output
+        assert not (tmp_path / "rec").exists()
+
+    def test_position_that_does_not_parse_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "-o", str(tmp_path / "rec"), "--position", "abc"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--position" in result.output
+        assert not (tmp_path / "rec").exists()
+
+    def test_position_auto_beats_config_file(self, runner, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("anomaly_position = 4\n")
+        gen(runner, tmp_path / "file", "--config", str(cfg))
+        gen(runner, tmp_path / "auto", "--config", str(cfg), "--position", "auto")
+        gen(runner, tmp_path / "default")
+
+        def annotations(name):
+            return (tmp_path / name / "annotations.csv").read_bytes()
+
+        # 'auto' puts the anomalous run mid-bout, after 5 of 10 normal steps
+        assert annotations("auto") == annotations("default") != annotations("file")
+
 
 class TestSegment:
     def test_stdout_rows(self, runner, tmp_path):
@@ -504,6 +561,31 @@ class TestBench:
 
 class TestUsageErrors:
     """Bad input exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["detect", "{rec}", "-o", "{tmp}/a.jsonl"], "min_query_len_ms = 250"),
+            (["detect", "{rec}", "-o", "{tmp}/a.jsonl"], "bootstrap_horizon_s = 3"),
+            (["detect", "{rec}", "-o", "{tmp}/a.jsonl", "--mode", "naive"], "overlap_fraction = 0.25"),
+            (["generate", "-o", "{tmp}/gen"], "template.amplitude_dps = 120"),
+        ],
+        ids=["step-min-query", "step-bootstrap", "naive-overlap", "generate-template"],
+    )
+    def test_fixed_values_are_unknown_config_keys(self, runner, tmp_path, args, line):
+        # each key names a value fixed in the code, and the line sets it to
+        # that very value
+        gen(runner, tmp_path / "rec")
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"# fixed in the code\n{line}\n")
+        key = line.split(" =")[0]
+        paths = {"rec": str(tmp_path / "rec" / "recording.csv"), "tmp": str(tmp_path)}
+        result = runner.invoke(main, [a.format(**paths) for a in args] + ["--config", str(cfg)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"{cfg}: config line 2: unknown key '{key}'" in result.output
+        assert not (tmp_path / "a.jsonl").exists()
+        assert not (tmp_path / "gen").exists()
 
     @pytest.mark.parametrize(
         "args",

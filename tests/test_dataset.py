@@ -8,15 +8,12 @@ from gaitmp.dataset import (
     LabeledSegment,
     Recording,
     RecordingMeta,
-    StepTemplate,
     SynthConfig,
     generate,
     load_annotations,
     load_recording,
-    parse_synth_config,
     save_annotations,
     save_recording,
-    synth_config_from_file,
 )
 from gaitmp.signal import SensorSample, SignalSelector, project
 
@@ -257,49 +254,6 @@ class TestGenerator:
         back = load_recording(tmp_path / "r.csv")
         np.testing.assert_allclose(back.gyro, rec.gyro, atol=1e-9)
         assert load_annotations(tmp_path / "r.ann.csv") == segs
-
-
-class TestSynthConfigFile:
-    def test_parse_overrides(self):
-        cfg = parse_synth_config(
-            """
-            # walking bout
-            n_normal_steps = 8
-            n_anomalous_steps = 3
-            anomaly_kind = time-warped
-            noise_std = 1.5
-            rng_seed = 77
-            template.amplitude_dps = 90
-            """
-        )
-        assert cfg.n_normal_steps == 8
-        assert cfg.n_anomalous_steps == 3
-        assert cfg.anomaly_kind == "time-warped"
-        assert cfg.noise_std == 1.5
-        assert cfg.rng_seed == 77
-        assert cfg.template.amplitude_dps == 90.0
-        assert cfg.sample_rate_hz == 100.0  # untouched default
-
-    def test_anomaly_position_auto(self):
-        assert parse_synth_config("anomaly_position = auto").anomaly_position is None
-        assert parse_synth_config("anomaly_position = 4").anomaly_position == 4
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(DataError, match="line 1"):
-            parse_synth_config("wat = 3")
-        with pytest.raises(DataError, match="line 1"):
-            parse_synth_config("template.wat = 3")
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(DataError, match="line 1"):
-            parse_synth_config("n_normal_steps = many")
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text("rng_seed = 5\nstep_period_s = 0.8\n")
-        cfg = synth_config_from_file(path)
-        assert cfg.rng_seed == 5
-        assert cfg.step_period_s == 0.8
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

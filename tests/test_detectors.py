@@ -22,9 +22,14 @@ from gaitmp.detectors import (
     _History,
     replay,
 )
-from gaitmp.mp import DEFAULT_EPS, FFT_CUTOFF, TimeSeries, distance_profile
+from gaitmp.mp import DEFAULT_EPS, TimeSeries, distance_profile
 from gaitmp.signal import SensorSample, SignalSelector, envelope_window_samples
+from gaitmp.steps import INITIAL_THRESHOLD
 from oracle import envelope_by_definition
+
+# a long History draw: past the 1,000-reading History of the default
+# step-gated config
+LONG = 1024
 
 
 def make_recording(kind="shape-replaced", seed=0):
@@ -72,8 +77,6 @@ class TestNaiveConfig:
             NaiveDetector(NaiveDetectorConfig(history_len_s=1.5), 100.0)
         with pytest.raises(ValueError, match="2\\*frame_len"):
             NaiveDetector(NaiveDetectorConfig(), 10.0)
-        with pytest.raises(ValueError):
-            NaiveDetectorConfig(overlap_fraction=1.0)
         with pytest.raises(ValueError):
             NaiveDetectorConfig(discord_threshold=1.5)
 
@@ -241,54 +244,52 @@ class TestNaiveHops:
     @given(
         seed=st.integers(0, 2**32 - 1),
         frame_len=st.integers(3, 40),
-        extra=st.integers(0, 120) | st.integers(FFT_CUTOFF, FFT_CUTOFF + 50),
+        extra=st.integers(0, 120) | st.integers(LONG, LONG + 50),
         hop=st.integers(1, 12) | st.integers(1500, 1600),
-        overlap_fraction=st.floats(0.0, 0.99),
         threshold=st.floats(0.0, 1.0),
         kinds=st.lists(st.sampled_from(["noise", "periodic", "zeros", "constant"]), min_size=1, max_size=4),
         level=st.floats(0.5, 20.0) | st.floats(-20.0, -0.5),
         more_hops=st.integers(-1, 60),
     )
     # an exact periodic repeat: every score is a near-duplicate, recomputed
-    @example(seed=1, frame_len=20, extra=40, hop=3, overlap_fraction=0.25, threshold=0.5,
+    @example(seed=1, frame_len=20, extra=40, hop=3, threshold=0.5,
              kinds=["periodic"], level=1.0, more_hops=30)
     # a constant stretch at level 0: constant windows, and a constant Frame
     # among constant windows
-    @example(seed=2, frame_len=10, extra=30, hop=1, overlap_fraction=0.0, threshold=0.3,
+    @example(seed=2, frame_len=10, extra=30, hop=1, threshold=0.3,
              kinds=["noise", "zeros"], level=1.0, more_hops=60)
     # a constant Frame at a nonzero level, and constant windows whose
     # running sums cancel
-    @example(seed=3, frame_len=12, extra=0, hop=1, overlap_fraction=0.5, threshold=0.3,
+    @example(seed=3, frame_len=12, extra=0, hop=1, threshold=0.3,
              kinds=["noise", "constant"], level=9.81, more_hops=60)
-    # the first hop at warmup only, with frame_len 3
-    @example(seed=4, frame_len=3, extra=0, hop=5, overlap_fraction=0.0, threshold=0.3,
+    # the first hop at warmup only, with frame_len 3 (and so no overlap)
+    @example(seed=4, frame_len=3, extra=0, hop=5, threshold=0.3,
              kinds=["noise"], level=1.0, more_hops=-1)
-    # hop equal to keep, and History long enough for the FFT route
-    @example(seed=5, frame_len=10, extra=20, hop=45, overlap_fraction=0.5, threshold=0.3,
+    # hop equal to keep (40 + 10 - 2 readings), and a long History
+    @example(seed=5, frame_len=10, extra=20, hop=48, threshold=0.3,
              kinds=["noise", "periodic"], level=1.0, more_hops=8)
-    @example(seed=6, frame_len=40, extra=FFT_CUTOFF, hop=7, overlap_fraction=0.25, threshold=0.3,
+    @example(seed=6, frame_len=40, extra=LONG, hop=7, threshold=0.3,
              kinds=["noise", "periodic", "zeros"], level=1.0, more_hops=20)
     # a best at d = 1.9e-3 at m = 3: 1 - rho is under 1e-6, so it is a
     # near-duplicate and recomputed, though d is over NEAR_DUPLICATE
-    @example(seed=14975, frame_len=3, extra=FFT_CUTOFF, hop=8, overlap_fraction=0.0, threshold=0.0,
+    @example(seed=14975, frame_len=3, extra=LONG, hop=8, threshold=0.0,
              kinds=["noise", "noise", "periodic", "noise"], level=1.0, more_hops=0)
     # the Frame's moments taken two-pass from its readings: one-pass moments
     # from running sums put a score 9.6e-9 off the definition here
-    @example(seed=3339855069, frame_len=3, extra=FFT_CUTOFF, hop=1, overlap_fraction=0.0,
+    @example(seed=3339855069, frame_len=3, extra=LONG, hop=1,
              threshold=0.0, kinds=["noise"], level=1.0, more_hops=0)
-    # m = 3 over a History longer than FFT_CUTOFF: a hop must round its window
+    # m = 3 over a History of over LONG readings: a hop must round its window
     # sums as distance_profile does (sums over a few readings each put a hop
     # here 2.1e-9 off)
-    @example(seed=0, frame_len=3, extra=FFT_CUTOFF, hop=7, overlap_fraction=0.0, threshold=0.5,
+    @example(seed=0, frame_len=3, extra=LONG, hop=7, threshold=0.5,
              kinds=["noise"], level=1.0, more_hops=20)
     def test_every_hop_matches_a_fresh_distance_profile(
-        self, seed, frame_len, extra, hop, overlap_fraction, threshold, kinds, level, more_hops
+        self, seed, frame_len, extra, hop, threshold, kinds, level, more_hops
     ):
         cfg = NaiveDetectorConfig(
             frame_len=frame_len,
             hop=hop,
             history_len_s=2 * frame_len + extra,
-            overlap_fraction=overlap_fraction,
             discord_threshold=threshold,
         )
         # at 1 Hz History counts as many samples as seconds
@@ -322,10 +323,9 @@ class TestStepSystemConfig:
             StepSystemConfig(admission_guard=1.2)
         with pytest.raises(ValueError):
             StepSystemConfig(admission_guard=None)
-        with pytest.raises(ValueError):
-            StepSystemConfig(min_query_len_ms=10.0)
-        with pytest.raises(ValueError):
-            StepSystemConfig(bootstrap_horizon_s=0.0)
+        # 250 ms at 10 Hz rounds to 2 samples, too short a query
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            StepSystemConfig(sample_rate_hz=10.0)
 
 
 class TestStepGatedOnFixture:
@@ -440,7 +440,7 @@ class TestStepGatedBehavior:
             det.push(SensorSample(k / cfg.sample_rate_hz, (0.0, 0.0, 9.81), g))
             if det._env_count == cfg.bootstrap_horizon:
                 break
-            assert det._step.threshold == det._step.initial_threshold
+            assert det._step.threshold == INITIAL_THRESHOLD
         seen = np.abs(gyro[: k + 1]).max(axis=1)
         w = envelope_window_samples(cfg.envelope_window_ms, cfg.sample_rate_hz)
         env = envelope_by_definition(seen, w)[: cfg.bootstrap_horizon]
@@ -789,7 +789,7 @@ def masked_best(query, history):
 def draw_history(rng, kinds, level):
     """Chunks of the listed kinds: gait-scale noise, a verbatim repeat of the
     previous chunk, a constant chunk at ``level`` and noise longer than
-    FFT_CUTOFF, which sends the seed row down the FFT route."""
+    LONG readings."""
     chunks = []
     for kind in kinds:
         n = int(rng.integers(20, 120))
@@ -799,7 +799,7 @@ def draw_history(rng, kinds, level):
             chunks.append(np.full(n, level))
         else:
             if kind == "long":
-                n = FFT_CUTOFF + int(rng.integers(1, 200))
+                n = LONG + int(rng.integers(1, 200))
             chunks.append(rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), n))
     return chunks
 

@@ -11,7 +11,7 @@ from gaitmp import (
     matrix_profile_self,
     sliding_dot_product,
 )
-from gaitmp.mp import FFT_CUTOFF, NO_NEIGHBOR
+from gaitmp.mp import NO_NEIGHBOR
 from oracle import znorm_distance, znormalize
 
 
@@ -93,12 +93,10 @@ class TestSlidingDotProduct:
         assert out.shape == (1,)
         assert abs(out[0] - np.dot(t, t)) < 1e-9
 
-    def test_fft_and_direct_agree(self):
-        # above FFT_CUTOFF the product takes the FFT route
+    def test_long_series_matches_naive(self):
         rng = np.random.default_rng(4)
-        q, t = rng.normal(size=25), rng.normal(size=FFT_CUTOFF + 976)
-        direct = np.correlate(t, q, mode="valid")
-        np.testing.assert_allclose(sliding_dot_product(q, t), direct, atol=1e-9)
+        q, t = rng.normal(size=25), rng.normal(size=2000)
+        np.testing.assert_allclose(sliding_dot_product(q, t), naive_sliding_dot(q, t), atol=1e-9)
 
     def test_query_longer_than_series(self):
         with pytest.raises(ValueError):
@@ -130,7 +128,7 @@ class TestDistanceProfile:
         prof = distance_profile(np.full(9, 1.0), np.full(40, 7.0))
         np.testing.assert_allclose(prof, 0.0)
 
-    def test_fft_path_matches_naive(self):
+    def test_long_series_matches_naive(self):
         rng = np.random.default_rng(7)
         t = rng.normal(size=1400)
         q = t[300:320].copy()

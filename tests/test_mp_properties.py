@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaitmp import brute_force_mp, matrix_profile_self
-from gaitmp.mp import FFT_CUTOFF, _moments, _nearest, _profile, _sums, sliding_dot_product
+from gaitmp.mp import _moments, _nearest, _profile, _sums, sliding_dot_product
 from oracle import znorm_distance
+
+# the length a long History chunk adds to its draw
+LONG = 1024
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -79,7 +82,7 @@ def test_profile_bounded_by_any_admissible_pair(seed):
 
 def draw_chunks(rng, kinds, query, level, nudge):
     """History chunks, each at least as long as ``query``, of the listed
-    kinds: gait-scale noise, noise longer than FFT_CUTOFF, a constant at
+    kinds: gait-scale noise, noise longer than LONG, a constant at
     ``level``, noise scaled by 1e-9 around ``level`` (varying, with a stdev
     under DEFAULT_EPS, whose digits the running sums lose), noise with one
     reading repeated once, noise holding a copy of the query nudged by
@@ -94,7 +97,7 @@ def draw_chunks(rng, kinds, query, level, nudge):
         n = int(rng.integers(m, 3 * m + 20))
         noise = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), n)
         if kind == "long":
-            noise = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), FFT_CUTOFF + n)
+            noise = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), LONG + n)
         elif kind == "constant":
             noise = np.full(n, level)
         elif kind == "stutter":

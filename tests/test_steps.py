@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitmp.steps import (
+    INITIAL_THRESHOLD,
     STARTED,
     StepDetector,
     StepEvent,
@@ -69,8 +70,7 @@ def checked_segments(det, env):
 
 class TestThreshold:
     def test_fresh_detector_starts_at_initial(self):
-        assert detector().threshold == detector().initial_threshold == 1e12
-        assert detector(initial_threshold=1e9).threshold == 1e9
+        assert detector().threshold == INITIAL_THRESHOLD == 1e12
 
     def test_fraction_of_max(self):
         det = detector()
@@ -79,10 +79,6 @@ class TestThreshold:
     def test_zero_history_clamps_to_floor(self):
         det = detector()
         assert det.recompute_threshold(np.zeros(100).max()) == 1e-6
-
-    def test_zero_history_without_floor(self):
-        det = detector(threshold_floor=0.0)
-        assert det.recompute_threshold(np.zeros(100).max()) == 0.0
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
