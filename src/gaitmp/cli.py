@@ -38,7 +38,6 @@ from .mp import brute_force_mp, matrix_profile_self
 from .signal import (
     DEFAULT_ENVELOPE_MS,
     SignalSelector,
-    StreamingEnvelope,
     envelope_window_samples,
 )
 from .steps import (
@@ -47,6 +46,7 @@ from .steps import (
     DEFAULT_RELEASE_MS,
     DEFAULT_THRESHOLD_FRACTION,
     StepDetector,
+    segment_series,
 )
 
 DEFAULT_SIGNAL = str(SignalSelector())
@@ -169,12 +169,10 @@ def generate(out, normal, anomalous, position, kind, seed, rate, period, noise, 
 @click.option("--min-step-ms", type=float, default=DEFAULT_MIN_STEP_MS, show_default=True)
 def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, release_ms, min_step_ms):
     """Detect step boundaries in a recording; emits start,end sample pairs."""
-    # the detector's streaming envelope and segmenter, with one threshold
-    # taken from the whole recording's envelope
     rec = _load_recording(recording)
     series = rec.project(_parse_signal(signal))
     try:
-        env_stream = StreamingEnvelope(envelope_window_samples(envelope_ms, rec.sample_rate_hz))
+        window = envelope_window_samples(envelope_ms, rec.sample_rate_hz)
         det = StepDetector(
             rec.sample_rate_hz,
             threshold_fraction=threshold_fraction,
@@ -184,16 +182,8 @@ def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, r
         )
     except ValueError as exc:
         _fail(str(exc))
-    env = []
-    for value in series.values.tolist():
-        env.extend(env_stream.push(value))
-    env.extend(env_stream.flush())
-    det.recompute_threshold(max(env))
-    events = [ev for i, v in enumerate(env) for ev in det.feed(v, i)]
-    events.extend(det.flush())
-    # the events alternate STARTED, ENDED, one pair per step
-    bounds = [ev.index for ev in events]
-    rows = ["start,end"] + [f"{s},{e}" for s, e in zip(bounds[::2], bounds[1::2])]
+    steps, _ = segment_series(series.values, window, det)
+    rows = ["start,end"] + [f"{s},{e}" for s, e in steps]
     text = "\n".join(rows) + "\n"
     if out is None:
         click.echo(text, nl=False)

@@ -262,14 +262,10 @@ class SynthConfig:
             raise ValueError("noise_std must be non-negative")
         if self.anomaly_kind not in ANOMALY_KINDS:
             raise ValueError(f"anomaly_kind must be one of {ANOMALY_KINDS}")
-        if not (self.sample_rate_hz > 0 and self.step_period_s > 0):
-            raise ValueError("rates and periods must be positive")
-        if self.lead_in_s < 0 or self.tail_s < 0:
-            raise ValueError("lead_in_s and tail_s must be non-negative")
-
-    @property
-    def total_steps(self) -> int:
-        return self.n_normal_steps + self.n_anomalous_steps
+        if not (0 < self.sample_rate_hz < math.inf and 0 < self.step_period_s < math.inf):
+            raise ValueError("sample_rate_hz and step_period_s must be positive and finite")
+        if not (0 <= self.lead_in_s < math.inf and 0 <= self.tail_s < math.inf):
+            raise ValueError("lead_in_s and tail_s must be non-negative and finite")
 
     def resolved_anomaly_position(self) -> int:
         pos = self.anomaly_position
@@ -332,7 +328,7 @@ def _step_arrays(config: SynthConfig, anomalous: bool):
 
 def generate(config: SynthConfig) -> tuple[Recording, list[LabeledSegment]]:
     """Synthesize one walking bout; returns samples plus exact ground truth."""
-    if config.total_steps == 0:
+    if config.n_normal_steps + config.n_anomalous_steps == 0:
         raise ValueError("zero steps requested: nothing to generate")
     pos = config.resolved_anomaly_position()
     labels = (

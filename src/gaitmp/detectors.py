@@ -58,6 +58,8 @@ detectable:
   evolves the same at every threshold, which is what lets a recorded trace
   be re-thresholded faithfully.
 * Eviction is whole-chunk FIFO once total retained samples exceed the cap.
+* prime_history admits the steps of a clean reference in order, each with
+  its envelope maximum as a streamed step has, so the cap keeps the last.
 
 Steps are segmented by a StepDetector with its default settings, which
 owns the threshold rule (steps.StepDetector.recompute_threshold). Each
@@ -92,7 +94,7 @@ from .signal import (
     envelope_window_samples,
     project,
 )
-from .steps import STARTED, StepDetector
+from .steps import STARTED, StepDetector, segment_series
 
 DEFAULT_DISCORD_THRESHOLD = 0.5
 # the share of the naive Frame that History's end overlaps
@@ -139,8 +141,8 @@ class NaiveDetectorConfig:
             raise ValueError("frame_len must be at least 3")
         if self.hop < 1:
             raise ValueError("hop must be at least 1")
-        if not (self.history_len_s > 0):
-            raise ValueError("history_len_s must be positive")
+        if not (0 < self.history_len_s < math.inf):
+            raise ValueError("history_len_s must be positive and finite")
         if not (0 <= self.discord_threshold <= 1):
             raise ValueError("discord_threshold must be in [0, 1]")
 
@@ -240,8 +242,8 @@ class StepSystemConfig:
     admission_guard: float = 0.35
 
     def __post_init__(self):
-        if not (self.sample_rate_hz > 0 and self.history_len_s > 0):
-            raise ValueError("sample_rate_hz and history_len_s must be positive")
+        if not (0 < self.sample_rate_hz < math.inf and 0 < self.history_len_s < math.inf):
+            raise ValueError("sample_rate_hz and history_len_s must be positive and finite")
         if not (0 <= self.discord_threshold <= 1):
             raise ValueError("discord_threshold must be in [0, 1]")
         # a number, never None: a guard that followed the alarm threshold
@@ -416,8 +418,6 @@ class StepGatedDetector:
     # -- history ----------------------------------------------------------
 
     def _admit(self, values: np.ndarray, env_max: float, provisional: bool, raw_i: int) -> None:
-        if values.size == 0:
-            return
         self._history.admit(_Chunk(values, env_max, provisional), self.cfg.history_len)
         self._step.recompute_threshold(max(c.env_max for c in self._history.chunks))
         self.admissions.append(
@@ -430,9 +430,10 @@ class StepGatedDetector:
         )
 
     def prime_history(self, reference) -> None:
-        """Preload History with a reference signal before streaming. A
-        TimeSeries reference must be sampled at the configured rate, within
-        the UNIFORMITY_TOL by which a Recording holds two periods equal."""
+        """Admit the steps of a clean reference before streaming, cut by
+        segment_series with this detector's envelope window and StepDetector's
+        defaults; a reference with no step raises ValueError. A TimeSeries
+        reference must be sampled at the configured rate, within UNIFORMITY_TOL."""
         if self._raw_count:
             raise ValueError("prime_history must run before any samples are pushed")
         rate = self.cfg.sample_rate_hz
@@ -444,12 +445,12 @@ class StepGatedDetector:
                 )
         else:
             reference = TimeSeries(reference, rate)
-        values = reference.values
-        if values.size < self.cfg.min_query_len:
-            raise ValueError("reference shorter than one minimum query window")
-        # every envelope value is some |value| and every |value| lies in
-        # some window, so the envelope maximum is the largest |value|
-        self._admit(values, float(np.abs(values).max()), provisional=False, raw_i=-1)
+        window = self._env_stream.window_samples
+        steps, env = segment_series(reference.values, window, StepDetector(rate))
+        if not steps:
+            raise ValueError("no step found in the reference")
+        for s, e in steps:
+            self._admit(reference.values[s:e], max(env[s:e]), provisional=False, raw_i=-1)
 
     # -- buffer plumbing ---------------------------------------------------
 

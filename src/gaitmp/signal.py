@@ -98,6 +98,8 @@ def project(sample: SensorSample, sel: SignalSelector) -> float:
 def envelope_window_samples(window_ms: float, sample_rate_hz: float) -> int:
     if not (window_ms > 0):
         raise ValueError("window_ms must be positive")
+    if window_ms == math.inf:
+        raise ValueError("window_ms must be finite")
     return max(1, round(window_ms * sample_rate_hz / 1000.0))
 
 

@@ -12,12 +12,16 @@ outcome is settled, so the steps it reports are exactly those of the
 definition above applied to the whole stream: a STARTED event is held back
 until the step is guaranteed to survive the duration filter, and an ENDED
 event until no future rise can merge into the step. Both may carry indices
-behind the current stream position.
+behind the current stream position. segment_series segments a whole series
+at one threshold; `gaitmp segment` and StepGatedDetector.prime_history call it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .signal import StreamingEnvelope
 
 DEFAULT_THRESHOLD_FRACTION = 0.5
 # the threshold before the first recompute_threshold: high enough that
@@ -64,8 +68,12 @@ class StepDetector:
             raise ValueError("sample_rate_hz must be positive")
         if not (0 < threshold_fraction <= 1):
             raise ValueError("threshold_fraction must be in (0, 1]")
-        if min(onset_ms, release_ms, min_step_ms) < 0:
+        offsets = {"onset_ms": onset_ms, "release_ms": release_ms, "min_step_ms": min_step_ms}
+        if min(offsets.values()) < 0:
             raise ValueError("offsets and min duration must be non-negative")
+        for name, ms in offsets.items():
+            if not math.isfinite(ms):
+                raise ValueError(f"{name} must be finite")
         self.sample_rate_hz = sample_rate_hz
         self.threshold_fraction = threshold_fraction
         self.onset = round(onset_ms * sample_rate_hz / 1000.0)
@@ -161,3 +169,16 @@ class StepDetector:
             events.extend(self._finalize_pending())
         self.reset_stream()
         return tuple(events)
+
+
+def segment_series(values, envelope_window: int, detector: StepDetector):
+    """The [start, end) steps of values, a 1-D float array, and the envelope
+    a fresh StreamingEnvelope of envelope_window readings takes of it; detector
+    is fed and flushed at the threshold the largest envelope value sets."""
+    envelope = StreamingEnvelope(envelope_window)
+    env = [v for x in values.tolist() for v in envelope.push(x)] + envelope.flush()
+    detector.recompute_threshold(max(env))
+    events = [ev for i, v in enumerate(env) for ev in detector.feed(v, i)]
+    # the events alternate STARTED, ENDED, one pair per step
+    bounds = [ev.index for ev in (*events, *detector.flush())]
+    return list(zip(bounds[::2], bounds[1::2])), env

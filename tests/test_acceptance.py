@@ -22,10 +22,9 @@ from gaitmp.evaluation import (
     threshold_grid,
 )
 from gaitmp.mp import brute_force_mp, matrix_profile_self
-from gaitmp.signal import SignalSelector, StreamingEnvelope, envelope_window_samples
-from gaitmp.steps import INITIAL_THRESHOLD, StepDetector
+from gaitmp.signal import SignalSelector, envelope_window_samples
+from gaitmp.steps import INITIAL_THRESHOLD, StepDetector, segment_series
 from oracle import envelope_by_definition, segments_by_definition
-from test_steps import segments_from_events
 
 
 def step_detector():
@@ -202,19 +201,13 @@ def test_criterion_7_batch_stream_segmentation_equality():
             env = envelope_by_definition(x, w)
             reference = StepDetector(rec.sample_rate_hz)
             reference.recompute_threshold(env.max())
-            expected = segments_by_definition(reference, env)
-            # the stream side runs the detector's layers: streaming envelope,
-            # then streaming segmentation at the same threshold
-            env_stream = StreamingEnvelope(w)
+            # the routine `gaitmp segment` and prime_history call: the
+            # detector's streaming envelope and segmenter over the series
             stream = StepDetector(rec.sample_rate_hz)
-            stream.threshold = reference.threshold
-            streamed = [v for value in x for v in env_stream.push(value)]
-            streamed.extend(env_stream.flush())
-            events = []
-            for i, v in enumerate(streamed):
-                events.extend(stream.feed(v, i))
-            events.extend(stream.flush())
-            assert segments_from_events(events) == expected
+            steps, streamed = segment_series(x, w, stream)
+            assert np.array_equal(streamed, env)
+            assert stream.threshold == reference.threshold
+            assert steps == segments_by_definition(reference, env)
             checked += 1
     print(f"criterion 7: PASS streaming equals the definition on {checked} fixtures")
 

@@ -1,10 +1,19 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from gaitmp.cli import main
-from gaitmp.dataset import LabeledSegment, load_annotations, load_recording, save_annotations
+from gaitmp.dataset import (
+    LabeledSegment,
+    Recording,
+    load_annotations,
+    load_recording,
+    save_annotations,
+    save_recording,
+)
 from gaitmp.detectors import AlarmEvent, NaiveDetectorConfig, TraceRecord, load_jsonl
 from gaitmp.signal import SignalSelector, envelope_window_samples
 from gaitmp.steps import StepDetector
@@ -405,6 +414,20 @@ class TestDetect:
         )
         assert result.exit_code == 0, result.output
 
+    def test_prime_with_no_step_is_usage_error(self, runner, tmp_path):
+        gen(runner, tmp_path / "rec")
+        flat = Recording(np.arange(400) / 100.0, np.zeros((400, 3)), np.zeros((400, 3)))
+        save_recording(flat, tmp_path / "flat.csv")
+        result = runner.invoke(
+            main,
+            ["detect", str(tmp_path / "rec" / "recording.csv"), "-o", str(tmp_path / "a.jsonl"),
+             "--prime", str(tmp_path / "flat.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "error: no step found in the reference" in result.output
+        assert not (tmp_path / "a.jsonl").exists()
+
     def test_prime_rejected_in_naive_mode(self, runner, tmp_path):
         gen(runner, tmp_path / "rec")
         result = runner.invoke(
@@ -614,4 +637,40 @@ class TestUsageErrors:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "args, line, setting",
+        [
+            (["segment", "{rec}", "--envelope-ms", "inf"], None, "window_ms"),
+            (["segment", "{rec}", "--onset-ms", "inf"], None, "onset_ms"),
+            (["segment", "{rec}", "--min-step-ms", "inf"], None, "min_step_ms"),
+            (["segment", "{rec}", "--release-ms", "nan"], None, "release_ms"),
+            (["generate", "-o", "{out}", "--period", "inf"], None, "step_period_s"),
+            (["generate", "-o", "{out}", "--rate", "inf"], None, "sample_rate_hz"),
+            (["generate", "-o", "{out}"], "lead_in_s = inf", "lead_in_s"),
+            (["generate", "-o", "{out}"], "tail_s = nan", "tail_s"),
+            (["detect", "{rec}", "-o", "{out}/a.jsonl", "--history-len", "inf"], None,
+             "history_len_s"),
+            (["detect", "{rec}", "-o", "{out}/a.jsonl", "--mode", "naive", "--history-len", "inf"],
+             None, "history_len_s"),
+            (["detect", "{rec}", "-o", "{out}/a.jsonl"], "envelope_window_ms = inf", "window_ms"),
+        ],
+        ids=["segment-envelope", "segment-onset", "segment-min-step", "segment-release-nan",
+             "generate-period", "generate-rate", "generate-lead-in", "generate-tail-nan",
+             "detect-history", "detect-naive-history", "detect-config-envelope"],
+    )
+    def test_setting_that_is_not_finite_is_usage_error(self, runner, tmp_path, args, line, setting):
+        gen(runner, tmp_path / "rec")
+        paths = {"rec": str(tmp_path / "rec" / "recording.csv"), "out": str(tmp_path / "out")}
+        argv = [a.format(**paths) for a in args]
+        if line is not None:
+            cfg = tmp_path / "x.cfg"
+            cfg.write_text(f"{line}\n")
+            argv += ["--config", str(cfg)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert re.search(rf"^error: .*\b{setting}\b.*finite", result.output, re.M), result.output
         assert not (tmp_path / "out").exists()

@@ -24,8 +24,9 @@ from gaitmp.detectors import (
 )
 from gaitmp.mp import DEFAULT_EPS, TimeSeries, distance_profile
 from gaitmp.signal import SensorSample, SignalSelector, envelope_window_samples
-from gaitmp.steps import INITIAL_THRESHOLD
-from oracle import envelope_by_definition
+from gaitmp.evaluation import match_alarms
+from gaitmp.steps import INITIAL_THRESHOLD, StepDetector
+from oracle import envelope_by_definition, segments_by_definition
 
 # a long History draw: past the 1,000-reading History of the default
 # step-gated config
@@ -41,6 +42,23 @@ def make_recording(kind="shape-replaced", seed=0):
         anomaly_kind=kind,
     )
     return generate(cfg)
+
+
+def primed_steps(values, cfg):
+    """The steps prime_history admits from values, by the definition, and
+    the envelope they were cut from."""
+    w = envelope_window_samples(cfg.envelope_window_ms, cfg.sample_rate_hz)
+    env = envelope_by_definition(values, w)
+    det = StepDetector(cfg.sample_rate_hz)
+    det.recompute_threshold(env.max())
+    return segments_by_definition(det, env), env
+
+
+def primed_admissions(steps):
+    return [
+        {"seq": k + 1, "sample_index": -1, "length": e - s, "provisional": False}
+        for k, (s, e) in enumerate(steps)
+    ]
 
 
 def ab_spans(truth):
@@ -447,10 +465,34 @@ class TestStepGatedBehavior:
         assert det._step.threshold == (0.5 * env.max() if scale else 1e-6)
         assert not det._history.chunks
 
-    def test_prime_history_rejects_short_reference(self):
+    def test_prime_history_rejects_a_reference_with_no_step(self):
         det = StepGatedDetector(StepSystemConfig())
-        with pytest.raises(ValueError):
-            det.prime_history(np.zeros(10))
+        with pytest.raises(ValueError, match="no step"):
+            det.prime_history(np.zeros(400))
+        assert det.admissions == []
+        assert det._history.chunks == []
+
+    def test_prime_history_keeps_the_trailing_whole_steps(self):
+        # a 40-step reference holds about four times History's cap: every
+        # step is admitted in order, and History keeps the trailing ones
+        ref, _ = generate(SynthConfig(n_normal_steps=40, n_anomalous_steps=0, rng_seed=3))
+        values = ref.project(SignalSelector()).values
+        cfg = StepSystemConfig()
+        steps, env = primed_steps(values, cfg)
+        assert len(steps) == 40 and values.size > 4 * cfg.history_len
+        det = StepGatedDetector(cfg)
+        det.prime_history(values)
+        assert det.admissions == primed_admissions(steps)
+        chunks = det._history.chunks
+        kept = steps[len(steps) - len(chunks) :]
+        for chunk, (s, e) in zip(chunks, kept):
+            assert np.array_equal(chunk.values, values[s:e])
+            assert chunk.env_max == env[s:e].max()
+            assert not chunk.provisional
+        total = sum(e - s for s, e in kept)
+        dropped = steps[len(steps) - len(chunks) - 1]
+        assert total <= cfg.history_len < total + dropped[1] - dropped[0]
+        assert det._step.threshold == 0.5 * max(c.env_max for c in chunks)
 
     def test_prime_history_rejects_a_non_finite_array_before_admitting(self):
         det = StepGatedDetector(StepSystemConfig())
@@ -466,18 +508,21 @@ class TestStepGatedBehavior:
         with pytest.raises(ValueError, match="50 Hz"):
             det.prime_history(slow.project(SignalSelector()))
         assert det.admissions == []
-        det.prime_history(rec.project(SignalSelector()))
-        assert det.admissions[0]["length"] == rec.n
+        values = rec.project(SignalSelector()).values
+        det.prime_history(values)
+        assert det.admissions == primed_admissions(primed_steps(values, det.cfg)[0])
 
     def test_prime_history_accepts_a_rate_read_from_timestamps(self):
         # 1/median(diff(t)) of a saved 60 Hz file lands a few 1e-9 off 60;
         # that is the same rate, and so is anything within UNIFORMITY_TOL
         ref, _ = generate(SynthConfig(n_normal_steps=8, n_anomalous_steps=0, sample_rate_hz=60.0))
         values = ref.project(SignalSelector()).values
+        steps = primed_steps(values, StepSystemConfig(sample_rate_hz=60.0))[0]
+        assert len(steps) == 8
         for rate in (60.0 * (1 + 2e-9), 60.0 * (1 - 2e-9), 60.3):
             det = StepGatedDetector(StepSystemConfig(sample_rate_hz=60.0))
             det.prime_history(TimeSeries(values, rate))
-            assert det.admissions[0]["length"] == values.size
+            assert det.admissions == primed_admissions(steps)
         with pytest.raises(ValueError, match="60.6 Hz, the detector at 60 Hz"):
             StepGatedDetector(StepSystemConfig(sample_rate_hz=60.0)).prime_history(
                 TimeSeries(values, 60.6)
@@ -495,15 +540,31 @@ class TestStepGatedBehavior:
         ref = rec.project(SignalSelector()).values[:400]
         det = StepGatedDetector(StepSystemConfig())
         det.prime_history(ref)
+        steps = primed_steps(ref, det.cfg)[0]
+        assert [e - s for s, e in steps] == [43, 43]
+        assert det.admissions == primed_admissions(steps)
         res = replay(det, rec)
-        assert det.admissions[0] == {
-            "seq": 1,
-            "sample_index": -1,
-            "length": 400,
-            "provisional": False,
-        }
+        assert not any(a["provisional"] for a in det.admissions)
         assert any(r.step_ordinal == 0 for r in det.trace)
         assert len(res.alarms) == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_priming_from_a_clean_recording_catches_a_leading_anomaly(self, seed):
+        # the anomalous steps come first, at noise 15, so only a primed
+        # History holds a normal step before them: primed with a clean walk
+        # of the same gait, both anomalous steps alarm and no normal one does
+        rec, truth = generate(
+            SynthConfig(n_normal_steps=10, n_anomalous_steps=2, anomaly_position=0,
+                        noise_std=15.0, rng_seed=seed)
+        )
+        ref, _ = generate(
+            SynthConfig(n_normal_steps=20, n_anomalous_steps=0, noise_std=15.0,
+                        rng_seed=10000 + seed)
+        )
+        det = StepGatedDetector(StepSystemConfig())
+        det.prime_history(ref.project(SignalSelector()))
+        counts = match_alarms(replay(det, rec).alarms, truth)
+        assert (counts.tp, counts.fp) == (2, 0)
 
     def test_idle_buffers_stay_bounded(self):
         # readings before the bootstrap horizon are dropped in batches: the
