@@ -29,7 +29,6 @@ from .evaluation import (
     evaluate_recordings,
     real_time_factor,
     report_to_dict,
-    threshold_grid,
     write_earliness_csv,
     write_f1_csv,
     write_roc_csv,
@@ -52,9 +51,9 @@ from .steps import (
 DEFAULT_SIGNAL = str(SignalSelector())
 
 
-def _fail(message: str, code: int = 2) -> None:
+def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
 def _load_recording(path) -> ds.Recording:
@@ -311,10 +310,10 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
     multiple=True,
     help="History length in seconds; repeat for several ROC families.",
 )
-@click.option("--grid-points", type=click.IntRange(min=2), default=101, show_default=True)
 @click.option("--rtf-runs", type=click.IntRange(min=1), default=5, show_default=True)
-def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
-    """Score recording directories (recording.csv + annotations.csv each)."""
+def evaluate(inputs, out, mode, signal, history_lens, rtf_runs):
+    """Score recording directories (recording.csv + annotations.csv each) at
+    101 thresholds from 1 down to 0."""
     _parse_signal(signal)  # a bad selector fails before any recording loads
     folders = [Path(d) for d in inputs]
     names = [f.name for f in folders]
@@ -344,13 +343,12 @@ def evaluate(inputs, out, mode, signal, history_lens, grid_points, rtf_runs):
         _fail(str(exc))
 
     families = []
-    grid = threshold_grid(grid_points)
     for hl in lens:
         def make_detector(hl=hl):
             return _detector(mode, rate, history_len_s=hl, signal=signal)
         history_len_s = hl if hl is not None else _MODES[mode].history_len_s
         try:
-            report = evaluate_recordings(pairs, make_detector, thresholds=grid, rtf_runs=rtf_runs)
+            report = evaluate_recordings(pairs, make_detector, rtf_runs=rtf_runs)
         except (DataError, ValueError) as exc:
             _fail(str(exc))
         suffix = "" if len(lens) == 1 else f"-h{history_len_s:g}"

@@ -45,8 +45,6 @@ INGEST_BLOCK = 1024
 
 @dataclass(frozen=True)
 class RecordingMeta:
-    subject_id: str = "synthetic"
-    pathology_label: str = "synthetic"
     recording_id: str = "r000"
 
 
@@ -67,10 +65,6 @@ class LabeledSegment:
     @property
     def is_anomalous(self) -> bool:
         return self.label == LABEL_AB
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
 
 def validate_segments(segments: list[LabeledSegment]) -> list[LabeledSegment]:
@@ -258,8 +252,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_normal_steps < 0 or self.n_anomalous_steps < 0:
             raise ValueError("step counts must be non-negative")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not (0 <= self.noise_std < math.inf):
+            raise ValueError("noise_std must be non-negative and finite")
         if self.anomaly_kind not in ANOMALY_KINDS:
             raise ValueError(f"anomaly_kind must be one of {ANOMALY_KINDS}")
         if not (0 < self.sample_rate_hz < math.inf and 0 < self.step_period_s < math.inf):

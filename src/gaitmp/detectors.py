@@ -40,7 +40,8 @@ Alarms and score rows are AlarmEvent and TraceRecord NamedTuples, so they
 unpack and compare like tuples. A push that raises (a reading whose
 projection is not finite raises DataError) leaves the detector unchanged:
 the rejected reading takes no sample_index, and the next reading gets the
-one it would have had.
+one it would have had. A step-gated flush ends the stream: a push after it
+raises ValueError before any state changes.
 
 History admission rules for the step-gated detector, chosen so a freshly
 started system cannot alarm on silence and consecutive anomalies stay
@@ -407,6 +408,7 @@ class StepGatedDetector:
         self._step_ordinal = -1
         self._step_peak = 0.0
         self._seq = 0
+        self._ended = False
         self.trace: list[TraceRecord] = []
         self.step_events: list[dict] = []
         self.admissions: list[dict] = []
@@ -489,20 +491,23 @@ class StepGatedDetector:
     # -- streaming ---------------------------------------------------------
 
     def push(self, sample: SensorSample) -> tuple[AlarmEvent, ...]:
+        if self._ended:
+            raise ValueError("push after flush: the stream has ended")
         value = project(sample, self._signal)
         # the envelope validates the value before any state changes, so a
         # push that raises leaves the detector as it was
-        finished = self._env_stream.push(value)
+        env_value = self._env_stream.push(value)
         raw_i = self._raw_count
         self._raw_count = raw_i + 1
         self._sig.append(value)
-        if not finished:
+        if env_value is None:
             return ()
-        # a push finalizes at most one envelope value
-        return self._absorb_env(finished[0], raw_i)
+        return self._absorb_env(env_value, raw_i)
 
     def flush(self) -> tuple[AlarmEvent, ...]:
-        """Drain the envelope lag and settle open segmentation state."""
+        """Drain the envelope lag, settle open segmentation state and end
+        the stream: a later push raises ValueError."""
+        self._ended = True
         raw_i = max(0, self._raw_count - 1)
         alarms: list[AlarmEvent] = []
         for env_value in self._env_stream.flush():
@@ -518,7 +523,7 @@ class StepGatedDetector:
         if env_value > self._env_max_seen:
             self._env_max_seen = env_value
 
-        for ev in self._step.feed(env_value, i):
+        for ev in self._step.feed(env_value):
             self._on_step_event(ev, raw_i)
 
         if self._in_step:
@@ -595,7 +600,6 @@ class ReplayResult:
     alarms: list[AlarmEvent]
     trace: list[TraceRecord]
     wall_s: float
-    detector: object
 
 
 def replay(detector, recording) -> ReplayResult:
@@ -619,7 +623,7 @@ def replay(detector, recording) -> ReplayResult:
         alarms.extend(detector.push(x))
     alarms.extend(detector.flush())
     wall = time.perf_counter() - t0
-    return ReplayResult(alarms, list(detector.trace), wall, detector)
+    return ReplayResult(alarms, list(detector.trace), wall)
 
 
 def alarms_from_trace(

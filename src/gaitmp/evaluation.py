@@ -6,7 +6,9 @@ falls outside every labeled segment counts as one false positive on its own.
 
 The ROC machinery expects one detector pass per recording with the score
 trace retained; thresholds are applied post hoc (see alarms_from_trace),
-which keeps sweeps deterministic and cheap.
+which keeps sweeps deterministic and cheap. evaluate_recordings sweeps one
+fixed grid, threshold_grid: DEFAULT_GRID_POINTS (101) thresholds from 1 down
+to 0 in steps of 0.01.
 """
 
 from __future__ import annotations
@@ -105,18 +107,9 @@ def f1(c: ConfusionCounts) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def threshold_grid(n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Strictly decreasing thresholds from 1 to 0."""
-    return np.linspace(1.0, 0.0, n)
-
-
-def _check_thresholds(thresholds) -> np.ndarray:
-    t = np.asarray(thresholds, dtype=np.float64)
-    if t.size < 2 or np.any(np.diff(t) >= 0):
-        raise ValueError("thresholds must be strictly decreasing")
-    if t[0] > 1.0 or t[-1] < 0.0:
-        raise ValueError("thresholds must lie within [0, 1]")
-    return t
+def threshold_grid() -> np.ndarray:
+    """DEFAULT_GRID_POINTS strictly decreasing thresholds from 1 to 0."""
+    return np.linspace(1.0, 0.0, DEFAULT_GRID_POINTS)
 
 
 def roc_curve(thresholds, counts: list[ConfusionCounts]) -> tuple[list[RocPoint], float]:
@@ -126,7 +119,11 @@ def roc_curve(thresholds, counts: list[ConfusionCounts]) -> tuple[list[RocPoint]
     thresholds[j]. The curve is anchored at the (0,0) and (1,1) corners for
     the area computation.
     """
-    grid = _check_thresholds(thresholds)
+    grid = np.asarray(thresholds, dtype=np.float64)
+    if grid.size < 2 or np.any(np.diff(grid) >= 0):
+        raise ValueError("thresholds must be strictly decreasing")
+    if grid[0] > 1.0 or grid[-1] < 0.0:
+        raise ValueError("thresholds must lie within [0, 1]")
     if len(counts) != grid.size:
         raise ValueError("need one set of confusion counts per threshold")
     if counts[0].tp + counts[0].fn == 0:
@@ -184,8 +181,6 @@ def real_time_factor(make_detector, recording, runs: int = 5) -> float:
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    if recording.n == 0:
-        raise ValueError("empty recording")
     duration = recording.n / recording.sample_rate_hz
     ratios = []
     for _ in range(runs):
@@ -198,11 +193,10 @@ def evaluate_recordings(
     pairs,
     make_detector,
     *,
-    thresholds=None,
     measure_rtf: bool = True,
     rtf_runs: int = 5,
 ) -> EvaluationReport:
-    """Run one detector pass per (recording, truth) pair and sweep thresholds.
+    """Run one detector pass per (recording, truth) pair and sweep threshold_grid.
 
     The report is canonical: recordings are sorted by id, so feeding the same
     pairs in any order produces an identical report. The operating point for
@@ -216,7 +210,7 @@ def evaluate_recordings(
     pairs = list(pairs)
     for _, truth in pairs:
         validate_segments(truth)
-    grid = _check_thresholds(threshold_grid() if thresholds is None else thresholds)
+    grid = threshold_grid()
     entries = []
     longest = None
     for k, (rec, truth) in enumerate(pairs):
@@ -248,9 +242,7 @@ def evaluate_recordings(
         alarms = alarms_from_trace(trace, float(grid[j_opt]), fs)
         per_recording.append(RecordingResult(rid, c, f1(c), earliness(alarms, truth, fs)))
 
-    rtf = None
-    if measure_rtf and longest is not None:
-        rtf = real_time_factor(make_detector, longest, runs=rtf_runs)
+    rtf = real_time_factor(make_detector, longest, runs=rtf_runs) if measure_rtf else None
 
     return EvaluationReport(
         per_recording=tuple(per_recording),

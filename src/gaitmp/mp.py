@@ -70,14 +70,6 @@ class TimeSeries:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.n / self.sample_rate_hz
-
 
 @dataclass
 class MatrixProfileResult:
@@ -100,8 +92,6 @@ class MatrixProfileResult:
 
 
 def _values(series) -> np.ndarray:
-    if isinstance(series, TimeSeries):
-        return series.values
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D sequence of samples")

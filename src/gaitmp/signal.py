@@ -110,8 +110,9 @@ class StreamingEnvelope:
     The value at position i is the largest |x[j]| for j in
     [i - (w-1)//2, i + w//2], truncated at both ends of the stream, so there
     is one value per reading and no phase lag. Position i needs w//2 future
-    readings before it is final, so push(x_k) finalizes position k - w//2
-    (when that exists) and flush() drains the right-truncated tail.
+    readings before it is final, so push(x_k) returns the value of position
+    k - w//2, or None while that position does not exist yet, and flush()
+    returns the right-truncated tail's values.
 
     The window maximum comes from a monotonic deque of (index, |value|)
     pairs whose values strictly decrease from front to back: a new value
@@ -131,16 +132,8 @@ class StreamingEnvelope:
         if self.window_samples < 1:
             raise ValueError("window_samples must be >= 1")
 
-    @property
-    def left(self) -> int:
-        return (self.window_samples - 1) // 2
-
-    @property
-    def right(self) -> int:
-        return self.window_samples // 2
-
-    def push(self, value: float) -> list[float]:
-        """Absorb one sample; return the envelope values finalized by it."""
+    def push(self, value: float) -> float | None:
+        """Absorb one sample; return the envelope value it finalizes, if any."""
         if not math.isfinite(value):
             raise DataError("non-finite sample in envelope stream")
         v = abs(float(value))
@@ -156,15 +149,15 @@ class StreamingEnvelope:
             buf.popleft()
         if k >= self._next_out + w // 2:
             self._next_out += 1
-            return [buf[0][1]]
-        return []
+            return buf[0][1]
+        return None
 
     def flush(self) -> list[float]:
         """Finalize the trailing positions whose windows ran past the end."""
         out = []
         buf = self._buf
         while self._next_out < self._next_in:
-            first = self._next_out - self.left
+            first = self._next_out - (self.window_samples - 1) // 2
             while buf[0][0] < first:
                 buf.popleft()
             out.append(buf[0][1])

@@ -7,13 +7,15 @@ shorter than a minimum duration are discarded as noise.
 
 StepDetector segments a stream one envelope sample at a time (feed, then
 flush at the end), and reports each step as a STARTED and an ENDED event
-over the half-open range [start, end). It defers each event until its
-outcome is settled, so the steps it reports are exactly those of the
-definition above applied to the whole stream: a STARTED event is held back
-until the step is guaranteed to survive the duration filter, and an ENDED
-event until no future rise can merge into the step. Both may carry indices
-behind the current stream position. segment_series segments a whole series
-at one threshold; `gaitmp segment` and StepGatedDetector.prime_history call it.
+over the half-open range [start, end). An event's index counts the samples
+fed since construction or the last flush, so a flush starts a new stream at
+0. It defers each event until its outcome is settled, so the steps it
+reports are exactly those of the definition above applied to the whole
+stream: a STARTED event is held back until the step is guaranteed to survive
+the duration filter, and an ENDED event until no future rise can merge into
+the step. Both may carry indices behind the current stream position.
+segment_series segments a whole series at one threshold; `gaitmp segment`
+and StepGatedDetector.prime_history call it.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ class StepDetector:
         for name, ms in offsets.items():
             if not math.isfinite(ms):
                 raise ValueError(f"{name} must be finite")
-        self.sample_rate_hz = sample_rate_hz
         self.threshold_fraction = threshold_fraction
         self.onset = round(onset_ms * sample_rate_hz / 1000.0)
         self.release = round(release_ms * sample_rate_hz / 1000.0)
@@ -109,11 +110,12 @@ class StepDetector:
         self._started_emitted = False
         return events
 
-    def feed(self, envelope_sample: float, index: int) -> tuple[StepEvent, ...]:
-        """Advance one envelope sample; may return 0..3 settled events."""
-        if index != self._next_index:
-            raise ValueError(f"expected index {self._next_index}, got {index}")
-        self._next_index += 1
+    def feed(self, envelope_sample: float) -> tuple[StepEvent, ...]:
+        """Advance one envelope sample; may return 0..3 settled events. The
+        sample's index is the count of samples fed since construction or the
+        last flush."""
+        index = self._next_index
+        self._next_index = index + 1
         if self._phase == "idle" and envelope_sample <= self.threshold:
             # nothing is open and nothing starts
             return ()
@@ -176,9 +178,9 @@ def segment_series(values, envelope_window: int, detector: StepDetector):
     a fresh StreamingEnvelope of envelope_window readings takes of it; detector
     is fed and flushed at the threshold the largest envelope value sets."""
     envelope = StreamingEnvelope(envelope_window)
-    env = [v for x in values.tolist() for v in envelope.push(x)] + envelope.flush()
+    env = [v for v in map(envelope.push, values.tolist()) if v is not None] + envelope.flush()
     detector.recompute_threshold(max(env))
-    events = [ev for i, v in enumerate(env) for ev in detector.feed(v, i)]
+    events = [ev for v in env for ev in detector.feed(v)]
     # the events alternate STARTED, ENDED, one pair per step
     bounds = [ev.index for ev in (*events, *detector.flush())]
     return list(zip(bounds[::2], bounds[1::2])), env

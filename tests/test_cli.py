@@ -621,10 +621,11 @@ class TestUsageErrors:
             ["detect", "{rec}", "-o", "{out}/a.jsonl", "--signal", "both:l2"],
             ["detect", "{rec}", "-o", "{out}/a.jsonl", "--mode", "naive", "--signal", "both:l2"],
             ["segment", "{rec}", "--envelope-ms", "0"],
-            ["evaluate", "{dir}", "-o", "{out}", "--grid-points", "-1"],
+            # the grid is fixed at 101 points, so there is no flag to set it
+            ["evaluate", "{dir}", "-o", "{out}", "--grid-points", "101"],
         ],
         ids=["bench-runs-0", "evaluate-rtf-runs-0", "segment-both", "mp-both", "bench-both",
-             "detect-both", "detect-naive-both", "segment-envelope-0", "evaluate-grid-points--1"],
+             "detect-both", "detect-naive-both", "segment-envelope-0", "evaluate-no-grid-points"],
     )
     def test_exit_2_without_traceback(self, runner, tmp_path, args):
         gen(runner, tmp_path / "rec")
@@ -650,6 +651,9 @@ class TestUsageErrors:
             (["generate", "-o", "{out}", "--rate", "inf"], None, "sample_rate_hz"),
             (["generate", "-o", "{out}"], "lead_in_s = inf", "lead_in_s"),
             (["generate", "-o", "{out}"], "tail_s = nan", "tail_s"),
+            (["generate", "-o", "{out}", "--noise", "nan"], None, "noise_std"),
+            (["generate", "-o", "{out}", "--noise", "inf"], None, "noise_std"),
+            (["generate", "-o", "{out}"], "noise_std = nan", "noise_std"),
             (["detect", "{rec}", "-o", "{out}/a.jsonl", "--history-len", "inf"], None,
              "history_len_s"),
             (["detect", "{rec}", "-o", "{out}/a.jsonl", "--mode", "naive", "--history-len", "inf"],
@@ -658,6 +662,7 @@ class TestUsageErrors:
         ],
         ids=["segment-envelope", "segment-onset", "segment-min-step", "segment-release-nan",
              "generate-period", "generate-rate", "generate-lead-in", "generate-tail-nan",
+             "generate-noise-nan", "generate-noise-inf", "generate-config-noise-nan",
              "detect-history", "detect-naive-history", "detect-config-envelope"],
     )
     def test_setting_that_is_not_finite_is_usage_error(self, runner, tmp_path, args, line, setting):

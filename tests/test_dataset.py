@@ -243,8 +243,8 @@ class TestGenerator:
         ab = [s for s in segs if s.is_anomalous]
         assert len(ab) == 2
         if kind == "time-warped":
-            ok_len = next(s.length for s in segs if not s.is_anomalous)
-            assert all(s.length == round(1.6 * 45) for s in ab)
+            ok_len = next(s.end - s.start for s in segs if not s.is_anomalous)
+            assert all(s.end - s.start == round(1.6 * 45) for s in ab)
             assert ok_len == 45
 
     def test_recording_round_trips_through_files(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -621,6 +622,24 @@ class TestStepGatedBehavior:
         assert runs[0][0] and runs[0][3]
         assert runs[1] == runs[0]
 
+    def test_a_push_after_flush_raises_and_changes_nothing(self):
+        # flush ends the stream: the next push raises before any state changes.
+        # 900 readings pass the 3 s bootstrap horizon, so steps are segmented,
+        # admitted and scored before the flush
+        samples = make_recording()[0].samples
+        runs = []
+        for push_after_flush in (False, True):
+            det = StepGatedDetector(StepSystemConfig())
+            for s in samples[:900]:
+                det.push(s)
+            det.flush()
+            if push_after_flush:
+                with pytest.raises(ValueError, match="flush"):
+                    det.push(samples[900])
+            runs.append((det._raw_count, det.trace, det.admissions, det.step_events))
+        assert runs[0][0] == 900 and all(runs[0][1:])
+        assert runs[1] == runs[0]
+
 
 class TestRecords:
     @pytest.mark.parametrize(
@@ -703,6 +722,13 @@ class PerChunkHistory:
         return best
 
 
+class Run(NamedTuple):
+    """A replayed detector and the alarms its replay raised."""
+
+    detector: StepGatedDetector
+    alarms: list
+
+
 def replay_both(rec, cfg, reference=None):
     fast = StepGatedDetector(cfg)
     slow = StepGatedDetector(cfg)
@@ -710,7 +736,7 @@ def replay_both(rec, cfg, reference=None):
     if reference is not None:
         fast.prime_history(reference)
         slow.prime_history(reference)
-    return replay(fast, rec), replay(slow, rec)
+    return Run(fast, replay(fast, rec).alarms), Run(slow, replay(slow, rec).alarms)
 
 
 def assert_same_run(fast, slow):
@@ -719,9 +745,9 @@ def assert_same_run(fast, slow):
     assert fast.detector.admissions == slow.detector.admissions
     assert fast.detector.step_events == slow.detector.step_events
     row = lambda r: (r.sample_index, r.query_index, r.step_ordinal, r.query_len)  # noqa: E731
-    assert [row(r) for r in fast.trace] == [row(r) for r in slow.trace]
-    scores = np.array([r.score for r in fast.trace])
-    expected = np.array([r.score for r in slow.trace])
+    assert [row(r) for r in fast.detector.trace] == [row(r) for r in slow.detector.trace]
+    scores = np.array([r.score for r in fast.detector.trace])
+    expected = np.array([r.score for r in slow.detector.trace])
     np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-9)
     assert fast.detector._history.buffer.size == slow.detector._history.buffer.size
     assert [c.values.size for c in fast.detector._history.chunks] == [
@@ -773,7 +799,7 @@ class TestContiguousHistoryMatchesPerChunkScoring:
     def test_replay(self, kind, seed):
         rec, _ = make_recording(kind, seed)
         fast, slow = replay_both(rec, StepSystemConfig())
-        assert fast.trace and fast.detector.admissions
+        assert fast.detector.trace and fast.detector.admissions
         assert_same_run(fast, slow)
 
     @pytest.mark.parametrize("history_len_s", [0.6, 1.5])

@@ -22,9 +22,7 @@ def stream_envelope(values, w=10):
     """Every envelope value a StreamingEnvelope of w samples emits, flush
     included; w = 10 is the default 100 ms window at 100 Hz."""
     se = StreamingEnvelope(window_samples=w)
-    out = []
-    for v in values:
-        out.extend(se.push(v))
+    out = [e for e in map(se.push, values) if e is not None]
     out.extend(se.flush())
     return np.array(out)
 
@@ -146,16 +144,16 @@ class TestStreamingEnvelope:
 
     def test_emission_lag_is_half_window(self):
         se = StreamingEnvelope(window_samples=10)
-        emitted = [len(se.push(1.0)) for _ in range(20)]
+        emitted = [se.push(1.0) for _ in range(20)]
         # nothing before the 6th sample (right span w//2 = 5), then 1:1
-        assert emitted[:5] == [0] * 5
-        assert emitted[5:] == [1] * 15
+        assert emitted[:5] == [None] * 5
+        assert emitted[5:] == [1.0] * 15
         assert len(se.flush()) == 5
 
     def test_short_stream_all_from_flush(self):
         se = StreamingEnvelope(window_samples=10)
-        assert se.push(2.0) == []
-        assert se.push(-3.0) == []
+        assert se.push(2.0) is None
+        assert se.push(-3.0) is None
         assert se.flush() == [3.0, 3.0]
 
     def test_empty_flush(self):

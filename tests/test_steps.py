@@ -53,9 +53,7 @@ def segments_from_events(events):
 
 
 def stream_segments(det, env):
-    events = []
-    for i, v in enumerate(env):
-        events.extend(det.feed(v, i))
+    events = [ev for v in env for ev in det.feed(v)]
     events.extend(det.flush())
     return segments_from_events(events), events
 
@@ -179,11 +177,18 @@ class TestStreaming:
         segs, events = stream_segments(det, np.ones(200))
         assert events == [] and segs == []
 
-    def test_out_of_order_index_rejected(self):
+    def test_flush_restarts_the_count(self):
+        # the stream ends inside the last pulse, so flush settles an open step
+        env = pulse_train()[0][:505]
+        fresh = detector()
+        fresh.threshold = 100.0
+        expected = stream_segments(fresh, env)[1]
         det = detector()
-        det.feed(0.0, 0)
-        with pytest.raises(ValueError):
-            det.feed(0.0, 2)
+        det.threshold = 100.0
+        stream_segments(det, env)
+        again = stream_segments(det, env)[1]
+        assert again == expected
+        assert len(expected) == 10
 
     def test_started_deferred_until_survival_is_certain(self):
         det = detector(onset_ms=0.0, release_ms=0.0, min_step_ms=150.0)
@@ -192,7 +197,7 @@ class TestStreaming:
         env[20:60] = 5.0
         emitted_at = {}
         for i, v in enumerate(env):
-            for ev in det.feed(v, i):
+            for ev in det.feed(v):
                 emitted_at[ev] = i
         det.flush()
         started = StepEvent("started", 20)
