@@ -40,8 +40,9 @@ Alarms and score rows are AlarmEvent and TraceRecord NamedTuples, so they
 unpack and compare like tuples. A push that raises (a reading whose
 projection is not finite raises DataError) leaves the detector unchanged:
 the rejected reading takes no sample_index, and the next reading gets the
-one it would have had. A step-gated flush ends the stream: a push after it
-raises ValueError before any state changes.
+one it would have had. In both detectors flush ends the stream: a push
+after it raises ValueError before any state changes, and a second flush
+does nothing more.
 
 History admission rules for the step-gated detector, chosen so a freshly
 started system cannot alarm on silence and consecutive anomalies stay
@@ -187,9 +188,12 @@ class NaiveDetector:
         self._block: list[float] = []
         self._count = 0
         self._due = config.warmup
+        self._ended = False
         self.trace: list[TraceRecord] = []
 
     def push(self, value: float) -> tuple[AlarmEvent, ...]:
+        if self._ended:
+            raise ValueError("push after flush: the stream has ended")
         self._block.append(float(value))
         self._count += 1
         if self._count < self._due:
@@ -227,6 +231,8 @@ class NaiveDetector:
         return ()
 
     def flush(self) -> tuple[AlarmEvent, ...]:
+        """End the stream: a later push raises ValueError."""
+        self._ended = True
         return ()
 
 
@@ -632,7 +638,7 @@ def alarms_from_trace(
     """Re-threshold a scored trace; reproduces online alarms exactly.
 
     Step-mode records latch one alarm per step ordinal (first crossing);
-    naive records alarm at every crossing.
+    naive records alarm on every row above the threshold.
     """
     alarms = []
     latched: int | None = None

@@ -5,10 +5,14 @@ as one true positive however many alarms land inside it, and an alarm that
 falls outside every labeled segment counts as one false positive on its own.
 
 The ROC machinery expects one detector pass per recording with the score
-trace retained; thresholds are applied post hoc (see alarms_from_trace),
-which keeps sweeps deterministic and cheap. evaluate_recordings sweeps one
-fixed grid, threshold_grid: DEFAULT_GRID_POINTS (101) thresholds from 1 down
-to 0 in steps of 0.01.
+trace retained; thresholds are applied post hoc, which keeps sweeps
+deterministic and cheap. alarms_from_trace and match_alarms are the
+per-threshold definition: re-threshold the trace, then count.
+evaluate_recordings sweeps one fixed grid, threshold_grid: DEFAULT_GRID_POINTS (101) thresholds
+from 1 down to 0 in steps of 0.01. It counts every threshold in one pass over
+each step's strict prefix-max records, the only rows that can be a step's
+first above any threshold (in naive mode every row is a record), and gives
+the same counts as the definition.
 """
 
 from __future__ import annotations
@@ -37,14 +41,6 @@ class ConfusionCounts:
     def __post_init__(self):
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("confusion counts must be non-negative")
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.tn + other.tn,
-        )
 
 
 @dataclass(frozen=True)
@@ -97,6 +93,51 @@ def match_alarms(
             fp, tn = (fp + 1, tn) if hit else (fp, tn + 1)
     fp += len(idx) - covered
     return ConfusionCounts(tp, fp, fn, tn)
+
+
+def _sweep_counts(trace, truth: list[LabeledSegment], grid: np.ndarray) -> np.ndarray:
+    """(tp, fp, fn, tn) of one recording at each threshold of grid, one row
+    per threshold: row j equals
+    match_alarms(alarms_from_trace(trace, grid[j], fs), truth).
+
+    trace is one detector's, in push order, so sample_index never falls and
+    a step's rows are contiguous; its rows are naive when step_ordinal is
+    None. A step alarms at its first row above the threshold, which is
+    always one of the step's strict prefix-max records; a record fires at
+    theta when it is above theta and the step's previous record is not. A
+    naive row is a record with no previous one, so it fires whenever it is
+    above theta.
+    """
+    index, _, ordinal, _, score = tuple(zip(*trace)) or ((),) * 5
+    index = np.array(index, dtype=np.int64)
+    score = np.array(score, dtype=np.float64)
+    prev = np.full(score.size, -np.inf)
+    if score.size and ordinal[0] is not None:
+        # score ranks offset by step, so one running max spans every step
+        # yet never carries a score from one step into the next
+        ordinal = np.array(ordinal)
+        new_step = np.diff(ordinal, prepend=ordinal[0] - 1) != 0
+        _, rank = np.unique(score, return_inverse=True)
+        key = (np.cumsum(new_step) - 1) * score.size + rank
+        # the running max rises exactly at each strict record
+        record = np.diff(np.maximum.accumulate(key), prepend=-1) > 0
+        index, score, new_step = index[record], score[record], new_step[record]
+        prev = np.concatenate(([-np.inf], score[:-1]))
+        prev[new_step] = -np.inf
+    th = grid[:, None]
+    fires = np.zeros((grid.size, score.size + 1), dtype=np.int32)
+    np.cumsum((score > th) & (prev <= th), axis=1, out=fires[:, 1:])
+    starts = np.searchsorted(index, [s.start for s in truth])
+    ends = np.searchsorted(index, [s.end for s in truth])
+    inside = fires[:, ends] - fires[:, starts]
+    hit = inside > 0
+    anomalous = np.array([s.is_anomalous for s in truth], dtype=bool)
+    tp = hit[:, anomalous].sum(axis=1)
+    normal_hits = hit[:, ~anomalous].sum(axis=1)
+    fp = normal_hits + fires[:, -1] - inside.sum(axis=1)
+    return np.stack(
+        [tp, fp, anomalous.sum() - tp, (~anomalous).sum() - normal_hits], axis=1
+    )
 
 
 def f1(c: ConfusionCounts) -> float:
@@ -198,8 +239,13 @@ def evaluate_recordings(
 ) -> EvaluationReport:
     """Run one detector pass per (recording, truth) pair and sweep threshold_grid.
 
-    The report is canonical: recordings are sorted by id, so feeding the same
-    pairs in any order produces an identical report. The operating point for
+    Each recording's counts at every threshold come from one pass over its
+    steps' prefix-max records (naive rows are all records), equal to
+    match_alarms(alarms_from_trace(...)) at each threshold, the
+    per-threshold definition; alarms_from_trace runs only at the optimal
+    threshold, for earliness. The report is canonical: recordings are
+    sorted by id, so feeding the same pairs in any order produces an
+    identical report. The operating point for
     the per-recording numbers and the aggregate F1 is the Youden-optimal
     threshold of the pooled ROC. With measure_rtf, rtf_runs must be at least
     1; that, and that no truth list has overlapping segments, is checked
@@ -217,9 +263,7 @@ def evaluate_recordings(
         det = make_detector()
         res = replay(det, rec)
         fs = rec.sample_rate_hz
-        counts = [
-            match_alarms(alarms_from_trace(res.trace, float(th), fs), truth) for th in grid
-        ]
+        counts = _sweep_counts(res.trace, truth, grid)
         rid = rec.meta.recording_id if rec.meta is not None else f"unnamed-{k:04d}"
         entries.append((rid, truth, fs, res.trace, counts))
         if longest is None or rec.n > longest.n:
@@ -228,17 +272,14 @@ def evaluate_recordings(
         raise ValueError("no recordings to evaluate")
     entries.sort(key=lambda e: e[0])
 
-    pooled = [
-        sum((e[4][j] for e in entries), ConfusionCounts(0, 0, 0, 0))
-        for j in range(len(grid))
-    ]
+    pooled = [ConfusionCounts(*map(int, row)) for row in sum(e[4] for e in entries)]
     points, auc = roc_curve(grid, pooled)
     theta = optimal_threshold(points)
     j_opt = int(np.argmin(np.abs(grid - theta)))
 
     per_recording = []
     for rid, truth, fs, trace, counts in entries:
-        c = counts[j_opt]
+        c = ConfusionCounts(*map(int, counts[j_opt]))
         alarms = alarms_from_trace(trace, float(grid[j_opt]), fs)
         per_recording.append(RecordingResult(rid, c, f1(c), earliness(alarms, truth, fs)))
 

@@ -159,6 +159,25 @@ class TestNaiveDetector:
         det = NaiveDetector(NaiveDetectorConfig(), 100.0)
         assert det.flush() == ()
 
+    def test_a_push_after_flush_raises_and_changes_nothing(self):
+        # the step-gated rule: flush ends the stream, a later push raises
+        # before any state changes, and a second flush is harmless
+        values = np.sin(np.arange(400) * 0.3)
+        runs = []
+        for push_after_flush in (False, True):
+            det = NaiveDetector(NaiveDetectorConfig(), 100.0)
+            for v in values[:300]:
+                det.push(v)
+            det.flush()
+            if push_after_flush:
+                for v in values[300:]:
+                    with pytest.raises(ValueError, match="flush"):
+                        det.push(v)
+                assert det.flush() == ()
+            runs.append((det._count, det._block, det._readings.tolist(), det.trace))
+        assert runs[0][0] == 300 and runs[0][3]
+        assert runs[1] == runs[0]
+
     @pytest.mark.parametrize("signal", ["gyro:linf", "accel:l2", "gyro:x"])
     def test_replay_reads_the_configured_signal(self, signal):
         rec, _ = make_recording()

@@ -1,17 +1,30 @@
 import csv
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitmp.dataset import LabeledSegment, SynthConfig, generate
-from gaitmp.detectors import AlarmEvent, StepGatedDetector, StepSystemConfig
+from gaitmp.detectors import (
+    AlarmEvent,
+    NaiveDetector,
+    NaiveDetectorConfig,
+    StepGatedDetector,
+    StepSystemConfig,
+    TraceRecord,
+    alarms_from_trace,
+    replay,
+)
 from gaitmp.errors import DataError
 from gaitmp.evaluation import (
     ConfusionCounts,
+    EvaluationReport,
+    RecordingResult,
     RocPoint,
+    _sweep_counts,
     earliness,
     evaluate_recordings,
     f1,
@@ -48,10 +61,6 @@ class TestConfusionCounts:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ConfusionCounts(1, -1, 0, 0)
-
-    def test_addition(self):
-        total = ConfusionCounts(1, 2, 3, 4) + ConfusionCounts(10, 20, 30, 40)
-        assert total == ConfusionCounts(11, 22, 33, 44)
 
 
 class TestMatchAlarms:
@@ -99,6 +108,74 @@ class TestMatchAlarms:
         hit = [any(s.start <= i < s.end for i in alarm_idx) for s in segments]
         assert c.tp == sum(h for s, h in zip(segments, hit) if s.is_anomalous)
         assert c.fp == sum(h for s, h in zip(segments, hit) if not s.is_anomalous) + strays
+
+
+GRID = threshold_grid()
+# scores exactly on thresholds, where "above" and "at" part
+ON_GRID = st.sampled_from([0.0, 0.35, 0.5, 1.0, *GRID.tolist()])
+
+
+@st.composite
+def traces(draw):
+    """One detector's trace: sample_index never falls, several rows may
+    share one (flush rows do), and a step's rows are contiguous; naive rows
+    have no step ordinal."""
+    naive = draw(st.booleans())
+    index, ordinal, rows = draw(st.integers(0, 40)), draw(st.integers(0, 3)), []
+    plan = st.tuples(st.integers(0, 25), st.integers(0, 3), ON_GRID | st.floats(0.0, 1.0))
+    for hop, step_gap, score in draw(st.lists(plan, max_size=40)):
+        index += hop
+        ordinal += step_gap // 2
+        rows.append(TraceRecord(index, index, None if naive else ordinal, 25, score))
+    return rows
+
+
+@st.composite
+def truths(draw):
+    """Segments with gaps (zero gaps make adjacent segments) before, between
+    and after them, all anomalous or all normal as often as mixed."""
+    plan = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 60)), max_size=8)
+    kind = draw(st.sampled_from(["mixed", "ab", "ok"]))
+    segments, cursor = [], 0
+    for gap, length in draw(plan):
+        cursor += gap
+        label = draw(st.sampled_from(["ab", "ok"])) if kind == "mixed" else kind
+        segments.append(seg(cursor, cursor + length, label))
+        cursor += length
+    return segments
+
+
+def row(index, ordinal, score):
+    return TraceRecord(index, index, ordinal, 25, score)
+
+
+# rows before, in, between and after segments; a step with repeated and
+# falling scores, on grid values, ending in rows that share one sample_index
+STEPS = [
+    row(3, 1, 0.2), row(12, 1, 0.35), row(14, 1, 0.35), row(16, 1, 0.1), row(19, 1, 0.5),
+    row(20, 2, 0.5), row(25, 2, 1.0), row(33, 3, 0.0), row(45, 4, 0.36),
+    row(60, 5, 0.9), row(60, 5, 0.95), row(60, 5, 0.9),
+]
+ADJACENT = [seg(10, 20, "ab"), seg(20, 30, "ok"), seg(40, 50, "ab")]
+
+
+class TestSweepCounts:
+    """Each row of the one-pass sweep is the per-threshold definition:
+    re-threshold the trace, then match the alarms."""
+
+    @settings(deadline=None)
+    @given(trace=traces(), truth=truths())
+    @example(trace=[], truth=ADJACENT)
+    @example(trace=[], truth=[seg(0, 10, "ab"), seg(10, 20, "ab")])
+    @example(trace=STEPS, truth=ADJACENT)
+    @example(trace=STEPS, truth=[seg(10, 20, "ab"), seg(20, 30, "ab")])
+    @example(trace=[r._replace(step_ordinal=None) for r in STEPS], truth=ADJACENT)
+    @example(trace=[r._replace(step_ordinal=None) for r in STEPS], truth=[])
+    def test_every_threshold_matches_the_definition(self, trace, truth):
+        got = _sweep_counts(trace, truth, GRID)
+        assert got.shape == (GRID.size, 4)
+        want = [match_alarms(alarms_from_trace(trace, float(th), 100.0), truth) for th in GRID]
+        assert [ConfusionCounts(*map(int, r)) for r in got] == want
 
 
 class TestF1:
@@ -320,6 +397,60 @@ class TestHarness:
         with pytest.raises(DataError, match="overlap"):
             evaluate_recordings(pairs, make_detector, measure_rtf=False)
         assert made == []
+
+
+def naive_detector():
+    return NaiveDetector(NaiveDetectorConfig(), 100.0)
+
+
+def report_by_definition(pairs, make_detector):
+    """evaluate_recordings' report, counted threshold by threshold with
+    alarms_from_trace and match_alarms."""
+    entries = []
+    for rec, truth in pairs:
+        trace = replay(make_detector(), rec).trace
+        fs = rec.sample_rate_hz
+        counts = [match_alarms(alarms_from_trace(trace, float(th), fs), truth) for th in GRID]
+        entries.append((rec.meta.recording_id, truth, fs, trace, counts))
+    entries.sort(key=lambda e: e[0])
+    pooled = [
+        ConfusionCounts(*map(sum, zip(*(astuple(e[4][j]) for e in entries))))
+        for j in range(GRID.size)
+    ]
+    points, auc = roc_curve(GRID, pooled)
+    theta = optimal_threshold(points)
+    j = [p.threshold for p in points].index(theta)
+    per_recording = tuple(
+        RecordingResult(
+            rid,
+            counts[j],
+            f1(counts[j]),
+            earliness(alarms_from_trace(trace, theta, fs), truth, fs),
+        )
+        for rid, truth, fs, trace, counts in entries
+    )
+    return EvaluationReport(
+        per_recording=per_recording,
+        roc=tuple(points),
+        auc=auc,
+        optimal_threshold=theta,
+        aggregate_f1=f1(pooled[j]),
+        f1_by_threshold=tuple((float(th), f1(c)) for th, c in zip(GRID, pooled)),
+        real_time_factor=None,
+    )
+
+
+class TestHarnessMatchesTheDefinition:
+    @pytest.mark.parametrize("make_detector", [step_detector, naive_detector])
+    def test_report_equals_the_per_threshold_report(self, make_detector):
+        # the 2 s recording is scored by neither detector: its trace is empty
+        short = generate(
+            SynthConfig(n_normal_steps=1, n_anomalous_steps=0, lead_in_s=0.5, tail_s=0.5, rng_seed=5)
+        )
+        pairs = fixture_pairs() + [short]
+        assert replay(make_detector(), short[0]).trace == []
+        report = evaluate_recordings(pairs, make_detector, measure_rtf=False)
+        assert report == report_by_definition(pairs, make_detector)
 
 
 class TestRealTimeFactor:
