@@ -5,14 +5,11 @@ as one true positive however many alarms land inside it, and an alarm that
 falls outside every labeled segment counts as one false positive on its own.
 
 The ROC machinery expects one detector pass per recording with the score
-trace retained; thresholds are applied post hoc, which keeps sweeps
-deterministic and cheap. alarms_from_trace and match_alarms are the
-per-threshold definition: re-threshold the trace, then count.
-evaluate_recordings sweeps one fixed grid, threshold_grid: DEFAULT_GRID_POINTS (101) thresholds
-from 1 down to 0 in steps of 0.01. It counts every threshold in one pass over
-each step's strict prefix-max records, the only rows that can be a step's
-first above any threshold (in naive mode every row is a record), and gives
-the same counts as the definition.
+trace retained; thresholds are applied post hoc. alarms_from_trace and
+match_alarms define the counts at one threshold. evaluate_recordings gets
+the same counts at all DEFAULT_GRID_POINTS (101) thresholds of
+threshold_grid, 1 down to 0 in steps of 0.01, in one pass over each step's
+prefix-max records (every naive row is a record).
 """
 
 from __future__ import annotations
@@ -41,6 +38,14 @@ class ConfusionCounts:
     def __post_init__(self):
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("confusion counts must be non-negative")
+
+    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
+        return ConfusionCounts(
+            self.tp + other.tp,
+            self.fp + other.fp,
+            self.fn + other.fn,
+            self.tn + other.tn,
+        )
 
 
 @dataclass(frozen=True)
@@ -239,14 +244,12 @@ def evaluate_recordings(
 ) -> EvaluationReport:
     """Run one detector pass per (recording, truth) pair and sweep threshold_grid.
 
-    Each recording's counts at every threshold come from one pass over its
-    steps' prefix-max records (naive rows are all records), equal to
-    match_alarms(alarms_from_trace(...)) at each threshold, the
-    per-threshold definition; alarms_from_trace runs only at the optimal
-    threshold, for earliness. The report is canonical: recordings are
-    sorted by id, so feeding the same pairs in any order produces an
-    identical report. The operating point for
-    the per-recording numbers and the aggregate F1 is the Youden-optimal
+    One pass over each step's prefix-max records gives the counts of
+    match_alarms(alarms_from_trace(...)) at every threshold; alarms_from_trace
+    runs only at the optimal threshold, for earliness. The report is
+    canonical: recordings are sorted by id, so feeding the same pairs in any
+    order produces an identical report. The operating point for the
+    per-recording numbers and the aggregate F1 is the Youden-optimal
     threshold of the pooled ROC. With measure_rtf, rtf_runs must be at least
     1; that, and that no truth list has overlapping segments, is checked
     before any recording is replayed.

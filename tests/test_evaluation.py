@@ -62,6 +62,10 @@ class TestConfusionCounts:
         with pytest.raises(ValueError):
             ConfusionCounts(1, -1, 0, 0)
 
+    def test_addition(self):
+        total = ConfusionCounts(1, 2, 3, 4) + ConfusionCounts(10, 20, 30, 40)
+        assert total == ConfusionCounts(11, 22, 33, 44)
+
 
 class TestMatchAlarms:
     def test_perfect_detector(self):
