@@ -67,7 +67,23 @@ Steps are segmented by a StepDetector with its default settings, which
 owns the threshold rule (steps.StepDetector.recompute_threshold). Each
 admission hands it the largest envelope maximum of the History chunks;
 while History is still empty it is handed the envelope maximum seen so far,
-but only after BOOTSTRAP_HORIZON_S of silence-dominated data has passed.
+the largest |reading| pushed, but only after BOOTSTRAP_HORIZON_S of
+silence-dominated data has passed.
+
+Between steps most step-gated pushes are quiet, and a quiet push only
+stores and counts its reading. A reading is quiet when History is set, no
+step is open and the segmenter has no pending merge, and it and the w - 1
+readings before it (w the envelope window) are at or under the step
+threshold, which has not fallen since the first of them was pushed (a
+reading under a threshold stays under a higher one). The envelope value its
+push would finalize covers exactly those w readings, so it is at or under
+the threshold, and feeding it would only count it: the push skips the
+envelope and the segmenter (StepDetector.skip_quiet counts it). The next push that
+is not quiet, or flush, resumes the envelope from the last w readings.
+No envelope value is stored: a chunk [s, e) takes as env_max the largest
+|reading| over [s - (w-1)//2, e - 1 + w//2], the readings its envelope
+windows cover, which is the largest envelope value over the chunk. So the
+readings buffer keeps (w-1)//2 readings before its base.
 """
 
 from __future__ import annotations
@@ -390,20 +406,28 @@ class StepGatedDetector:
         fs = config.sample_rate_hz
         self._signal = config.signal
         self._min_query_len = config.min_query_len
-        self._env_stream = StreamingEnvelope(
-            envelope_window_samples(config.envelope_window_ms, fs)
-        )
+        w = envelope_window_samples(config.envelope_window_ms, fs)
+        self._env_stream = StreamingEnvelope(w)
+        # an envelope value covers readings [i - _left, i + _right]
+        self._left, self._right = (w - 1) // 2, w // 2
         self._step = StepDetector(fs)
         self._horizon = config.bootstrap_horizon
-        # _sig and _env hold the readings from logical index _phys on; the
-        # ones before _base are dead and trimmed in batches of >= _horizon
+        # _sig holds the readings from index _phys on; the ones more than
+        # _left before _base are dead and trimmed in batches of >= _horizon
         self._sig: list[float] = []
-        self._env: list[float] = []
         self._base = 0
         self._phys = 0
         self._raw_count = 0
         self._env_count = 0
-        self._env_max_seen = 0.0
+        # the largest |reading| of the pushes that are not quiet: the cold
+        # start reads it while History is empty, when no push is quiet
+        self._abs_max = 0.0
+        # quiet pushes (see push): the readings in a row at or under the
+        # step threshold since it last fell, the run a quiet push needs,
+        # and whether the envelope has missed quiet readings
+        self._calm = 0
+        self._quiet_after = w
+        self._env_behind = False
         self._history = _History()
         # the Current buffer: _current[:_current_len] holds the open step's
         # readings that its last score row saw
@@ -427,7 +451,7 @@ class StepGatedDetector:
 
     def _admit(self, values: np.ndarray, env_max: float, provisional: bool, raw_i: int) -> None:
         self._history.admit(_Chunk(values, env_max, provisional), self.cfg.history_len)
-        self._step.recompute_threshold(max(c.env_max for c in self._history.chunks))
+        self._set_threshold(max(c.env_max for c in self._history.chunks))
         self.admissions.append(
             {
                 "seq": self._next_seq(),
@@ -436,6 +460,12 @@ class StepGatedDetector:
                 "provisional": provisional,
             }
         )
+
+    def _set_threshold(self, env_max: float) -> None:
+        old = self._step.threshold
+        # a reading at or under the old threshold may be over a lower one
+        if self._step.recompute_threshold(env_max) < old:
+            self._calm = 0
 
     def prime_history(self, reference) -> None:
         """Admit the steps of a clean reference before streaming, cut by
@@ -466,17 +496,23 @@ class StepGatedDetector:
         if new_base <= self._base:
             return
         self._base = new_base
-        drop = new_base - self._phys
-        if drop >= self._horizon:
-            del self._sig[:drop]
-            del self._env[:drop]
-            self._phys = new_base
+        if new_base - self._left - self._phys >= self._horizon:
+            self._trim()
+
+    def _trim(self) -> None:
+        # keep the _left readings before the base that its envelope covers
+        drop = self._base - self._left - self._phys
+        del self._sig[:drop]
+        self._phys += drop
 
     def _sig_slice(self, start: int, end: int) -> np.ndarray:
         return np.array(self._sig[start - self._phys : end - self._phys])
 
-    def _env_slice_max(self, start: int, end: int) -> float:
-        return max(self._env[start - self._phys : end - self._phys])
+    def _env_max(self, start: int, end: int) -> float:
+        """The largest envelope value over [start, end): the largest
+        |reading| its windows cover, [start - _left, end - 1 + _right]."""
+        lo = max(start - self._left, 0) - self._phys
+        return max(map(abs, self._sig[lo : end + self._right - self._phys]))
 
     def _current_query(self, i: int) -> np.ndarray:
         """The open step's readings up to logical index i, as a view of the
@@ -500,9 +536,39 @@ class StepGatedDetector:
         if self._ended:
             raise ValueError("push after flush: the stream has ended")
         value = project(sample, self._signal)
+        a = abs(value)
+        if a <= self._step.threshold:
+            calm = self._calm + 1
+            # a quiet reading: it and the w - 1 before it are at or under a
+            # threshold that has not fallen, so the envelope value its push
+            # finalizes is too, and with History set and no step open or
+            # pending that value can only be counted
+            if calm >= self._quiet_after and self._history.chunks and self._step.skip_quiet():
+                self._calm = calm
+                self._env_behind = True
+                self._raw_count += 1
+                self._sig.append(value)
+                i = self._env_count + 1
+                self._env_count = i
+                # _rebase(i - _horizon), as _absorb_env calls it, inlined:
+                # a call per quiet push costs about a tenth of the push
+                base = i - self._horizon
+                if base > self._base:
+                    self._base = base
+                    if base - self._left - self._phys >= self._horizon:
+                        self._trim()
+                return ()
+        else:
+            # also every non-finite value
+            calm = 0
+        if self._env_behind and math.isfinite(value):
+            self._resume_envelope()
         # the envelope validates the value before any state changes, so a
         # push that raises leaves the detector as it was
         env_value = self._env_stream.push(value)
+        self._calm = calm
+        if a > self._abs_max:
+            self._abs_max = a
         raw_i = self._raw_count
         self._raw_count = raw_i + 1
         self._sig.append(value)
@@ -510,10 +576,16 @@ class StepGatedDetector:
             return ()
         return self._absorb_env(env_value, raw_i)
 
+    def _resume_envelope(self) -> None:
+        self._env_stream.resume(self._sig[-self._env_stream.window_samples :], self._raw_count)
+        self._env_behind = False
+
     def flush(self) -> tuple[AlarmEvent, ...]:
         """Drain the envelope lag, settle open segmentation state and end
         the stream: a later push raises ValueError."""
         self._ended = True
+        if self._env_behind:
+            self._resume_envelope()
         raw_i = max(0, self._raw_count - 1)
         alarms: list[AlarmEvent] = []
         for env_value in self._env_stream.flush():
@@ -525,10 +597,6 @@ class StepGatedDetector:
     def _absorb_env(self, env_value: float, raw_i: int) -> tuple[AlarmEvent, ...]:
         i = self._env_count
         self._env_count = i + 1
-        self._env.append(env_value)
-        if env_value > self._env_max_seen:
-            self._env_max_seen = env_value
-
         for ev in self._step.feed(env_value):
             self._on_step_event(ev, raw_i)
 
@@ -536,7 +604,7 @@ class StepGatedDetector:
             return self._maybe_score(i, raw_i)
         if not self._history.chunks and i + 1 - self._base >= self._horizon:
             # cold start: no admitted steps yet, adapt from what was seen
-            self._step.recompute_threshold(self._env_max_seen)
+            self._set_threshold(self._abs_max)
         if i + 1 - self._base > self._horizon:
             self._rebase(i + 1 - self._horizon)
         return ()
@@ -572,7 +640,7 @@ class StepGatedDetector:
                 # reference; it contains the step that raised the threshold
                 self._admit(
                     self._sig_slice(self._base, ev.index),
-                    self._env_slice_max(self._base, ev.index),
+                    self._env_max(self._base, ev.index),
                     provisional=True,
                     raw_i=raw_i,
                 )
@@ -588,7 +656,7 @@ class StepGatedDetector:
             if self._step_peak <= self.cfg.admission_guard:
                 self._admit(
                     self._sig_slice(self._step_start, ev.index),
-                    self._env_slice_max(self._step_start, ev.index),
+                    self._env_max(self._step_start, ev.index),
                     provisional=False,
                     raw_i=raw_i,
                 )

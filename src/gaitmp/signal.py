@@ -114,17 +114,25 @@ class StreamingEnvelope:
     k - w//2, or None while that position does not exist yet, and flush()
     returns the right-truncated tail's values.
 
-    The window maximum comes from a monotonic deque of (index, |value|)
-    pairs whose values strictly decrease from front to back: a new value
-    evicts every entry it is at least as large as, and the front leaves once
-    it slides out of the window. Each reading enters and leaves the deque at
-    most once, so a push costs O(1) amortised whatever the window width
-    (Lemire, "Streaming maximum-minimum filter using no more than three
-    comparisons per element", 2006).
+    The window maximum comes from a monotonic deque, held as two parallel
+    deques of indices and |values|, whose values strictly decrease from
+    front to back: a new value evicts every entry it is at least as large
+    as, and the front leaves once it slides out of the window. Each reading
+    enters and leaves the deque at most once, so a push costs O(1) amortised
+    whatever the window width (Lemire, "Streaming maximum-minimum filter
+    using no more than three comparisons per element", 2006).
+
+    A caller that knows what some readings' values would be may store those
+    readings instead of pushing them, and then resume() from the last w
+    readings: the deque after push(x_k) depends only on x[k-w+1 .. k], so
+    resume rebuilds it with push's rule and the stream goes on as if every
+    reading had been pushed, less the values the skipped pushes would have
+    returned.
     """
 
     window_samples: int
-    _buf: deque = field(default_factory=deque, repr=False)
+    _index: deque = field(default_factory=deque, repr=False)
+    _value: deque = field(default_factory=deque, repr=False)
     _next_in: int = 0
     _next_out: int = 0
 
@@ -132,34 +140,53 @@ class StreamingEnvelope:
         if self.window_samples < 1:
             raise ValueError("window_samples must be >= 1")
 
+    def _enter(self, k: int, v: float) -> None:
+        """Append |value| v of reading k, evicting every entry it covers."""
+        index, value = self._index, self._value
+        while value and value[-1] <= v:
+            value.pop()
+            index.pop()
+        index.append(k)
+        value.append(v)
+
     def push(self, value: float) -> float | None:
         """Absorb one sample; return the envelope value it finalizes, if any."""
         if not math.isfinite(value):
             raise DataError("non-finite sample in envelope stream")
-        v = abs(float(value))
-        w = self.window_samples
-        buf = self._buf
-        while buf and buf[-1][1] <= v:
-            buf.pop()
         k = self._next_in
-        buf.append((k, v))
+        self._enter(k, abs(float(value)))
         self._next_in = k + 1
         # the window closing at k is [k - w + 1, k]; one index leaves per push
-        if buf[0][0] <= k - w:
-            buf.popleft()
+        w = self.window_samples
+        if self._index[0] <= k - w:
+            self._index.popleft()
+            self._value.popleft()
         if k >= self._next_out + w // 2:
             self._next_out += 1
-            return buf[0][1]
+            return self._value[0]
         return None
+
+    def resume(self, recent: list[float], count: int) -> None:
+        """Continue the stream after readings that were not pushed: count
+        readings have arrived in all, and recent holds the last
+        min(window_samples, count) of them, all finite. The values their
+        pushes would have returned are not returned later."""
+        self._index.clear()
+        self._value.clear()
+        for k, x in enumerate(recent, count - len(recent)):
+            self._enter(k, abs(float(x)))
+        self._next_in = count
+        self._next_out = max(0, count - self.window_samples // 2)
 
     def flush(self) -> list[float]:
         """Finalize the trailing positions whose windows ran past the end."""
         out = []
-        buf = self._buf
+        index, value = self._index, self._value
         while self._next_out < self._next_in:
             first = self._next_out - (self.window_samples - 1) // 2
-            while buf[0][0] < first:
-                buf.popleft()
-            out.append(buf[0][1])
+            while index[0] < first:
+                index.popleft()
+                value.popleft()
+            out.append(value[0])
             self._next_out += 1
         return out

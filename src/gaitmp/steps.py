@@ -14,8 +14,10 @@ reports are exactly those of the definition above applied to the whole
 stream: a STARTED event is held back until the step is guaranteed to survive
 the duration filter, and an ENDED event until no future rise can merge into
 the step. Both may carry indices behind the current stream position.
-segment_series segments a whole series at one threshold; `gaitmp segment`
-and StepGatedDetector.prime_history call it.
+skip_quiet stands in for a feed that can only count its sample: the caller
+vouches that the sample is at or under the threshold, and it is counted only
+while no step is open or pending. segment_series segments a whole series at
+one threshold; `gaitmp segment` and StepGatedDetector.prime_history call it.
 """
 
 from __future__ import annotations
@@ -158,6 +160,15 @@ class StepDetector:
             events.append(StepEvent(STARTED, self._cur_start))
             self._started_emitted = True
         return tuple(events)
+
+    def skip_quiet(self) -> bool:
+        """Count one envelope sample that the caller knows is at or under
+        the threshold, without feeding it, if no step is open or pending:
+        feed would only count it. Return whether it was counted."""
+        if self._phase != "idle":
+            return False
+        self._next_index += 1
+        return True
 
     def flush(self) -> tuple[StepEvent, ...]:
         """End of stream: settle whatever is still open and reset."""

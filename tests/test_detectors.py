@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from typing import NamedTuple
@@ -658,6 +659,185 @@ class TestStepGatedBehavior:
             runs.append((det._raw_count, det.trace, det.admissions, det.step_events))
         assert runs[0][0] == 900 and all(runs[0][1:])
         assert runs[1] == runs[0]
+
+
+def reading(k, value):
+    """Reading k of a 100 Hz stream whose gyro:linf projection is |value|;
+    a non-finite value skips SensorSample's checks to reach push."""
+    return tuple.__new__(SensorSample, (k / 100.0, (0.0, 0.0, 9.81), (value, 0.0, 0.0)))
+
+
+class NeverQuiet(StepGatedDetector):
+    """A step-gated detector that takes no quiet push: every reading goes
+    through the envelope and the segmenter."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._quiet_after = math.inf
+
+
+def quiet_reference(rng, amplitude):
+    """Three half-sine steps between quiet stretches, to prime History."""
+    parts = [rng.normal(0.0, 1.0, 60)]
+    for _ in range(3):
+        parts += [amplitude * np.sin(np.linspace(0.0, np.pi, 40)), rng.normal(0.0, 1.0, 60)]
+    return np.concatenate(parts)
+
+
+def drive_quiet_stream(seed, plan, history_len_s, primed, end_gap):
+    """Push a stream shaped by plan through a NeverQuiet detector and flush
+    it; return the detector, its alarms, the readings and the reference it
+    was primed with (or None).
+
+    Readings are drawn one at a time, some against the threshold at the
+    moment they are pushed: "near" is a burst at, just under or a hair over
+    it; "tail" follows a step with readings at one share of it, up to the
+    push whose "ended" event admits the step and may lower it, so that
+    those readings lie between the new threshold and the old one."""
+    rng = np.random.default_rng(seed)
+    cfg = StepSystemConfig(history_len_s=history_len_s)
+    det = NeverQuiet(cfg)
+    amplitude = rng.uniform(40.0, 120.0)
+    reference = quiet_reference(rng, amplitude) if primed else None
+    if primed:
+        det.prime_history(reference)
+    values, alarms = [], []
+
+    def push(v):
+        values.append(float(v))
+        alarms.extend(det.push(reading(len(values) - 1, v)))
+
+    def gap(n):
+        for v in rng.normal(0.0, 1.0, n):
+            push(v)
+
+    gap(int(rng.integers(0, 350)))
+    for kind in plan:
+        settled = det._step.threshold < INITIAL_THRESHOLD
+        if kind == "gap" or not settled and kind == "near":
+            gap(int(rng.integers(10, 400)))
+        elif kind == "near":
+            for _ in range(int(rng.integers(1, 30))):
+                share = rng.choice([1.0, 1.0 - 1e-12, 0.999, 0.9, 1.0 + 1e-12])
+                push(rng.choice([1.0, -1.0]) * share * det._step.threshold)
+            gap(int(rng.integers(0, 30)))
+        else:
+            amplitude *= rng.uniform(0.6, 1.3)
+            n = int(rng.integers(20, 61))
+            for v in amplitude * np.sin(np.linspace(0.0, np.pi, n)) + rng.normal(0.0, 1.0, n):
+                push(v)
+            if kind == "tail" and settled:
+                share, events = rng.uniform(0.5, 1.0), len(det.step_events)
+                for _ in range(80):
+                    push(share * det._step.threshold)
+                    if any(e["kind"] == "ended" for e in det.step_events[events:]):
+                        break
+    gap(end_gap)
+    alarms.extend(det.flush())
+    return det, alarms, values, reference
+
+
+class TestQuietPushes:
+    """A quiet push stores and counts its reading and nothing else; every
+    output stays what a push of each reading through the envelope and the
+    segmenter gives."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        plan=st.lists(st.sampled_from(["gap", "near", "step", "tail"]), min_size=1, max_size=12),
+        history_len_s=st.sampled_from([0.5, 1.0, 10.0]),
+        primed=st.booleans(),
+        end_gap=st.integers(0, 400),
+    )
+    # a long quiet tail, flushed inside it
+    @example(seed=0, plan=["step", "step", "gap", "step", "gap"], history_len_s=10.0,
+             primed=False, end_gap=400)
+    # steps of falling amplitude each lower the threshold under the tail
+    # before them
+    @example(seed=1, plan=["tail", "tail", "gap", "tail", "near", "tail"], history_len_s=0.5,
+             primed=True, end_gap=25)
+    @example(seed=2, plan=["near", "step", "near", "gap", "near"], history_len_s=1.0,
+             primed=True, end_gap=11)
+    # an admission lowers the threshold under readings among the last w:
+    # the quiet run must start again there (and only a fall needs that)
+    @example(seed=166, plan=["near", "near"], history_len_s=0.5, primed=True, end_gap=0)
+    @example(seed=1, plan=["step", "tail"], history_len_s=0.5, primed=True, end_gap=5)
+    def test_outputs_match_a_detector_that_never_skips(
+        self, seed, plan, history_len_s, primed, end_gap
+    ):
+        slow, slow_alarms, values, reference = drive_quiet_stream(
+            seed, plan, history_len_s, primed, end_gap
+        )
+        fast = StepGatedDetector(slow.cfg)
+        if primed:
+            fast.prime_history(reference)
+        alarms = [a for k, v in enumerate(values) for a in fast.push(reading(k, v))]
+        alarms.extend(fast.flush())
+        assert fast.step_events == slow.step_events
+        assert fast.admissions == slow.admissions
+        assert fast.trace == slow.trace
+        assert alarms == slow_alarms
+        assert [c.env_max for c in fast._history.chunks] == [c.env_max for c in slow._history.chunks]
+        # flush resumes an envelope that missed quiet readings
+        assert fast._env_stream == slow._env_stream
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_reading_in_a_quiet_stretch_changes_nothing(self, bad):
+        rec, _ = generate(SynthConfig(n_normal_steps=10, n_anomalous_steps=2, rng_seed=3, tail_s=20.0))
+        reject_at = rec.n - 500
+        runs = []
+        for reject in (False, True):
+            det = StepGatedDetector(StepSystemConfig())
+            alarms = []
+            for k, s in enumerate(rec.iter_samples()):
+                if k == reject_at and reject:
+                    # the envelope has missed the readings of a quiet stretch
+                    assert det._env_behind
+                    before = copy.deepcopy(
+                        (det._sig, det._raw_count, det._env_count, det._base, det._phys,
+                         det._calm, det._env_behind, det._env_stream, vars(det._step))
+                    )
+                    with pytest.raises(DataError):
+                        det.push(reading(k, bad))
+                    assert (det._sig, det._raw_count, det._env_count, det._base, det._phys,
+                            det._calm, det._env_behind, det._env_stream, vars(det._step)) == before
+                alarms.extend(det.push(s))
+            alarms.extend(det.flush())
+            runs.append((det.trace, det.step_events, det.admissions, alarms))
+        assert runs[0][0] and runs[0][3]
+        assert runs[1] == runs[0]
+
+    def test_every_admitted_env_max_is_the_envelope_maximum_over_its_step(self):
+        # a step chunk's env_max is taken from the readings its envelope
+        # windows cover, which reach _left readings before the step: a step
+        # that opens at a rebase that trims _sig needs the ones kept there
+        rec, _ = generate(SynthConfig(n_normal_steps=10, n_anomalous_steps=2, rng_seed=8, tail_s=30.0))
+        cfg = StepSystemConfig()
+        det = StepGatedDetector(cfg)
+        seen = []
+        admit = det._history.admit
+
+        def spy(chunk, cap):
+            seen.append((chunk.env_max, det._phys))
+            admit(chunk, cap)
+
+        det._history.admit = spy
+        replay(det, rec)
+        w = envelope_window_samples(cfg.envelope_window_ms, cfg.sample_rate_hz)
+        left = (w - 1) // 2
+        env = envelope_by_definition(rec.project(cfg.signal).values, w)
+        # an admission's event, "started" for the provisional chunk and
+        # "ended" for a step, takes the next seq
+        event = {e["seq"]: e for e in det.step_events}
+        near_a_trim = 0
+        for a, (env_max, phys) in zip(det.admissions, seen, strict=True):
+            end = event[a["seq"] + 1]["index"]
+            start = end - a["length"]
+            assert env_max == env[start:end].max()
+            # _sig was last trimmed to _left readings before the base phys + left
+            near_a_trim += start - (phys + left) < left
+        assert len(seen) == 10 and near_a_trim
 
 
 class TestRecords:

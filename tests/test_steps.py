@@ -278,6 +278,39 @@ class TestStreaming:
         for (_, end), (start, _) in zip(expected, expected[1:]):
             assert end <= start
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 160))
+    def test_skip_quiet_stands_in_for_a_feed_that_only_counts(self, seed, n):
+        # every sample at or under the threshold goes through skip_quiet
+        # first, and is fed only when skip_quiet declines it
+        rng = np.random.default_rng(seed)
+        env = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=n, p=[0.4, 0.1, 0.1, 0.2, 0.2])
+        det = detector(rate=1000.0, onset_ms=3.0, release_ms=4.0, min_step_ms=10.0)
+        det.threshold = 1.0
+        events = []
+        for v in env:
+            if not (v <= det.threshold and det.skip_quiet()):
+                events.extend(det.feed(v))
+        events.extend(det.flush())
+        assert segments_from_events(events) == segments_by_definition(det, env)
+
+    def test_skip_quiet_declines_while_a_step_is_open_or_pending(self):
+        det = detector(onset_ms=0.0, release_ms=50.0, min_step_ms=0.0)
+        det.threshold = 1.0
+        assert det.skip_quiet()
+        events = list(det.feed(5.0))  # a step opens at sample 1
+        assert not det.skip_quiet()
+        events += det.feed(0.0)  # pending for the 5-sample release
+        assert not det.skip_quiet()
+        for _ in range(5):
+            events += det.feed(0.0)
+        assert det.skip_quiet()
+        # declined calls count nothing: the step is [1, 7), and the sample
+        # skipped after it is sample 8, so the next one is sample 9
+        assert events == [StepEvent("started", 1), StepEvent("ended", 7)]
+        assert det.feed(5.0) == (StepEvent("started", 9),)
+        assert det.flush() == (StepEvent("ended", 10),)
+
 
 class TestEventReassembly:
     def test_round_trip(self):
