@@ -16,22 +16,27 @@ Two architectures share the alarm vocabulary:
   previously completed step signatures. One alarm at most per step.
 
 History is one contiguous buffer holding the admitted chunks back to back,
-rebuilt, with its running sums (mp._sums), on admission and eviction.
-History does not change while a step is open, and each score row of the
-step extends the previous one's query by one sample. The Current buffer is
-a preallocated float64 array that gains one reading per score row, and
-History is handed a view of it. So the first row of a step (the seed row)
-is one distance profile over the buffer, and each later row (a growth row)
-adds one term to every window's dot product with the query, updates the
-query's mean and variance (Welford), and finishes in mp._nearest, which
-ranks the windows from the cached sums without building their moments. A
-naive hop finishes there too. Both return the smallest entry of the
-distance profile the dot products would give, with its conventions and its
-exact recomputation of near-duplicates (1 - rho <= 1e-6, a band that scales
-with sqrt(m)). History windows that straddle a chunk boundary splice two
-signatures together and are dropped before taking the minimum. While the
-Current buffer is longer than every chunk there is no reference window, and
-those samples go unscored.
+rebuilt on admission and eviction. History does not change while a step is
+open, and each score row of the step extends the previous one's query by
+one sample. The Current buffer is a preallocated float64 array that gains
+one reading per score row, and History is handed a view of it. So the first
+row of a step (the seed row) is one distance profile over the buffer, and
+each later row (a growth row) adds one term to every window's dot product
+with the query and updates the query's mean and variance (Welford). It then
+ranks the windows from two tables that hold, per query length, each
+window's sum and 1 / sqrt(m*S2 - S1^2), S2 the sum of its squares. Each
+chunk's columns of the tables are built once, from the chunk's own running
+sums, when it is admitted; admission drops the evicted chunks' columns and
+flush drops the tables, which take 16 bytes per row and History reading.
+Where the tables cannot answer (see _History) the row finishes in
+mp._nearest, which ranks the windows from running sums of the whole
+buffer; a naive hop finishes there too. Every row returns the smallest
+entry of the distance profile the dot products would give, with its
+conventions and its exact recomputation of near-duplicates
+(1 - rho <= 1e-6, a band that scales with sqrt(m)). History windows that
+straddle a chunk boundary splice two signatures together and are dropped
+before taking the minimum. While the Current buffer is longer than every
+chunk there is no reference window, and those samples go unscored.
 
 Scores are normalized by the z-normalized distance ceiling 2*sqrt(m) so one
 threshold stays meaningful while m varies.
@@ -98,8 +103,11 @@ import numpy as np
 from .dataset import UNIFORMITY_TOL
 from .errors import DataError
 from .mp import (
+    DEFAULT_EPS,
     TimeSeries,
+    _band,
     _nearest,
+    _rounding_floor,
     _sums,
     distance_profile,
     sliding_dot_product,
@@ -302,24 +310,68 @@ class _History:
     """Admitted chunks stored once, back to back in one float64 buffer.
 
     Each chunk's values are a view into the buffer, which is rebuilt only on
-    admission or eviction, together with its mp._sums, from which growth rows
-    rank the windows. room[j] counts the samples from j to the end of j's
-    chunk, so the window of length m at j lies inside one chunk, and is a
-    reference signature, iff room[j] >= m.
+    admission or eviction. room[j] counts the samples from j to the end of
+    j's chunk, so the window of length m at j lies inside one chunk, and is
+    a reference signature, iff room[j] >= m.
 
     Scoring carries one growing query: the first best_distance call after
     reset_query is a seed row (one distance_profile call), and each later
     call extends the seed's dot products and query moments by the samples
     the query gained since (a growth row). The caller resets whenever a new
     query starts; admit resets, because the rows index the old buffer.
+
+    Growth rows read two window tables aligned with the buffer, one row per
+    query length m from shortest + 1 (shortest: the seed row's length) to
+    the longest clean chunk: s1[r, j], the sum of the window of length
+    m = shortest + 1 + r at j, and inv[r, j], 1 / sqrt(m*S2 - S1^2) for
+    that window, S2 being the sum of its squares. Both are 0 wherever the
+    window leaves its chunk. A provisional chunk has no entries, nor has a
+    chunk longer than the cap, which is held alone. A clean chunk's
+    entries come from its own running sums, in a few vectorised
+    calls when it is admitted (_fill_block); admission then shifts the
+    tables left past the evicted chunks' columns and writes the new chunk's
+    block after the rest, so no held chunk's entries are computed twice.
+    The array is replaced only when a chunk longer than every clean one
+    held needs more rows, when the buffer needs more columns, or when the
+    array is over twice the size History needs. The tables take
+    16 * rows * columns bytes.
+
+    (qt - mu_q * s1[r]) * inv[r] is each window's correlation with the
+    query times the query's stdev, so a growth row costs two NumPy calls to
+    grow and four to rank: a multiply, an add, a multiply and a max. The row
+    falls back to mp._nearest over running sums of the whole buffer when:
+    the query is constant; m is outside the tables; some held chunk has at
+    that length a window whose m*S2 - S1^2 is at or under mp._nearest's
+    floor, which bounds the running sums' rounding over the buffer and so
+    also covers every window with no change of value (_usable); a held
+    chunk has no entries; every window inside a chunk ranks at or under 0,
+    i.e. the best straddles a chunk; or the best is a near-duplicate.
+    release_tables drops the tables for good (flush calls it), and every
+    later growth row falls back; the chunks and the buffer stay.
     """
 
-    def __init__(self):
+    def __init__(self, shortest: int = 3):
         self.chunks: list[_Chunk] = []
         self.buffer = np.empty(0)
         self.room = np.empty(0, dtype=np.int64)
         self.longest = 0
-        self._window_sums = _sums(self.buffer)
+        # the length of table row 0
+        self._lo = shortest + 1
+        # s1 and inv, columns past the buffer's end unused
+        self._tables = np.empty((2, 0, 0))
+        self._s1, self._inv = self._tables
+        # per held chunk and table row, the least m*S2 - S1^2 of its windows
+        # (0 where one is constant or the chunk provisional, inf where it
+        # has none), and whether growth rows of that length use the tables
+        self._least = np.empty((0, 0))
+        self._usable: list[bool] = []
+        self._provisional = False
+        self._released = False
+        # per chunk length: where each table entry's window ends in the
+        # chunk's running sums, and the rows' lengths
+        self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # running sums of the buffer, for fallbacks: taken on the first
+        self._window_sums = None
         self._scratch = np.empty(0)
         self._qt = np.empty(0)
         self.reset_query()
@@ -327,22 +379,135 @@ class _History:
     def admit(self, chunk: _Chunk, cap: int) -> None:
         """Append a chunk (a clean one replaces provisional chunks), then
         evict whole chunks FIFO while more than ``cap`` samples are held."""
-        kept = self.chunks if chunk.provisional else [c for c in self.chunks if not c.provisional]
-        chunks = kept + [chunk]
-        total = sum(c.values.size for c in chunks)
+        if chunk.provisional or not self._provisional:
+            chunks = self.chunks + [chunk]
+        else:
+            chunks = [c for c in self.chunks if not c.provisional] + [chunk]
+        sizes = [c.values.size for c in chunks]
+        total = sum(sizes)
         while len(chunks) > 1 and total > cap:
-            total -= chunks.pop(0).values.size
-        lengths = np.array([c.values.size for c in chunks])
-        ends = np.cumsum(lengths)
-        self.buffer = np.concatenate([c.values for c in chunks], dtype=np.float64)
-        for c, end, size in zip(chunks, ends, lengths):
-            c.values = self.buffer[end - size : end]
-        self.room = np.repeat(ends, lengths) - np.arange(total)
-        self.longest = int(lengths.max())
+            chunks.pop(0)
+            total -= sizes.pop(0)
+        # the held chunks that stay are the old buffer's last `carried` readings
+        dropped = len(self.chunks) - (len(chunks) - 1)
+        c = sizes[-1]
+        carried = total - c
+        gone = self.buffer.size - carried
+        self.buffer = np.concatenate((self.buffer[gone:], chunk.values))
+        self.room = np.concatenate((self.room[gone:], np.arange(c, 0, -1)))
+        end = 0
+        for held, size in zip(chunks, sizes):
+            held.values = self.buffer[end : end + size]
+            end += size
+        self.longest = max(sizes)
         self.chunks = chunks
-        self._window_sums = _sums(self.buffer)
+        self._provisional = chunk.provisional
+        self._window_sums = None
         self._scratch = np.empty(total)
+        if not self._released:
+            self._carry_tables(dropped, gone, cap)
         self.reset_query()
+
+    def _carry_tables(self, dropped: int, gone: int, cap: int) -> None:
+        """Shift the tables left past the ``gone`` columns of the evicted
+        chunks (one move of the whole array, whose rows' ends then hold
+        leftovers past the buffer) and write the newest chunk's block after
+        the rest. Only clean chunks of at most ``cap`` readings have
+        entries, which bounds the tables by about 32 * cap^2 bytes; a longer
+        chunk is held alone and scored by the fallback. The array is
+        replaced, sized to hold History up to its cap, when it needs more
+        rows or columns or is over twice the size it needs."""
+        lo, n = self._lo, self.buffer.size
+        new = self.chunks[-1]
+        untabled = self._provisional or self.longest > cap
+        if untabled:
+            sizes = [c.values.size for c in self.chunks if not c.provisional]
+            longest = max([size for size in sizes if size <= cap], default=0)
+        else:
+            longest = self.longest
+        need = max(0, longest - lo + 1)
+        carried = n - new.values.size
+        tables = self._tables
+        rows, width = tables.shape[1:]
+        fit = max(n, min(cap, 4 * n))
+        if need > rows or n > width or rows > 2 * need or width > 2 * fit:
+            grown = np.zeros((2, need, fit))
+            g = min(rows, need)
+            grown[:, :g, :carried] = tables[:, :g, gone : gone + carried]
+            tables = self._tables = grown
+            self._s1, self._inv = tables
+            rows = g
+        elif gone:
+            flat = tables.reshape(-1)
+            flat[:-gone] = flat[gone:]
+        height = tables.shape[1]
+        least = np.empty((len(self.chunks), height))
+        least[:-1, :rows] = self._least[dropped:, :rows]
+        least[:-1, rows:] = np.inf
+        least[-1] = np.inf
+        self._least = least
+        block = tables[:, :, carried:n]
+        if new.provisional or new.values.size > cap:
+            block[...] = 0.0
+        else:
+            self._fill_block(new.values, block, least[-1])
+        # mp._nearest's floor, from the whole buffer's readings and sum of squares
+        m = np.arange(lo, lo + height, dtype=np.float64)
+        per_m = _rounding_floor(n, float(self.buffer @ self.buffer))
+        floor = np.maximum((2.0 * DEFAULT_EPS * m) ** 2, m * per_m)
+        # a chunk without entries has windows the tables do not rank
+        self._usable = [] if untabled else (least.min(axis=0, initial=np.inf) > floor).tolist()
+
+    def _fill_block(self, x: np.ndarray, block: np.ndarray, least: np.ndarray) -> None:
+        """Write the s1 and inv entries of the chunk with values ``x`` into
+        ``block`` (2 x table rows x its readings) from its own running sums,
+        and the least m*S2 - S1^2 of its windows per row into ``least``."""
+        lo, c = self._lo, x.size
+        rows = max(0, c - lo + 1)
+        if rows < block.shape[1]:
+            block[:, rows:] = 0.0
+        if not rows:
+            return
+        if c not in self._index:
+            if len(self._index) > 2 * len(self.chunks):
+                self._index.clear()
+            m = np.arange(lo, c + 1)[:, None]
+            j = np.arange(c)
+            inside = j <= c - m
+            # flat indices into the running sums (2 x c + 2) of each window's
+            # end: where the window leaves the chunk, S1 ends where it starts
+            # (a sum of 0) and S2 at the inf in the last column
+            s1_ends = np.where(inside, j + m, j)
+            s2_ends = np.where(inside, c + 2 + j + m, 2 * c + 3)
+            ends = np.stack((s1_ends, s2_ends))
+            self._index[c] = ends, m.astype(np.float64)
+        ends, m = self._index[c]
+        sums = np.zeros((2, c + 2))
+        sums[0, 1 : c + 1] = x
+        np.multiply(x, x, out=sums[1, 1 : c + 1])
+        np.add.accumulate(sums, axis=1, out=sums)
+        sums[1, -1] = np.inf
+        s1, s2 = np.subtract(sums.take(ends), sums[:, None, :c], out=block[:, :rows])
+        # m*S2 - S1^2 of every window, inf where it leaves the chunk
+        div = s2 * m
+        div -= s1 * s1
+        # a window with no change of value has m*S2 - S1^2 = 0 but for the
+        # running sums' rounding, which the floor of _usable bounds
+        np.min(div, axis=1, out=least[:rows])
+        if not least[:rows].min() > 0.0:
+            div[div <= 0.0] = np.inf
+        # inv: 0 where the window leaves the chunk or has no positive divisor
+        np.divide(1.0, np.sqrt(div, out=div), out=s2)
+
+    def release_tables(self) -> None:
+        """Drop the tables, for good: later growth rows all fall back."""
+        self._released = True
+        self._tables = np.empty((2, 0, 0))
+        self._s1, self._inv = self._tables
+        self._least = np.empty((0, 0))
+        self._usable = []
+        self._index = {}
+        self._window_sums = None
 
     def reset_query(self) -> None:
         """Drop the carried query; the next best_distance is a seed row."""
@@ -387,7 +552,22 @@ class _History:
         self._qt += term
 
     def _best_of_growth_row(self, query: np.ndarray) -> float:
-        sd_q = math.sqrt(self._m2 / self._m)
+        m = self._m
+        sd_q = math.sqrt(self._m2 / m)
+        r = m - self._lo
+        if sd_q > DEFAULT_EPS and 0 <= r < len(self._usable) and self._usable[r]:
+            k = self._qt.size
+            # (qt - mu_q * S1) / sqrt(m*S2 - S1^2) = rho * sd_q, 0 outside chunks
+            rank = np.multiply(self._s1[r, :k], -self._mean, out=self._scratch[:k])
+            rank += self._qt
+            rank *= self._inv[r, :k]
+            rho = float(rank.max()) / sd_q
+            if rho > 0.0:
+                best = math.sqrt(2.0 * m * (1.0 - min(rho, 1.0)))
+                if best > _band(m):
+                    return best
+        if self._window_sums is None:
+            self._window_sums = _sums(self.buffer)
         return _nearest(
             self._qt, query, self._mean, sd_q, self.buffer, self._window_sums, self.room
         )
@@ -428,7 +608,7 @@ class StepGatedDetector:
         self._calm = 0
         self._quiet_after = w
         self._env_behind = False
-        self._history = _History()
+        self._history = _History(self._min_query_len)
         # the Current buffer: _current[:_current_len] holds the open step's
         # readings that its last score row saw
         self._current = np.empty(0)
@@ -582,7 +762,8 @@ class StepGatedDetector:
 
     def flush(self) -> tuple[AlarmEvent, ...]:
         """Drain the envelope lag, settle open segmentation state and end
-        the stream: a later push raises ValueError."""
+        the stream: a later push raises ValueError. History keeps its chunks
+        and buffer but drops its window tables."""
         self._ended = True
         if self._env_behind:
             self._resume_envelope()
@@ -592,6 +773,7 @@ class StepGatedDetector:
             alarms.extend(self._absorb_env(env_value, raw_i))
         for ev in self._step.flush():
             self._on_step_event(ev, raw_i)
+        self._history.release_tables()
         return tuple(alarms)
 
     def _absorb_env(self, env_value: float, raw_i: int) -> tuple[AlarmEvent, ...]:

@@ -220,6 +220,16 @@ def distance_profile(query, series) -> np.ndarray:
     return _profile(sliding_dot_product(q, t), q, float(q.mean()), float(q.std()), t, mean, sd)
 
 
+def _rounding_floor(n: int, sumsq: float) -> float:
+    """A bound, per unit of m, on the rounding of m*S2 - S1^2 for a window of
+    length m taken from running sums over n readings whose squares sum to
+    ``sumsq``. Each running sum is off by up to about n * 2^-52 times the
+    sum of what it adds up, so a window's S2 by 2n * 2^-52 * sumsq and its
+    S1 by 2n * 2^-52 * sum|x|, and with |S1| <= m * max|x| and
+    max|x| * sum|x| <= sqrt(n) * sumsq, m*S2 - S1^2 by m times this."""
+    return n * 2.0**-52 * sumsq * (2.0 + 4.0 * math.sqrt(n))
+
+
 def _nearest(
     qt: np.ndarray,
     query: np.ndarray,
@@ -240,8 +250,10 @@ def _nearest(
     gets an inf divisor and rank 0, and sits by convention at sqrt(m), i.e. at
     rho 1/2. Any other window that may count as constant would need its
     moments, so _profile finishes the row when some window's m*S2 - S1^2 lies
-    near 0, when the query is constant, and when the best is at or under
-    _band(m).
+    within _rounding_floor of 0, when the query is constant, and when the
+    best is at or under _band(m). In the first case the row takes the
+    query's dot products and moments afresh, as distance_profile does, so
+    that it returns distance_profile's entry.
     """
     m = query.size
     s, changes = sums
@@ -256,10 +268,9 @@ def _nearest(
             s2[flat] = np.inf
         # a window whose m*S2 - S1^2 lies near 0 may count as constant: its
         # stdev may be at or under DEFAULT_EPS (with a margin of 2), or its
-        # digits lost to the running sums' rounding, which grows to about
-        # n * 2^-52 times their total sum of squares over n readings
-        n = s.shape[1] - 1
-        if s2.min() > max((2.0 * m * DEFAULT_EPS) ** 2, m * n * 2.0**-52 * float(s[1, -1])):
+        # digits lost to the running sums' rounding (_rounding_floor)
+        floor = _rounding_floor(s.shape[1] - 1, float(s[1, -1]))
+        if s2.min() > max((2.0 * m * DEFAULT_EPS) ** 2, m * floor):
             s1 *= -mu_q
             s1 += qt
             s1 /= np.sqrt(s2, out=s2)
@@ -276,6 +287,11 @@ def _nearest(
             best = math.sqrt(2.0 * m * (1.0 - min(max(rho, -1.0), 1.0)))
             if best > _band(m):
                 return best
+        else:
+            # that window's moments are rounding noise, which magnifies any
+            # rounding difference in the query's dot products and moments
+            qt = sliding_dot_product(query, series)
+            mu_q, sd_q = float(query.mean()), float(query.std())
     d = _profile(qt, query, mu_q, sd_q, series, *_moments(sums, m))
     if room is not None:
         d[room[:k] < m] = np.inf

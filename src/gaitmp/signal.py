@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DataError
@@ -65,6 +64,11 @@ class SignalSelector:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         if self.channel not in CHANNELS:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
+        # resolved once here, so that a projection looks up nothing per sample
+        object.__setattr__(self, "_reduce", _reducer(self.source, self.channel))
+
+    def __reduce__(self):
+        return SignalSelector, (self.source, self.channel)
 
     @classmethod
     def parse(cls, text: str) -> "SignalSelector":
@@ -78,21 +82,38 @@ class SignalSelector:
         return f"{self.source}:{self.channel}"
 
 
-# one reducer per channel; l1 sums left to right, the order NumPy uses for
-# three elements, so every reducer equals Recording.project bit for bit
-_REDUCERS = {
-    "x": itemgetter(0),
-    "y": itemgetter(1),
-    "z": itemgetter(2),
-    "l1": lambda v: abs(v[0]) + abs(v[1]) + abs(v[2]),
-    "l2": lambda v: math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]),
-    "linf": lambda v: max(abs(v[0]), abs(v[1]), abs(v[2])),
-}
+def _reducer(source: str, channel: str):
+    """The function of a SensorSample that projects it on source:channel.
+    l1 sums left to right, the order NumPy uses for three elements, so every
+    reducer equals Recording.project bit for bit, and a NaN component gives
+    NaN. linf takes the largest by comparisons, which cost less than a call
+    of max."""
+    f = 1 + SOURCES.index(source)  # accel and gyro are fields 1 and 2
+    if channel in ("x", "y", "z"):
+        k = "xyz".index(channel)
+        return lambda s: s[f][k]
+
+    def l1(s):
+        x, y, z = s[f]
+        return abs(x) + abs(y) + abs(z)
+
+    def l2(s):
+        x, y, z = s[f]
+        return math.sqrt(x * x + y * y + z * z)
+
+    def linf(s):
+        x, y, z = s[f]
+        x, y, z = abs(x), abs(y), abs(z)
+        if x == x and y == y and z == z:  # no NaN, which compares false
+            return (x if x >= z else z) if x >= y else (y if y >= z else z)
+        return math.nan
+
+    return {"l1": l1, "l2": l2, "linf": linf}[channel]
 
 
 def project(sample: SensorSample, sel: SignalSelector) -> float:
     """Reduce one sample to a scalar."""
-    return _REDUCERS[sel.channel](sample.accel if sel.source == "accel" else sample.gyro)
+    return sel._reduce(sample)
 
 
 def envelope_window_samples(window_ms: float, sample_rate_hz: float) -> int:

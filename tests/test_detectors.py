@@ -913,6 +913,9 @@ class PerChunkHistory:
     def reset_query(self):
         pass  # every call scores its query from scratch
 
+    def release_tables(self):
+        pass  # no tables: flush has nothing to drop
+
     def best_distance(self, query):
         best = math.inf
         for chunk in self.chunks:
@@ -1094,9 +1097,11 @@ def draw_query(rng, kind, chunks, length, level):
     """A query of ``length`` samples: a copy of a stretch of a varying chunk
     (exact or nudged by 1e-7, padded with noise past the chunk's end), a copy
     of a stretch across a chunk boundary, noise, or a constant at ``level``.
-    A nudged copy of a constant chunk would be a query with stdev ~1e-7 at
-    ``level``, where the fast formula itself loses the digits compared here.
-    (An exactly constant chunk can have a numpy std of 2.2e-16, not 0.)"""
+    A nudged copy of a constant chunk, or of a run of one value, would be a
+    query (or a prefix of one) with stdev ~1e-7 at ``level``, where the fast
+    formula itself loses the digits compared here, so a copy that repeats a
+    value stays exact. (An exactly constant chunk can have a numpy std of
+    2.2e-16, not 0.)"""
     varying = [c for c in chunks if c.min() != c.max()]
     if kind == "constant":
         return np.full(length, level)
@@ -1110,7 +1115,7 @@ def draw_query(rng, kind, chunks, length, level):
     source = varying[int(rng.integers(len(varying)))]
     start = int(rng.integers(source.size))
     q = np.concatenate([source[start : start + length], rng.normal(0.0, 1.0, length)])[:length]
-    if kind == "nudged":
+    if kind == "nudged" and (q[1:] != q[:-1]).all():
         q = q + rng.normal(0.0, 1e-7, length)
     return q
 
@@ -1176,4 +1181,166 @@ class TestGrowthRows:
         for m in range(41, 51):
             assert history.best_distance(second[:m]) == pytest.approx(
                 masked_best(second[:m], history), rel=0, abs=1e-9
+            )
+
+
+def draw_table_chunk(rng, kind, shortest, level):
+    """One chunk for the window tables: noise a few readings either side of
+    the shortest query, noise well past it (new table rows), noise with a
+    run of one repeated value, a constant, or a tiny variance at ``level``."""
+    n = shortest + int(rng.integers(-2, 9))
+    if kind == "long":
+        n = shortest + int(rng.integers(10, 40))
+    x = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0), max(n, 2))
+    if kind == "repeat":
+        p = int(rng.integers(x.size))
+        x[p : p + int(rng.integers(2, shortest + 4))] = x[p]
+    elif kind == "constant":
+        x[:] = level
+    elif kind == "quiet":
+        x = level + 1e-9 * x
+    return x
+
+
+def tables_by_definition(history):
+    """Each held clean chunk's s1 and m*S2 - S1^2 by plain sums over its
+    windows, in table layout, with the mask of windows inside a chunk."""
+    lo, n = history._lo, history.buffer.size
+    rows = history._s1.shape[0]
+    s1, div, inside = np.zeros((rows, n)), np.zeros((rows, n)), np.zeros((rows, n), dtype=bool)
+    start = 0
+    for c in history.chunks:
+        x = c.values
+        for r in range(rows if not c.provisional else 0):
+            m = lo + r
+            for j in range(x.size - m + 1):
+                w = x[j : j + m]
+                s1[r, start + j] = w.sum()
+                div[r, start + j] = m * (w * w).sum() - w.sum() ** 2
+                inside[r, start + j] = True
+        start += x.size
+    return s1, div, inside
+
+
+def assert_tables_match_a_fresh_build(history, cap):
+    """The carried tables equal those of a History that admits the held
+    chunks afresh, and the plain sums of every window. A chunk longer than
+    ``cap``, which History holds alone, has no entries."""
+    n = history.buffer.size
+    if history.longest > cap:
+        assert len(history.chunks) == 1 and not history._usable
+        assert not history._s1[:, :n].any() and not history._inv[:, :n].any()
+        return
+    fresh = _History(history._lo - 1)
+    for c in history.chunks:
+        fresh.admit(_Chunk(c.values.copy(), c.env_max, c.provisional), cap=10**9)
+    clean = [c.values.size for c in history.chunks if not c.provisional]
+    rows = max(0, max(clean, default=0) - history._lo + 1)
+    assert history._s1.shape[0] >= rows
+    for carried, built in ((history._s1, fresh._s1), (history._inv, fresh._inv)):
+        np.testing.assert_array_equal(carried[:rows, :n], built[:rows, :n])
+        # rows kept after the longest chunk left hold no window
+        assert not carried[rows:, :n].any()
+    assert history._usable[:rows] == fresh._usable[:rows]
+    s1, div, inside = tables_by_definition(fresh)
+    live_s1, live_inv = fresh._s1[:, :n], fresh._inv[:, :n]
+    assert not live_s1[~inside].any() and not live_inv[~inside].any()
+    np.testing.assert_allclose(live_s1[inside], s1[inside], rtol=1e-12, atol=1e-9)
+    # inv where the window's divisor lies clear of the running sums' rounding
+    clear = inside & (div > 1e-6 * np.abs(s1) ** 2)
+    np.testing.assert_allclose(live_inv[clear], 1.0 / np.sqrt(div[clear]), rtol=1e-6)
+
+
+class TestWindowTables:
+    """Growth rows read window tables that each chunk's admission extends:
+    every row matches a fresh distance profile over the buffer, masked to
+    windows inside one chunk, and after every admission the carried tables
+    equal tables built from scratch for the held chunks."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shortest=st.integers(3, 30),
+        kinds=st.lists(
+            st.sampled_from(["noise", "long", "repeat", "constant", "quiet"]), min_size=1, max_size=8
+        ),
+        # "own": each admission's cap is the chunk's own length, so it
+        # evicts every chunk before; at cap 1 no chunk has entries
+        cap=st.sampled_from(["own", 1, 80, 10**6]),
+        start=st.sampled_from(["empty", "provisional", "primed"]),
+        query_kind=st.sampled_from(["copy", "nudged", "across", "noise", "constant"]),
+        level=st.floats(0.5, 20.0) | st.floats(-20.0, -0.5),
+    )
+    # a cap so small that every admission evicts, rows growing and shrinking
+    @example(seed=0, shortest=5, kinds=["long", "noise", "long", "noise"], cap="own",
+             start="empty", query_kind="copy", level=1.0)
+    # every chunk longer than the cap, held alone without entries
+    @example(seed=5, shortest=4, kinds=["noise", "long"], cap=1, start="primed",
+             query_kind="copy", level=1.0)
+    # the longest chunk evicted while shorter ones stay
+    @example(seed=1, shortest=8, kinds=["long", "noise", "noise", "noise"], cap=80, start="primed",
+             query_kind="nudged", level=1.0)
+    # a provisional chunk has no entries, and every row falls back while it is held
+    @example(seed=2, shortest=6, kinds=["noise", "repeat"], cap=10**6, start="provisional",
+             query_kind="noise", level=3.0)
+    # a tiny variance at a level and a repeated value: those rows fall back
+    @example(seed=3, shortest=10, kinds=["quiet", "repeat", "noise"], cap=10**6, start="empty",
+             query_kind="noise", level=7.93)
+    @example(seed=4, shortest=4, kinds=["constant", "noise"], cap=10**6, start="empty",
+             query_kind="constant", level=-4.5)
+    # a quiet chunk at a level, alone: its windows' moments are rounding
+    # noise, and the fallback must take the query's as distance_profile does
+    @example(seed=0, shortest=3, kinds=["noise", "noise", "quiet"], cap=1, start="primed",
+             query_kind="copy", level=2.5)
+    def test_rows_and_tables_after_every_admission(
+        self, seed, shortest, kinds, cap, start, query_kind, level
+    ):
+        rng = np.random.default_rng(seed)
+        history = _History(shortest)
+
+        def admit(values, provisional=False):
+            limit = values.size if cap == "own" else cap
+            history.admit(_Chunk(values, 1.0, provisional), limit)
+            assert_tables_match_a_fresh_build(history, limit)
+
+        if start == "provisional":
+            admit(rng.normal(0.0, 2.0, 3 * shortest), provisional=True)
+        elif start == "primed":
+            for part in np.array_split(rng.normal(1.0, 2.0, 4 * shortest), 3):
+                admit(part)
+        for kind in kinds:
+            admit(draw_table_chunk(rng, kind, shortest, level))
+            chunks = [c.values for c in history.chunks]
+            length = shortest + int(rng.integers(0, history.longest - shortest + 3))
+            query = draw_query(rng, query_kind, chunks, length, level)
+            history.reset_query()
+            for m in range(shortest, length + 1):
+                got = history.best_distance(query[:m])
+                want = masked_best(query[:m], history)
+                if math.isinf(want):
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, rel=0, abs=1e-9), m
+
+    def test_flush_releases_the_tables_and_keeps_the_rest(self):
+        rec, _ = make_recording("time-warped", 2)
+        det = StepGatedDetector(StepSystemConfig())
+        kept = StepGatedDetector(StepSystemConfig())
+        kept._history.release_tables = lambda: None
+        got, want = replay(det, rec), replay(kept, rec)
+        assert det._history._tables.size == 0 and not det._history._usable
+        assert kept._history._tables.size > 0 and any(kept._history._usable)
+        np.testing.assert_array_equal(det._history.buffer, kept._history.buffer)
+        assert [c.values.tolist() for c in det._history.chunks] == [
+            c.values.tolist() for c in kept._history.chunks
+        ]
+        assert got.trace == want.trace and got.alarms == want.alarms
+        assert det.admissions == kept.admissions
+        # a History without tables still scores, every growth row by the fallback
+        query = det._history.chunks[-1].values[::-1].copy()
+        for history in (det._history, kept._history):
+            history.reset_query()
+        for m in range(kept.cfg.min_query_len, query.size + 1):
+            assert det._history.best_distance(query[:m]) == pytest.approx(
+                kept._history.best_distance(query[:m]), rel=0, abs=1e-9
             )

@@ -175,3 +175,18 @@ def test_growth_finish_matches_the_masked_profile(seed, m, kinds, constant_query
     # a naive hop's call: no room, every window counts
     got = _nearest(qt, query, mu_q, sd_q, series, sums)
     assert got == pytest.approx(float(d.min()), rel=0, abs=1e-9)
+
+
+def test_a_quiet_stretch_at_a_level_falls_back_where_its_sums_cancel():
+    # 30 readings at -44.3 with a stdev of 4.8e-6: every window's
+    # m*S2 - S1^2 is rounding noise a little over m * n * 2^-52 times the
+    # sum of squares, which the S1^2 term of _rounding_floor covers. Ranked
+    # from that noise, the row came out 3.8e-3 off the profile
+    rng = np.random.default_rng(3)
+    series = -44.3 + 4.8e-6 * rng.normal(size=30)
+    query = rng.normal(size=21)
+    qt = sliding_dot_product(query, series)
+    mu_q, sd_q = float(query.mean()), float(query.std())
+    sums = _sums(series)
+    want = float(_profile(qt, query, mu_q, sd_q, series, *_moments(sums, 21)).min())
+    assert _nearest(qt, query, mu_q, sd_q, series, sums) == pytest.approx(want, rel=0, abs=1e-9)
