@@ -105,10 +105,12 @@ from .errors import DataError
 from .mp import (
     DEFAULT_EPS,
     TimeSeries,
-    _band,
     _nearest,
+    _nearest_from_table,
     _rounding_floor,
     _sums,
+    _table_index,
+    _window_block,
     distance_profile,
     sliding_dot_product,
 )
@@ -327,8 +329,8 @@ class _History:
     that window, S2 being the sum of its squares. Both are 0 wherever the
     window leaves its chunk. A provisional chunk has no entries, nor has a
     chunk longer than the cap, which is held alone. A clean chunk's
-    entries come from its own running sums, in a few vectorised
-    calls when it is admitted (_fill_block); admission then shifts the
+    entries come from its own running sums, in a few vectorised calls
+    when it is admitted (mp._window_block); admission then shifts the
     tables left past the evicted chunks' columns and writes the new chunk's
     block after the rest, so no held chunk's entries are computed twice.
     The array is replaced only when a chunk longer than every clean one
@@ -338,8 +340,9 @@ class _History:
 
     (qt - mu_q * s1[r]) * inv[r] is each window's correlation with the
     query times the query's stdev, so a growth row costs two NumPy calls to
-    grow and four to rank: a multiply, an add, a multiply and a max. The row
-    falls back to mp._nearest over running sums of the whole buffer when:
+    grow and four to rank (mp._nearest_from_table): a multiply, an add, a
+    multiply and a max. The row falls back to mp._nearest over running sums
+    of the whole buffer when:
     the query is constant; m is outside the tables; some held chunk has at
     that length a window whose m*S2 - S1^2 is at or under mp._nearest's
     floor, which bounds the running sums' rounding over the buffer and so
@@ -446,58 +449,23 @@ class _History:
         least[:-1, rows:] = np.inf
         least[-1] = np.inf
         self._least = least
-        block = tables[:, :, carried:n]
-        if new.provisional or new.values.size > cap:
+        block, c = tables[:, :, carried:n], new.values.size
+        if new.provisional or c > cap:
             block[...] = 0.0
+        elif c >= lo:
+            if c not in self._index:
+                if len(self._index) > 2 * len(self.chunks):
+                    self._index.clear()
+                self._index[c] = _table_index(c, lo)
+            _window_block(new.values, self._index[c], block, least[-1])
         else:
-            self._fill_block(new.values, block, least[-1])
+            block[...] = 0.0
         # mp._nearest's floor, from the whole buffer's readings and sum of squares
         m = np.arange(lo, lo + height, dtype=np.float64)
         per_m = _rounding_floor(n, float(self.buffer @ self.buffer))
         floor = np.maximum((2.0 * DEFAULT_EPS * m) ** 2, m * per_m)
         # a chunk without entries has windows the tables do not rank
         self._usable = [] if untabled else (least.min(axis=0, initial=np.inf) > floor).tolist()
-
-    def _fill_block(self, x: np.ndarray, block: np.ndarray, least: np.ndarray) -> None:
-        """Write the s1 and inv entries of the chunk with values ``x`` into
-        ``block`` (2 x table rows x its readings) from its own running sums,
-        and the least m*S2 - S1^2 of its windows per row into ``least``."""
-        lo, c = self._lo, x.size
-        rows = max(0, c - lo + 1)
-        if rows < block.shape[1]:
-            block[:, rows:] = 0.0
-        if not rows:
-            return
-        if c not in self._index:
-            if len(self._index) > 2 * len(self.chunks):
-                self._index.clear()
-            m = np.arange(lo, c + 1)[:, None]
-            j = np.arange(c)
-            inside = j <= c - m
-            # flat indices into the running sums (2 x c + 2) of each window's
-            # end: where the window leaves the chunk, S1 ends where it starts
-            # (a sum of 0) and S2 at the inf in the last column
-            s1_ends = np.where(inside, j + m, j)
-            s2_ends = np.where(inside, c + 2 + j + m, 2 * c + 3)
-            ends = np.stack((s1_ends, s2_ends))
-            self._index[c] = ends, m.astype(np.float64)
-        ends, m = self._index[c]
-        sums = np.zeros((2, c + 2))
-        sums[0, 1 : c + 1] = x
-        np.multiply(x, x, out=sums[1, 1 : c + 1])
-        np.add.accumulate(sums, axis=1, out=sums)
-        sums[1, -1] = np.inf
-        s1, s2 = np.subtract(sums.take(ends), sums[:, None, :c], out=block[:, :rows])
-        # m*S2 - S1^2 of every window, inf where it leaves the chunk
-        div = s2 * m
-        div -= s1 * s1
-        # a window with no change of value has m*S2 - S1^2 = 0 but for the
-        # running sums' rounding, which the floor of _usable bounds
-        np.min(div, axis=1, out=least[:rows])
-        if not least[:rows].min() > 0.0:
-            div[div <= 0.0] = np.inf
-        # inv: 0 where the window leaves the chunk or has no positive divisor
-        np.divide(1.0, np.sqrt(div, out=div), out=s2)
 
     def release_tables(self) -> None:
         """Drop the tables, for good: later growth rows all fall back."""
@@ -557,15 +525,11 @@ class _History:
         r = m - self._lo
         if sd_q > DEFAULT_EPS and 0 <= r < len(self._usable) and self._usable[r]:
             k = self._qt.size
-            # (qt - mu_q * S1) / sqrt(m*S2 - S1^2) = rho * sd_q, 0 outside chunks
-            rank = np.multiply(self._s1[r, :k], -self._mean, out=self._scratch[:k])
-            rank += self._qt
-            rank *= self._inv[r, :k]
-            rho = float(rank.max()) / sd_q
-            if rho > 0.0:
-                best = math.sqrt(2.0 * m * (1.0 - min(rho, 1.0)))
-                if best > _band(m):
-                    return best
+            best = _nearest_from_table(
+                self._qt, self._mean, sd_q, m, self._s1[r, :k], self._inv[r, :k], self._scratch[:k]
+            )
+            if best is not None:
+                return best
         if self._window_sums is None:
             self._window_sums = _sums(self.buffer)
         return _nearest(

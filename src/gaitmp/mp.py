@@ -298,6 +298,61 @@ def _nearest(
     return float(d.min())
 
 
+def _table_index(c: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a series of c readings, the flat index, into _window_block's
+    running sums (2 x c + 2), of where each window at lengths lo..c ends,
+    and those lengths as a column. A window that leaves the series ends its
+    S1 where it starts (a sum of 0) and its S2 at the inf in the last column."""
+    m = np.arange(lo, c + 1)[:, None]
+    j = np.arange(c)
+    inside = j <= c - m
+    ends = np.stack((np.where(inside, j + m, j), np.where(inside, c + 2 + j + m, 2 * c + 3)))
+    return ends, m.astype(np.float64)
+
+
+def _window_block(x: np.ndarray, index, block: np.ndarray, least: np.ndarray) -> None:
+    """Write into ``block`` (2 x rows x x.size) the sum S1 and 1 / sqrt(m*S2 - S1^2)
+    of every window of x at the lengths of ``index`` (_table_index), from
+    running sums of x alone, 0 where a window leaves x or has no positive
+    m*S2 - S1^2, and the rows past the longest length; and the least
+    m*S2 - S1^2 of each length's windows into ``least``."""
+    ends, m = index
+    c, rows = x.size, m.size
+    block[:, rows:] = 0.0
+    sums = np.zeros((2, c + 2))
+    sums[0, 1 : c + 1] = x
+    np.multiply(x, x, out=sums[1, 1 : c + 1])
+    np.add.accumulate(sums, axis=1, out=sums)
+    sums[1, -1] = np.inf
+    s1, s2 = np.subtract(sums.take(ends), sums[:, None, :c], out=block[:, :rows])
+    # inf where the window leaves x
+    div = s2 * m
+    div -= s1 * s1
+    np.min(div, axis=1, out=least[:rows])
+    if not least[:rows].min() > 0.0:
+        div[div <= 0.0] = np.inf
+    np.divide(1.0, np.sqrt(div, out=div), out=s2)
+
+
+def _nearest_from_table(
+    qt: np.ndarray, mu_q: float, sd_q: float, m: int, s1: np.ndarray, inv: np.ndarray, out: np.ndarray
+) -> float | None:
+    """Smallest distance of a varying query of length m from its dot
+    products qt and every window's S1 and 1 / sqrt(m*S2 - S1^2) (inv, 0 for
+    a window that does not count), using ``out`` as scratch. Window j ranks
+    (qt - mu_q*S1) * inv, its rho * sd_q. None when no counted window ranks
+    over 0 or the best is at or under _band(m): _nearest finishes those."""
+    rank = np.multiply(s1, -mu_q, out=out)
+    rank += qt
+    rank *= inv
+    rho = float(rank.max()) / sd_q
+    if rho > 0.0:
+        best = math.sqrt(2.0 * m * (1.0 - min(rho, 1.0)))
+        if best > _band(m):
+            return best
+    return None
+
+
 def _check_self_join_args(n: int, m: int, exclusion: int | None) -> int:
     """Validate a self-join's arguments; return the exclusion radius,
     ceil(m/2) by default."""
