@@ -364,8 +364,8 @@ class _History:
         self._tables = np.empty((2, 0, 0))
         self._s1, self._inv = self._tables
         # per held chunk and table row, the least m*S2 - S1^2 of its windows
-        # (0 where one is constant or the chunk provisional, inf where it
-        # has none), and whether growth rows of that length use the tables
+        # (inf where it has none or no entries), and whether growth rows of
+        # that length use the tables
         self._least = np.empty((0, 0))
         self._usable: list[bool] = []
         self._provisional = False
@@ -373,7 +373,8 @@ class _History:
         # per chunk length: where each table entry's window ends in the
         # chunk's running sums, and the rows' lengths
         self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # running sums of the buffer, for fallbacks: taken on the first
+        # running sums of the buffer, taken on the first fallback after an
+        # admission
         self._window_sums = None
         self._scratch = np.empty(0)
         self._qt = np.empty(0)
@@ -450,16 +451,14 @@ class _History:
         least[-1] = np.inf
         self._least = least
         block, c = tables[:, :, carried:n], new.values.size
-        if new.provisional or c > cap:
+        if new.provisional or c > cap or c < lo:
             block[...] = 0.0
-        elif c >= lo:
+        else:
             if c not in self._index:
                 if len(self._index) > 2 * len(self.chunks):
                     self._index.clear()
                 self._index[c] = _table_index(c, lo)
             _window_block(new.values, self._index[c], block, least[-1])
-        else:
-            block[...] = 0.0
         # mp._nearest's floor, from the whole buffer's readings and sum of squares
         m = np.arange(lo, lo + height, dtype=np.float64)
         per_m = _rounding_floor(n, float(self.buffer @ self.buffer))
