@@ -56,6 +56,14 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
+def _write_text(path, text: str) -> None:
+    """Write text to path; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail(str(exc))
+
+
 def _load_recording(path) -> ds.Recording:
     try:
         return ds.load_recording(path)
@@ -187,7 +195,7 @@ def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, r
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text)
+        _write_text(out, text)
         click.echo(f"wrote {out} ({len(rows) - 1} segments)")
 
 
@@ -216,7 +224,7 @@ def mp(recording, m, exclusion, signal, out, oracle):
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text)
+        _write_text(out, text)
         click.echo(f"wrote {out} ({len(rows) - 1} rows)")
     if oracle:
         ref = brute_force_mp(series.values, m, exclusion=exclusion)
@@ -352,18 +360,20 @@ def evaluate(inputs, out, mode, signal, history_lens, rtf_runs):
         except (DataError, ValueError) as exc:
             _fail(str(exc))
         suffix = "" if len(lens) == 1 else f"-h{history_len_s:g}"
-        write_roc_csv(report.roc, out_dir / f"roc{suffix}.csv")
-        write_f1_csv(report.f1_by_threshold, out_dir / f"f1_by_threshold{suffix}.csv")
-        write_earliness_csv(report.per_recording, out_dir / f"earliness{suffix}.csv")
+        try:
+            write_roc_csv(report.roc, out_dir / f"roc{suffix}.csv")
+            write_f1_csv(report.f1_by_threshold, out_dir / f"f1_by_threshold{suffix}.csv")
+            write_earliness_csv(report.per_recording, out_dir / f"earliness{suffix}.csv")
+        except OSError as exc:
+            _fail(str(exc))
         families.append({"history_len_s": history_len_s, **report_to_dict(report)})
         click.echo(
             f"history {history_len_s:g}s: auc {report.auc:.4f} "
             f"f1 {report.aggregate_f1:.4f} at threshold {report.optimal_threshold:.2f}"
         )
 
-    with open(out_dir / "report.json", "w") as f:
-        json.dump({"families": families}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    text = json.dumps({"families": families}, indent=2, sort_keys=True)
+    _write_text(out_dir / "report.json", text + "\n")
     click.echo(f"wrote {out_dir / 'report.json'}")
 
 

@@ -324,19 +324,20 @@ class _History:
 
     Growth rows read two window tables aligned with the buffer, one row per
     query length m from shortest + 1 (shortest: the seed row's length) to
-    the longest clean chunk: s1[r, j], the sum of the window of length
+    the longest chunk: s1[r, j], the sum of the window of length
     m = shortest + 1 + r at j, and inv[r, j], 1 / sqrt(m*S2 - S1^2) for
     that window, S2 being the sum of its squares. Both are 0 wherever the
-    window leaves its chunk. A provisional chunk has no entries, nor has a
-    chunk longer than the cap, which is held alone. A clean chunk's
-    entries come from its own running sums, in a few vectorised calls
-    when it is admitted (mp._window_block); admission then shifts the
-    tables left past the evicted chunks' columns and writes the new chunk's
-    block after the rest, so no held chunk's entries are computed twice.
-    The array is replaced only when a chunk longer than every clean one
-    held needs more rows, when the buffer needs more columns, or when the
-    array is over twice the size History needs. The tables take
-    16 * rows * columns bytes.
+    window leaves its chunk. A History that holds a provisional chunk, or a
+    chunk longer than the cap, holds that chunk alone and keeps no tables;
+    the next admission evicts it. Otherwise each chunk's entries come from
+    its own running sums, in a few vectorised calls when it is admitted
+    (mp._window_block), through a gather index cached per held chunk
+    length; admission then shifts the tables left past the evicted chunks'
+    columns and writes the new chunk's block after the rest, so no held
+    chunk's entries are computed twice. The array is replaced only when a
+    chunk longer than every one held needs more rows, when the buffer needs
+    more columns, or when the array is over twice the size History needs.
+    The tables take 16 * rows * columns bytes.
 
     (qt - mu_q * s1[r]) * inv[r] is each window's correlation with the
     query times the query's stdev, so a growth row costs two NumPy calls to
@@ -344,13 +345,12 @@ class _History:
     multiply and a max. The row falls back to mp._nearest over running sums
     of the whole buffer when:
     the query is constant; m is outside the tables; some held chunk has at
-    that length a window whose m*S2 - S1^2 is at or under mp._nearest's
-    floor, which bounds the running sums' rounding over the buffer and so
-    also covers every window with no change of value (_usable); a held
-    chunk has no entries; every window inside a chunk ranks at or under 0,
-    i.e. the best straddles a chunk; or the best is a near-duplicate.
-    release_tables drops the tables for good (flush calls it), and every
-    later growth row falls back; the chunks and the buffer stay.
+    that length a window whose m*S2 - S1^2 is at or under
+    mp._rounding_floor over the buffer, the one rule by which mp._nearest
+    declines windows too, which also covers every constant window
+    (_usable); every window inside a chunk ranks at or under 0, i.e. the
+    best straddles a chunk; or the best is a near-duplicate. flush drops
+    the tables (release_tables) and keeps the chunks and the buffer.
     """
 
     def __init__(self, shortest: int = 3):
@@ -364,12 +364,11 @@ class _History:
         self._tables = np.empty((2, 0, 0))
         self._s1, self._inv = self._tables
         # per held chunk and table row, the least m*S2 - S1^2 of its windows
-        # (inf where it has none or no entries), and whether growth rows of
+        # (inf where it has none), and whether growth rows of
         # that length use the tables
         self._least = np.empty((0, 0))
         self._usable: list[bool] = []
         self._provisional = False
-        self._released = False
         # per chunk length: where each table entry's window ends in the
         # chunk's running sums, and the rows' lengths
         self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -381,12 +380,10 @@ class _History:
         self.reset_query()
 
     def admit(self, chunk: _Chunk, cap: int) -> None:
-        """Append a chunk (a clean one replaces provisional chunks), then
-        evict whole chunks FIFO while more than ``cap`` samples are held."""
-        if chunk.provisional or not self._provisional:
-            chunks = self.chunks + [chunk]
-        else:
-            chunks = [c for c in self.chunks if not c.provisional] + [chunk]
+        """Append a chunk, or replace the provisional one with it, then
+        evict whole chunks FIFO while more than ``cap`` samples are held. A
+        provisional chunk only ever enters an empty History."""
+        chunks = ([] if self._provisional else self.chunks) + [chunk]
         sizes = [c.values.size for c in chunks]
         total = sum(sizes)
         while len(chunks) > 1 and total > cap:
@@ -408,28 +405,23 @@ class _History:
         self._provisional = chunk.provisional
         self._window_sums = None
         self._scratch = np.empty(total)
-        if not self._released:
-            self._carry_tables(dropped, gone, cap)
+        self._carry_tables(dropped, gone, cap)
         self.reset_query()
 
     def _carry_tables(self, dropped: int, gone: int, cap: int) -> None:
         """Shift the tables left past the ``gone`` columns of the evicted
         chunks (one move of the whole array, whose rows' ends then hold
         leftovers past the buffer) and write the newest chunk's block after
-        the rest. Only clean chunks of at most ``cap`` readings have
-        entries, which bounds the tables by about 32 * cap^2 bytes; a longer
-        chunk is held alone and scored by the fallback. The array is
-        replaced, sized to hold History up to its cap, when it needs more
-        rows or columns or is over twice the size it needs."""
+        the rest. A History that holds a provisional chunk, or a chunk longer
+        than ``cap``, holds that chunk alone and keeps no tables, which
+        bounds them by about 32 * cap^2 bytes. The array is replaced, sized
+        to hold History up to its cap, when it needs more rows or columns or
+        is over twice the size it needs."""
+        if self._provisional or self.longest > cap:
+            return self.release_tables()
         lo, n = self._lo, self.buffer.size
         new = self.chunks[-1]
-        untabled = self._provisional or self.longest > cap
-        if untabled:
-            sizes = [c.values.size for c in self.chunks if not c.provisional]
-            longest = max([size for size in sizes if size <= cap], default=0)
-        else:
-            longest = self.longest
-        need = max(0, longest - lo + 1)
+        need = max(0, self.longest - lo + 1)
         carried = n - new.values.size
         tables = self._tables
         rows, width = tables.shape[1:]
@@ -451,30 +443,29 @@ class _History:
         least[-1] = np.inf
         self._least = least
         block, c = tables[:, :, carried:n], new.values.size
-        if new.provisional or c > cap or c < lo:
+        # a gather index per held chunk length, and no other
+        held = {chunk.values.size for chunk in self.chunks}
+        self._index = {size: index for size, index in self._index.items() if size in held}
+        if c < lo:
             block[...] = 0.0
         else:
             if c not in self._index:
-                if len(self._index) > 2 * len(self.chunks):
-                    self._index.clear()
                 self._index[c] = _table_index(c, lo)
             _window_block(new.values, self._index[c], block, least[-1])
-        # mp._nearest's floor, from the whole buffer's readings and sum of squares
         m = np.arange(lo, lo + height, dtype=np.float64)
-        per_m = _rounding_floor(n, float(self.buffer @ self.buffer))
-        floor = np.maximum((2.0 * DEFAULT_EPS * m) ** 2, m * per_m)
-        # a chunk without entries has windows the tables do not rank
-        self._usable = [] if untabled else (least.min(axis=0, initial=np.inf) > floor).tolist()
+        floor = _rounding_floor(m, n, float(self.buffer @ self.buffer))
+        self._usable = (least.min(axis=0, initial=np.inf) > floor).tolist()
 
     def release_tables(self) -> None:
-        """Drop the tables, for good: later growth rows all fall back."""
-        self._released = True
+        """Drop the tables; every growth row falls back. An admission builds
+        the new chunk's block alone, so only an untabled History, whose one
+        chunk the next admission evicts, and flush, after which no row is
+        scored, call it."""
         self._tables = np.empty((2, 0, 0))
         self._s1, self._inv = self._tables
         self._least = np.empty((0, 0))
         self._usable = []
         self._index = {}
-        self._window_sums = None
 
     def reset_query(self) -> None:
         """Drop the carried query; the next best_distance is a seed row."""

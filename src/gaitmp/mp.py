@@ -3,11 +3,11 @@
 Every fast path here turns dot products and window moments into distances
 in one kernel, _fast_distances, which holds the degenerate conventions.
 Window moments come from one helper pair: _sums takes running sums of the
-values and their squares, plus, when the series repeats a value, a running
-count of value changes; _moments turns them into each window's mean and
-stdev. A window with no change of value gets a stdev of exactly 0, where the
-sums alone cancel and can read a constant stretch at a nonzero level as
-varying. A caller whose series does not change (History) caches _sums.
+values and their squares, and _moments turns them into each window's mean
+and stdev. When the series repeats a value, _moments gives a window with no
+change of value a stdev of exactly 0, where the sums alone cancel and can
+read a constant stretch at a nonzero level as varying. A caller whose series
+does not change (History) caches _sums.
 
 Near-duplicates are recomputed by definition in _exact_distances, because
 sqrt(2m(1-rho)) cancels as rho -> 1. The band is 1 - rho <= NEAR_DUPLICATE**2,
@@ -20,12 +20,16 @@ profile's smallest entry and finish in _nearest: it ranks the windows by
 their correlation with the query straight from the running sums (the window
 sums S1 and S2 in one subtraction, as SCAMP ranks by Pearson correlation
 from co-moments), with an optional mask of windows that straddle a History
-chunk boundary. A window with no change of value is ranked there as
-constant; the row falls back to _profile over _moments for a constant
-query, a window the sums cannot tell from constant, or a near-duplicate
-best. Self-join rows run in STOMP order (dot products updated row to row) and
-finish in _finish_row. A brute-force double loop over the plain definition
-(brute_force_mp) shares no code with any of them and is kept as the oracle.
+chunk boundary. One rule, _rounding_floor, says when running sums can rank
+a window: its m*S2 - S1^2 must lie above the floor, which bounds their
+rounding and so also covers every constant window. The row falls back to
+_profile over _moments for a constant query, a window at or under the
+floor, or a near-duplicate best; _best_of_rank turns the best rank into a
+distance or declines a near-duplicate, for _nearest and for the History
+tables' rows (_nearest_from_table) alike. Self-join rows run in STOMP order
+(dot products updated row to row) and finish in _finish_row. A brute-force
+double loop over the plain definition (brute_force_mp) shares no code with
+any of them and is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -113,34 +117,31 @@ def sliding_dot_product(query, series) -> np.ndarray:
     return np.correlate(t, q, mode="valid")
 
 
-def _sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Zero-prefixed running sums of x (row 0) and of x*x (row 1), and, only
-    when x repeats a value, changes[i]: how many p in 1..i have x[p] != x[p-1]."""
+def _sums(x: np.ndarray) -> np.ndarray:
+    """Zero-prefixed running sums of x (row 0) and of x*x (row 1)."""
     sums = np.zeros((2, x.size + 1))
     sums[0, 1:] = x
     np.multiply(x, x, out=sums[1, 1:])
     # np.cumsum's arithmetic, without its per-call wrapper
     np.add.accumulate(sums, axis=1, out=sums)
-    steps = x[1:] != x[:-1]
-    if np.count_nonzero(steps) == steps.size:
-        return sums, None
-    changes = np.zeros(x.size, dtype=np.int64)
-    np.cumsum(steps, out=changes[1:])
-    return sums, changes
+    return sums
 
 
-def _moments(sums, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and stdev of every window of length m of the series _sums saw.
-    A window with no change of value gets stdev exactly 0, where the running
-    sums, cancelling, can leave one far above DEFAULT_EPS."""
-    s, changes = sums
-    k = s.shape[1] - m
-    window = s[:, m:] - s[:, :k]
+def _moments(x: np.ndarray, sums: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and stdev of every window of length m of x, from its _sums. When x
+    repeats a value, a window with no change of value gets stdev exactly 0,
+    where the running sums, cancelling, can leave one far above DEFAULT_EPS."""
+    k = sums.shape[1] - m
+    window = sums[:, m:] - sums[:, :k]
     window /= m
     mean, var = window
     var -= mean * mean
     sd = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
-    if changes is not None:
+    steps = x[1:] != x[:-1]
+    if np.count_nonzero(steps) < steps.size:
+        # changes[i]: how many p in 1..i have x[p] != x[p-1]
+        changes = np.zeros(x.size, dtype=np.int64)
+        np.cumsum(steps, out=changes[1:])
         sd[changes[m - 1 :] == changes[:k]] = 0.0
     return mean, sd
 
@@ -216,18 +217,32 @@ def distance_profile(query, series) -> np.ndarray:
         raise ValueError("query longer than series")
     if not np.all(np.isfinite(q)) or not np.all(np.isfinite(t)):
         raise DataError("non-finite values in distance profile input")
-    mean, sd = _moments(_sums(t), q.size)
+    mean, sd = _moments(t, _sums(t), q.size)
     return _profile(sliding_dot_product(q, t), q, float(q.mean()), float(q.std()), t, mean, sd)
 
 
-def _rounding_floor(n: int, sumsq: float) -> float:
-    """A bound, per unit of m, on the rounding of m*S2 - S1^2 for a window of
-    length m taken from running sums over n readings whose squares sum to
-    ``sumsq``. Each running sum is off by up to about n * 2^-52 times the
-    sum of what it adds up, so a window's S2 by 2n * 2^-52 * sumsq and its
-    S1 by 2n * 2^-52 * sum|x|, and with |S1| <= m * max|x| and
-    max|x| * sum|x| <= sqrt(n) * sumsq, m*S2 - S1^2 by m times this."""
-    return n * 2.0**-52 * sumsq * (2.0 + 4.0 * math.sqrt(n))
+def _rounding_floor(m, n: int, sumsq: float):
+    """The floor on m*S2 - S1^2 over which a score row ranks a window of
+    length m (an int, or an array of lengths) from running sums over n
+    readings whose squares sum to ``sumsq``. A window at or under it may
+    count as constant: its stdev may be at or under DEFAULT_EPS (with a
+    margin of 2), or its digits lost to the sums' rounding. Each running sum
+    is off by up to about n * 2^-52 times the sum of what it adds up, so a
+    window's S2 by 2n * 2^-52 * sumsq and its S1 by 2n * 2^-52 * sum|x|, and
+    with |S1| <= m * max|x| and max|x| * sum|x| <= sqrt(n) * sumsq,
+    m*S2 - S1^2 by m times n * 2^-52 * sumsq * (2 + 4 sqrt(n))."""
+    per_m = n * 2.0**-52 * sumsq * (2.0 + 4.0 * math.sqrt(n))
+    return np.maximum((2.0 * DEFAULT_EPS * m) ** 2, m * per_m)
+
+
+def _best_of_rank(rho: float, m: int) -> float | None:
+    """The distance sqrt(2m(1 - rho)) of a query of length m to its
+    best-ranked window, whose correlation with it is rho (clipped to
+    [-1, 1]); None when that is a near-duplicate, 1 - rho <=
+    NEAR_DUPLICATE**2 (see _band), which only _profile's recomputation
+    resolves."""
+    gap = 1.0 - rho
+    return math.sqrt(2.0 * m * min(gap, 2.0)) if gap > NEAR_DUPLICATE**2 else None
 
 
 def _nearest(
@@ -236,7 +251,7 @@ def _nearest(
     mu_q: float,
     sd_q: float,
     series: np.ndarray,
-    sums,
+    sums: np.ndarray,
     room: np.ndarray | None = None,
 ) -> float:
     """Smallest of _profile's distances, from the running sums _sums took of
@@ -246,31 +261,21 @@ def _nearest(
     History chunk); room may run past the last window. Window j has sums S1
     and S2 of its values and their squares, and m * stdev = sqrt(m*S2 - S1^2),
     so (qt - mu_q*S1) / sqrt(m*S2 - S1^2) is rho * sd_q, and the nearest
-    window is its argmax. A window with no change of value is constant: it
-    gets an inf divisor and rank 0, and sits by convention at sqrt(m), i.e. at
-    rho 1/2. Any other window that may count as constant would need its
-    moments, so _profile finishes the row when some window's m*S2 - S1^2 lies
-    within _rounding_floor of 0, when the query is constant, and when the
-    best is at or under _band(m). In the first case the row takes the
-    query's dot products and moments afresh, as distance_profile does, so
-    that it returns distance_profile's entry.
+    window is its argmax. _profile finishes the row when the query is
+    constant, when some window's m*S2 - S1^2 is at or under _rounding_floor
+    (which covers every constant window), and when the best is at or under
+    _band(m). In the second case the row takes the query's dot products and
+    moments afresh, as distance_profile does, so that it returns
+    distance_profile's entry.
     """
     m = query.size
-    s, changes = sums
-    k = s.shape[1] - m
+    k = sums.shape[1] - m
     if sd_q > DEFAULT_EPS:
-        s1, s2 = s[:, m:] - s[:, :k]
+        s1, s2 = sums[:, m:] - sums[:, :k]
         # in place: s2 becomes (m * stdev)^2, then s1 the rank, of each window
         s2 *= m
         s2 -= s1 * s1
-        flat = None if changes is None else changes[m - 1 :] == changes[:k]
-        if flat is not None:
-            s2[flat] = np.inf
-        # a window whose m*S2 - S1^2 lies near 0 may count as constant: its
-        # stdev may be at or under DEFAULT_EPS (with a margin of 2), or its
-        # digits lost to the running sums' rounding (_rounding_floor)
-        floor = _rounding_floor(s.shape[1] - 1, float(s[1, -1]))
-        if s2.min() > max((2.0 * m * DEFAULT_EPS) ** 2, m * floor):
+        if s2.min() > _rounding_floor(m, sums.shape[1] - 1, float(sums[1, -1])):
             s1 *= -mu_q
             s1 += qt
             s1 /= np.sqrt(s2, out=s2)
@@ -280,19 +285,15 @@ def _nearest(
                 # built only on the rare rows that need it
                 s1[room[:k] < m] = -np.inf
                 j = int(s1.argmax())
-            rho = float(s1[j]) / sd_q
-            if rho < 0.5 and flat is not None:
-                if (flat if room is None else flat[room[:k] >= m]).any():
-                    rho = 0.5
-            best = math.sqrt(2.0 * m * (1.0 - min(max(rho, -1.0), 1.0)))
-            if best > _band(m):
+            best = _best_of_rank(float(s1[j]) / sd_q, m)
+            if best is not None:
                 return best
         else:
             # that window's moments are rounding noise, which magnifies any
             # rounding difference in the query's dot products and moments
             qt = sliding_dot_product(query, series)
             mu_q, sd_q = float(query.mean()), float(query.std())
-    d = _profile(qt, query, mu_q, sd_q, series, *_moments(sums, m))
+    d = _profile(qt, query, mu_q, sd_q, series, *_moments(series, sums, m))
     if room is not None:
         d[room[:k] < m] = np.inf
     return float(d.min())
@@ -341,16 +342,13 @@ def _nearest_from_table(
     products qt and every window's S1 and 1 / sqrt(m*S2 - S1^2) (inv, 0 for
     a window that does not count), using ``out`` as scratch. Window j ranks
     (qt - mu_q*S1) * inv, its rho * sd_q. None when no counted window ranks
-    over 0 or the best is at or under _band(m): _nearest finishes those."""
+    over 0 (the windows that straddle a chunk rank 0) or the best is a
+    near-duplicate (_best_of_rank): _nearest finishes those."""
     rank = np.multiply(s1, -mu_q, out=out)
     rank += qt
     rank *= inv
     rho = float(rank.max()) / sd_q
-    if rho > 0.0:
-        best = math.sqrt(2.0 * m * (1.0 - min(rho, 1.0)))
-        if best > _band(m):
-            return best
-    return None
+    return _best_of_rank(rho, m) if rho > 0.0 else None
 
 
 def _check_self_join_args(n: int, m: int, exclusion: int | None) -> int:
@@ -403,7 +401,7 @@ def matrix_profile_self(series, m: int, exclusion: int | None = None) -> MatrixP
     exclusion = _check_self_join_args(n, m, exclusion)
 
     num_windows = n - m + 1
-    mu, sd = _moments(_sums(t), m)
+    mu, sd = _moments(t, _sums(t), m)
     qt_first = sliding_dot_product(t[:m], t)
     qt = qt_first.copy()
     head = t[: num_windows - 1]

@@ -641,6 +641,33 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "args, blocked",
+        [
+            (["segment", "{rec}", "-o", "{tmp}/missing/seg.csv"], None),
+            (["mp", "{rec}", "-m", "20", "-o", "{tmp}/missing/mp.csv"], None),
+            (["evaluate", "{dir}", "-o", "{tmp}/out", "--rtf-runs", "1"], "roc.csv"),
+            (["evaluate", "{dir}", "-o", "{tmp}/out", "--rtf-runs", "1"], "report.json"),
+        ],
+        ids=["segment-missing-dir", "mp-missing-dir", "evaluate-roc-is-dir",
+             "evaluate-report-is-dir"],
+    )
+    def test_output_that_cannot_be_written_is_usage_error(self, runner, tmp_path, args, blocked):
+        # a file in a missing directory, or an output name taken by a directory
+        gen(runner, tmp_path / "rec")
+        if blocked is not None:
+            (tmp_path / "out" / blocked).mkdir(parents=True)
+        paths = {
+            "rec": str(tmp_path / "rec" / "recording.csv"),
+            "dir": str(tmp_path / "rec"),
+            "tmp": str(tmp_path),
+        }
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert re.search(r"^error: ", result.output, re.M), result.output
+
+    @pytest.mark.parametrize(
         "args, line, setting",
         [
             (["segment", "{rec}", "--envelope-ms", "inf"], None, "window_ms"),

@@ -275,6 +275,7 @@ def draw_stream(rng, kinds, level, length, frame_len):
     return np.concatenate(parts)[:length].tolist()
 
 
+@pytest.mark.deep
 class TestNaiveHops:
     """Every hop of NaiveDetector matches a fresh distance profile of a Frame
     and History cut from the last keep readings."""
@@ -742,6 +743,7 @@ class TestQuietPushes:
     output stays what a push of each reading through the envelope and the
     segmenter gives."""
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -1120,6 +1122,7 @@ def draw_query(rng, kind, chunks, length, level):
     return q
 
 
+@pytest.mark.deep
 class TestGrowthRows:
     """Each growth row of _History.best_distance matches a fresh distance
     profile over the buffer, masked to windows inside one chunk."""
@@ -1203,15 +1206,15 @@ def draw_table_chunk(rng, kind, shortest, level):
 
 
 def tables_by_definition(history):
-    """Each held clean chunk's s1 and m*S2 - S1^2 by plain sums over its
-    windows, in table layout, with the mask of windows inside a chunk."""
+    """Each held chunk's s1 and m*S2 - S1^2 by plain sums over its windows,
+    in table layout, with the mask of windows inside a chunk."""
     lo, n = history._lo, history.buffer.size
     rows = history._s1.shape[0]
     s1, div, inside = np.zeros((rows, n)), np.zeros((rows, n)), np.zeros((rows, n), dtype=bool)
     start = 0
     for c in history.chunks:
         x = c.values
-        for r in range(rows if not c.provisional else 0):
+        for r in range(rows):
             m = lo + r
             for j in range(x.size - m + 1):
                 w = x[j : j + m]
@@ -1224,18 +1227,19 @@ def tables_by_definition(history):
 
 def assert_tables_match_a_fresh_build(history, cap):
     """The carried tables equal those of a History that admits the held
-    chunks afresh, and the plain sums of every window. A chunk longer than
-    ``cap``, which History holds alone, has no entries."""
+    chunks afresh, and the plain sums of every window. A provisional chunk,
+    or one longer than ``cap``, is held alone, and History then holds no
+    tables. The gather-index cache holds only lengths of held chunks."""
     n = history.buffer.size
-    if history.longest > cap:
-        assert len(history.chunks) == 1 and not history._usable
-        assert not history._s1[:, :n].any() and not history._inv[:, :n].any()
+    assert set(history._index) <= {c.values.size for c in history.chunks}
+    if history.chunks[0].provisional or history.longest > cap:
+        assert len(history.chunks) == 1
+        assert history._tables.size == 0 and not history._usable and not history._index
         return
     fresh = _History(history._lo - 1)
     for c in history.chunks:
-        fresh.admit(_Chunk(c.values.copy(), c.env_max, c.provisional), cap=10**9)
-    clean = [c.values.size for c in history.chunks if not c.provisional]
-    rows = max(0, max(clean, default=0) - history._lo + 1)
+        fresh.admit(_Chunk(c.values.copy(), c.env_max), cap=10**9)
+    rows = max(0, history.longest - history._lo + 1)
     assert history._s1.shape[0] >= rows
     for carried, built in ((history._s1, fresh._s1), (history._inv, fresh._inv)):
         np.testing.assert_array_equal(carried[:rows, :n], built[:rows, :n])
@@ -1257,6 +1261,7 @@ class TestWindowTables:
     windows inside one chunk, and after every admission the carried tables
     equal tables built from scratch for the held chunks."""
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -1265,8 +1270,9 @@ class TestWindowTables:
             st.sampled_from(["noise", "long", "repeat", "constant", "quiet"]), min_size=1, max_size=8
         ),
         # "own": each admission's cap is the chunk's own length, so it
-        # evicts every chunk before; at cap 1 no chunk has entries
-        cap=st.sampled_from(["own", 1, 80, 10**6]),
+        # evicts every chunk before; at cap 1 no chunk has entries; at cap
+        # 40 a long chunk may outgrow the cap after tabled ones
+        cap=st.sampled_from(["own", 1, 40, 80, 10**6]),
         start=st.sampled_from(["empty", "provisional", "primed"]),
         query_kind=st.sampled_from(["copy", "nudged", "across", "noise", "constant"]),
         level=st.floats(0.5, 20.0) | st.floats(-20.0, -0.5),
@@ -1277,10 +1283,14 @@ class TestWindowTables:
     # every chunk longer than the cap, held alone without entries
     @example(seed=5, shortest=4, kinds=["noise", "long"], cap=1, start="primed",
              query_kind="copy", level=1.0)
+    # a chunk longer than the cap drops the tables of the chunks it evicts
+    @example(seed=0, shortest=20, kinds=["noise", "long", "noise", "long"], cap=40, start="primed",
+             query_kind="copy", level=1.0)
     # the longest chunk evicted while shorter ones stay
     @example(seed=1, shortest=8, kinds=["long", "noise", "noise", "noise"], cap=80, start="primed",
              query_kind="nudged", level=1.0)
-    # a provisional chunk has no entries, and every row falls back while it is held
+    # a History that holds a provisional chunk keeps no tables, and every row
+    # falls back while it is held
     @example(seed=2, shortest=6, kinds=["noise", "repeat"], cap=10**6, start="provisional",
              query_kind="noise", level=3.0)
     # a tiny variance at a level and a repeated value: those rows fall back

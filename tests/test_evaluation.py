@@ -167,6 +167,7 @@ class TestSweepCounts:
     """Each row of the one-pass sweep is the per-threshold definition:
     re-threshold the trace, then match the alarms."""
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(trace=traces(), truth=truths())
     @example(trace=[], truth=ADJACENT)

@@ -48,6 +48,7 @@ def test_distance_affine_invariance(a, scale, shift):
     assert abs(znorm_distance(scale * a + shift, b) - znorm_distance(a, b)) < 1e-6
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
@@ -121,6 +122,7 @@ def draw_chunks(rng, kinds, query, level, nudge):
     return chunks
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -168,7 +170,7 @@ def test_growth_finish_matches_the_masked_profile(seed, m, kinds, constant_query
     sums = _sums(series)
     qt = sliding_dot_product(query, series)
     mu_q, sd_q = float(query.mean()), float(query.std())
-    d = _profile(qt, query, mu_q, sd_q, series, *_moments(sums, m))
+    d = _profile(qt, query, mu_q, sd_q, series, *_moments(series, sums, m))
     want = float(d[room[: d.size] >= m].min())
     got = _nearest(qt, query, mu_q, sd_q, series, sums, room)
     assert got == pytest.approx(want, rel=0, abs=1e-9)
@@ -188,5 +190,5 @@ def test_a_quiet_stretch_at_a_level_falls_back_where_its_sums_cancel():
     qt = sliding_dot_product(query, series)
     mu_q, sd_q = float(query.mean()), float(query.std())
     sums = _sums(series)
-    want = float(_profile(qt, query, mu_q, sd_q, series, *_moments(sums, 21)).min())
+    want = float(_profile(qt, query, mu_q, sd_q, series, *_moments(series, sums, 21)).min())
     assert _nearest(qt, query, mu_q, sd_q, series, sums) == pytest.approx(want, rel=0, abs=1e-9)
