@@ -20,17 +20,19 @@ rebuilt on admission and eviction. History does not change while a step is
 open, and each score row of the step extends the previous one's query by
 one sample. The Current buffer is a preallocated float64 array that gains
 one reading per score row, and History is handed a view of it. So the first
-row of a step (the seed row) is one distance profile over the buffer, and
-each later row (a growth row) adds one term to every window's dot product
-with the query and updates the query's mean and variance (Welford). It then
-ranks the windows from two tables that hold, per query length, each
-window's sum and 1 / sqrt(m*S2 - S1^2), S2 the sum of its squares. Each
-chunk's columns of the tables are built once, from the chunk's own running
-sums, when it is admitted; admission drops the evicted chunks' columns and
-flush drops the tables, which take 16 bytes per row and History reading.
-Where the tables cannot answer (see _History) the row finishes in
-mp._nearest, which ranks the windows from running sums of the whole
-buffer; a naive hop finishes there too. Every row returns the smallest
+row of a step (the seed row) takes one sliding dot product of the query
+against the buffer, and each later row (a growth row) adds one term to
+every window's dot product with the query; both keep the query's mean and
+variance (Welford). Either row then ranks the windows from two tables that
+hold, per query length from the shortest query on, each window's sum and
+1 / sqrt(m*S2 - S1^2), S2 the sum of its squares. Each chunk's columns of
+the tables are built once, from the chunk's own running sums, when it is
+admitted; admission drops the evicted chunks' columns and flush drops the
+tables, which take 16 bytes per row and History reading. Where the tables
+cannot answer (see _History) a seed row takes one distance profile over
+the buffer, and a growth row finishes in mp._nearest, which ranks the
+windows from running sums of the whole buffer; a naive hop finishes there
+too. Every row returns the smallest
 entry of the distance profile the dot products would give, with its
 conventions and its exact recomputation of near-duplicates
 (1 - rho <= 1e-6, a band that scales with sqrt(m)). History windows that
@@ -317,15 +319,16 @@ class _History:
     a reference signature, iff room[j] >= m.
 
     Scoring carries one growing query: the first best_distance call after
-    reset_query is a seed row (one distance_profile call), and each later
-    call extends the seed's dot products and query moments by the samples
-    the query gained since (a growth row). The caller resets whenever a new
-    query starts; admit resets, because the rows index the old buffer.
+    reset_query is a seed row (one sliding dot product and the query's
+    moments), and each later call extends the seed's dot products and query
+    moments by the samples the query gained since (a growth row). The caller
+    resets whenever a new query starts; admit resets, because the rows index
+    the old buffer.
 
-    Growth rows read two window tables aligned with the buffer, one row per
-    query length m from shortest + 1 (shortest: the seed row's length) to
-    the longest chunk: s1[r, j], the sum of the window of length
-    m = shortest + 1 + r at j, and inv[r, j], 1 / sqrt(m*S2 - S1^2) for
+    Both kinds of row read two window tables aligned with the buffer, one
+    row per query length m from shortest (the seed row's length in the
+    detector) to the longest chunk: s1[r, j], the sum of the window of
+    length m = shortest + r at j, and inv[r, j], 1 / sqrt(m*S2 - S1^2) for
     that window, S2 being the sum of its squares. Both are 0 wherever the
     window leaves its chunk. A History that holds a provisional chunk, or a
     chunk longer than the cap, holds that chunk alone and keeps no tables;
@@ -342,8 +345,9 @@ class _History:
     (qt - mu_q * s1[r]) * inv[r] is each window's correlation with the
     query times the query's stdev, so a growth row costs two NumPy calls to
     grow and four to rank (mp._nearest_from_table): a multiply, an add, a
-    multiply and a max. The row falls back to mp._nearest over running sums
-    of the whole buffer when:
+    multiply and a max. A growth row falls back to mp._nearest over running
+    sums of the whole buffer, and a seed row to one distance_profile over
+    the buffer masked to windows inside a chunk, when:
     the query is constant; m is outside the tables; some held chunk has at
     that length a window whose m*S2 - S1^2 is at or under
     mp._rounding_floor over the buffer, the one rule by which mp._nearest
@@ -358,14 +362,14 @@ class _History:
         self.buffer = np.empty(0)
         self.room = np.empty(0, dtype=np.int64)
         self.longest = 0
-        # the length of table row 0
-        self._lo = shortest + 1
+        # the length of table row 0, the seed row's
+        self._lo = shortest
         # s1 and inv, columns past the buffer's end unused
         self._tables = np.empty((2, 0, 0))
         self._s1, self._inv = self._tables
         # per held chunk and table row, the least m*S2 - S1^2 of its windows
-        # (inf where it has none), and whether growth rows of
-        # that length use the tables
+        # (inf where it has none), and whether rows of that length use
+        # the tables
         self._least = np.empty((0, 0))
         self._usable: list[bool] = []
         self._provisional = False
@@ -487,11 +491,15 @@ class _History:
         return self._best_of_growth_row(query)
 
     def _seed(self, query: np.ndarray) -> float:
-        m = query.size
-        d = distance_profile(query, self.buffer)
         self._qt = sliding_dot_product(query, self.buffer)
         for x in query.tolist():
             self._welford(x)
+        best = self._best_from_table()
+        if best is not None:
+            return best
+        # the seed row's route from before the tables, kept bit for bit
+        m = query.size
+        d = distance_profile(query, self.buffer)
         return float(d[self.room[: d.size] >= m].min())
 
     def _welford(self, x: float) -> None:
@@ -509,19 +517,26 @@ class _History:
         term = np.multiply(self.buffer[self._m - 1 :], x, out=self._scratch[:k])
         self._qt += term
 
-    def _best_of_growth_row(self, query: np.ndarray) -> float:
+    def _best_from_table(self) -> float | None:
+        """The carried query's row ranked from the tables, or None where
+        they cannot answer it."""
         m = self._m
         sd_q = math.sqrt(self._m2 / m)
         r = m - self._lo
         if sd_q > DEFAULT_EPS and 0 <= r < len(self._usable) and self._usable[r]:
             k = self._qt.size
-            best = _nearest_from_table(
+            return _nearest_from_table(
                 self._qt, self._mean, sd_q, m, self._s1[r, :k], self._inv[r, :k], self._scratch[:k]
             )
-            if best is not None:
-                return best
+        return None
+
+    def _best_of_growth_row(self, query: np.ndarray) -> float:
+        best = self._best_from_table()
+        if best is not None:
+            return best
         if self._window_sums is None:
             self._window_sums = _sums(self.buffer)
+        sd_q = math.sqrt(self._m2 / self._m)
         return _nearest(
             self._qt, query, self._mean, sd_q, self.buffer, self._window_sums, self.room
         )

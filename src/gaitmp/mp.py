@@ -15,8 +15,12 @@ i.e. d <= NEAR_DUPLICATE * sqrt(2m), so it covers the same correlations at
 every m. Single-query distance profiles (distance_profile: after MASS, a
 sliding dot product plus window moments, though the product is the direct
 one, not MASS's FFT convolution) finish in _profile. The detectors'
-score rows, a naive hop and a step-gated growth row alike, want only the
-profile's smallest entry and finish in _nearest: it ranks the windows by
+score rows want only the profile's smallest entry. A step-gated row, the
+seed row of a step and each growth row alike, ranks the windows from the
+History tables, each window's S1 and 1 / sqrt(m*S2 - S1^2) per length
+(_nearest_from_table; _table_index and _window_block build them). Where
+the tables cannot answer, a seed row takes distance_profile, and a growth
+row, like every naive hop, finishes in _nearest: it ranks the windows by
 their correlation with the query straight from the running sums (the window
 sums S1 and S2 in one subtraction, as SCAMP ranks by Pearson correlation
 from co-moments), with an optional mask of windows that straddle a History
@@ -26,7 +30,7 @@ rounding and so also covers every constant window. The row falls back to
 _profile over _moments for a constant query, a window at or under the
 floor, or a near-duplicate best; _best_of_rank turns the best rank into a
 distance or declines a near-duplicate, for _nearest and for the History
-tables' rows (_nearest_from_table) alike. Self-join rows run in STOMP order
+tables' rows alike. Self-join rows run in STOMP order
 (dot products updated row to row) and finish in _finish_row. A brute-force
 double loop over the plain definition (brute_force_mp) shares no code with
 any of them and is kept as the oracle.
@@ -343,7 +347,7 @@ def _nearest_from_table(
     a window that does not count), using ``out`` as scratch. Window j ranks
     (qt - mu_q*S1) * inv, its rho * sd_q. None when no counted window ranks
     over 0 (the windows that straddle a chunk rank 0) or the best is a
-    near-duplicate (_best_of_rank): _nearest finishes those."""
+    near-duplicate (_best_of_rank): the caller's fallback finishes those."""
     rank = np.multiply(s1, -mu_q, out=out)
     rank += qt
     rank *= inv

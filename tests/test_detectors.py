@@ -1077,6 +1077,26 @@ def masked_best(query, history):
     return float(d[history.room[: d.size] >= query.size].min())
 
 
+def assert_row_matches(got, query, history):
+    """A score row equals, within 1e-9, distance_profile's minimum over
+    the windows inside one chunk, taken over the whole buffer (masked_best)
+    or over each chunk alone. The two differ only in the running sums their
+    window moments come from: at a near match of a short query the whole
+    buffer's sums lose digits (D2), and a row ranked from one chunk's sums
+    (the window tables) parts from masked_best by up to about 1e-7 (m = 3,
+    1-rho ~ 1e-5, 3,596 readings at a level of up to 5)."""
+    want = masked_best(query, history)
+    if math.isinf(want):
+        assert got == want
+    elif abs(got - want) > 1e-9:
+        per_chunk = min(
+            float(distance_profile(query, c.values).min())
+            for c in history.chunks
+            if c.values.size >= query.size
+        )
+        assert got == pytest.approx(per_chunk, rel=0, abs=1e-9), (query.size, got, want)
+
+
 def draw_history(rng, kinds, level):
     """Chunks of the listed kinds: gait-scale noise, a verbatim repeat of the
     previous chunk, a constant chunk at ``level`` and noise longer than
@@ -1144,6 +1164,9 @@ class TestGrowthRows:
     @example(seed=4, kinds=["long", "noise"], query_kind="nudged", level=1.0, past_longest=False)
     @example(seed=5, kinds=["noise", "noise"], query_kind="noise", level=1.0, past_longest=True)
     @example(seed=7, kinds=["noise", "repeat"], query_kind="across", level=1.0, past_longest=False)
+    # a seed row at m = 3, ranked from the tables 1.3e-9 off masked_best
+    @example(seed=41072, kinds=["long", "repeat", "long"], query_kind="noise", level=1.0,
+             past_longest=False)
     def test_every_row_matches_a_fresh_distance_profile(
         self, seed, kinds, query_kind, level, past_longest
     ):
@@ -1156,12 +1179,7 @@ class TestGrowthRows:
         length = longest + int(rng.integers(1, 4)) if past_longest else int(rng.integers(3, longest + 1))
         query = draw_query(rng, query_kind, chunks, length, level)
         for m in range(max(3, length - 40), length + 1):
-            got = history.best_distance(query[:m])
-            want = masked_best(query[:m], history)
-            if math.isinf(want):
-                assert got == want
-            else:
-                assert got == pytest.approx(want, rel=0, abs=1e-9), m
+            assert_row_matches(history.best_distance(query[:m]), query[:m], history)
 
     @pytest.mark.parametrize("between", ["admission", "quarantine"])
     def test_consecutive_steps_share_no_state(self, between):
@@ -1236,7 +1254,7 @@ def assert_tables_match_a_fresh_build(history, cap):
         assert len(history.chunks) == 1
         assert history._tables.size == 0 and not history._usable and not history._index
         return
-    fresh = _History(history._lo - 1)
+    fresh = _History(history._lo)
     for c in history.chunks:
         fresh.admit(_Chunk(c.values.copy(), c.env_max), cap=10**9)
     rows = max(0, history.longest - history._lo + 1)
@@ -1302,6 +1320,9 @@ class TestWindowTables:
     # noise, and the fallback must take the query's as distance_profile does
     @example(seed=0, shortest=3, kinds=["noise", "noise", "quiet"], cap=1, start="primed",
              query_kind="copy", level=2.5)
+    # every seed row (m = shortest) ranks from table row 0
+    @example(seed=6, shortest=12, kinds=["noise", "long"], cap=10**6, start="empty",
+             query_kind="noise", level=1.0)
     def test_rows_and_tables_after_every_admission(
         self, seed, shortest, kinds, cap, start, query_kind, level
     ):
@@ -1325,12 +1346,7 @@ class TestWindowTables:
             query = draw_query(rng, query_kind, chunks, length, level)
             history.reset_query()
             for m in range(shortest, length + 1):
-                got = history.best_distance(query[:m])
-                want = masked_best(query[:m], history)
-                if math.isinf(want):
-                    assert got == want
-                else:
-                    assert got == pytest.approx(want, rel=0, abs=1e-9), m
+                assert_row_matches(history.best_distance(query[:m]), query[:m], history)
 
     def test_flush_releases_the_tables_and_keeps_the_rest(self):
         rec, _ = make_recording("time-warped", 2)
@@ -1354,3 +1370,70 @@ class TestWindowTables:
             assert det._history.best_distance(query[:m]) == pytest.approx(
                 kept._history.best_distance(query[:m]), rel=0, abs=1e-9
             )
+
+
+class TestSeedRows:
+    """The first score row of a step (the seed row, m = the shortest query)
+    ranks from the window tables when they can answer it, and otherwise takes
+    one distance profile over the buffer."""
+
+    SHORTEST = StepSystemConfig().min_query_len
+
+    def two_chunks(self):
+        rng = np.random.default_rng(21)
+        history = _History(self.SHORTEST)
+        for n in (60, 45):
+            history.admit(_Chunk(rng.normal(size=n), 1.0), cap=1000)
+        return history, rng
+
+    def test_a_varying_query_ranks_from_the_tables(self, monkeypatch):
+        history, rng = self.two_chunks()
+        query = rng.normal(size=self.SHORTEST)
+        want = masked_best(query, history)
+
+        def refuse(query, series):
+            raise AssertionError("the seed row took a distance profile")
+
+        monkeypatch.setattr("gaitmp.detectors.distance_profile", refuse)
+        assert history._usable[0]
+        assert history.best_distance(query) == pytest.approx(want, rel=0, abs=1e-9)
+
+    def test_a_near_duplicate_takes_one_distance_profile(self, monkeypatch):
+        history, _ = self.two_chunks()
+        query = history.chunks[1].values[5 : 5 + self.SHORTEST].copy()
+        want = masked_best(query, history)
+        calls = []
+
+        def counted(query, series):
+            calls.append(query.size)
+            return distance_profile(query, series)
+
+        monkeypatch.setattr("gaitmp.detectors.distance_profile", counted)
+        got = history.best_distance(query)
+        assert calls == [self.SHORTEST]
+        assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+    def test_a_walk_takes_one_distance_profile_for_its_provisional_first_step(self, monkeypatch):
+        rec, _ = generate(SynthConfig(n_normal_steps=58, n_anomalous_steps=2, rng_seed=8))
+        calls, seeds = [], []
+        seed = _History._seed
+
+        def counted(query, series):
+            calls.append(query.size)
+            return distance_profile(query, series)
+
+        def counted_seed(history, query):
+            before = len(calls)
+            best = seed(history, query)
+            seeds.append((history._provisional, len(calls) - before))
+            return best
+
+        monkeypatch.setattr("gaitmp.detectors.distance_profile", counted)
+        monkeypatch.setattr(_History, "_seed", counted_seed)
+        # the reference scores every row by per-chunk distance profiles
+        # through gaitmp.mp, which the counter does not see
+        fast, slow = replay_both(rec, StepSystemConfig())
+        assert len(seeds) == len({r.step_ordinal for r in fast.detector.trace}) > 1
+        assert seeds[0] == (True, 1)
+        assert all(seeded == (False, 0) for seeded in seeds[1:])
+        assert_same_run(fast, slow)
