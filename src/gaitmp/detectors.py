@@ -497,7 +497,8 @@ class _History:
         best = self._best_from_table()
         if best is not None:
             return best
-        # the seed row's route from before the tables, kept bit for bit
+        # distance_profile, not _nearest: a traced walk must call it through
+        # this module (perfbench/test_perfbench.py)
         m = query.size
         d = distance_profile(query, self.buffer)
         return float(d[self.room[: d.size] >= m].min())

@@ -1386,6 +1386,17 @@ class TestSeedRows:
             history.admit(_Chunk(rng.normal(size=n), 1.0), cap=1000)
         return history, rng
 
+    def count_profiles(self, monkeypatch):
+        """The query length of each distance_profile call the detector makes."""
+        calls = []
+
+        def counted(query, series):
+            calls.append(query.size)
+            return distance_profile(query, series)
+
+        monkeypatch.setattr("gaitmp.detectors.distance_profile", counted)
+        return calls
+
     def test_a_varying_query_ranks_from_the_tables(self, monkeypatch):
         history, rng = self.two_chunks()
         query = rng.normal(size=self.SHORTEST)
@@ -1402,25 +1413,15 @@ class TestSeedRows:
         history, _ = self.two_chunks()
         query = history.chunks[1].values[5 : 5 + self.SHORTEST].copy()
         want = masked_best(query, history)
-        calls = []
-
-        def counted(query, series):
-            calls.append(query.size)
-            return distance_profile(query, series)
-
-        monkeypatch.setattr("gaitmp.detectors.distance_profile", counted)
+        calls = self.count_profiles(monkeypatch)
         got = history.best_distance(query)
         assert calls == [self.SHORTEST]
         assert got == pytest.approx(want, rel=0, abs=1e-9)
 
     def test_a_walk_takes_one_distance_profile_for_its_provisional_first_step(self, monkeypatch):
         rec, _ = generate(SynthConfig(n_normal_steps=58, n_anomalous_steps=2, rng_seed=8))
-        calls, seeds = [], []
+        calls, seeds = self.count_profiles(monkeypatch), []
         seed = _History._seed
-
-        def counted(query, series):
-            calls.append(query.size)
-            return distance_profile(query, series)
 
         def counted_seed(history, query):
             before = len(calls)
@@ -1428,7 +1429,6 @@ class TestSeedRows:
             seeds.append((history._provisional, len(calls) - before))
             return best
 
-        monkeypatch.setattr("gaitmp.detectors.distance_profile", counted)
         monkeypatch.setattr(_History, "_seed", counted_seed)
         # the reference scores every row by per-chunk distance profiles
         # through gaitmp.mp, which the counter does not see
