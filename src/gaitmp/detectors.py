@@ -494,7 +494,7 @@ class _History:
         self._qt = sliding_dot_product(query, self.buffer)
         for x in query.tolist():
             self._welford(x)
-        best = self._best_from_table()
+        best = self._best_from_table(math.sqrt(self._m2 / self._m))
         if best is not None:
             return best
         # distance_profile, not _nearest: a traced walk must call it through
@@ -518,11 +518,10 @@ class _History:
         term = np.multiply(self.buffer[self._m - 1 :], x, out=self._scratch[:k])
         self._qt += term
 
-    def _best_from_table(self) -> float | None:
+    def _best_from_table(self, sd_q: float) -> float | None:
         """The carried query's row ranked from the tables, or None where
-        they cannot answer it."""
+        they cannot answer it; ``sd_q`` is the query's stdev."""
         m = self._m
-        sd_q = math.sqrt(self._m2 / m)
         r = m - self._lo
         if sd_q > DEFAULT_EPS and 0 <= r < len(self._usable) and self._usable[r]:
             k = self._qt.size
@@ -532,12 +531,12 @@ class _History:
         return None
 
     def _best_of_growth_row(self, query: np.ndarray) -> float:
-        best = self._best_from_table()
+        sd_q = math.sqrt(self._m2 / self._m)
+        best = self._best_from_table(sd_q)
         if best is not None:
             return best
         if self._window_sums is None:
             self._window_sums = _sums(self.buffer)
-        sd_q = math.sqrt(self._m2 / self._m)
         return _nearest(
             self._qt, query, self._mean, sd_q, self.buffer, self._window_sums, self.room
         )
