@@ -1,7 +1,10 @@
 """Command line front end: synthesis, segmentation, profiles, detection, scoring.
 
-Exit codes: 0 success, 1 failed assertion (oracle mismatch, realtime check),
-2 usage or data errors. Config files use `key = value` lines with dataclass
+Exit codes: 0 success, 1 failed assertion (`mp --oracle` mismatch,
+`bench --assert-realtime`), 2 usage or data errors. The command group is the
+one place that maps errors to exit 2: every DataError, ValueError or OSError
+a command meets prints `error: <message>` on stderr and exits 2, so commands
+raise rather than catch. Config files use `key = value` lines with dataclass
 field names; explicit flags win over the file, the file wins over defaults.
 """
 
@@ -56,26 +59,15 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
-def _write_text(path, text: str) -> None:
-    """Write text to path; a path that cannot be written is a usage error."""
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        _fail(str(exc))
-
-
-def _load_recording(path) -> ds.Recording:
-    try:
-        return ds.load_recording(path)
-    except (DataError, OSError) as exc:
-        _fail(str(exc))
-
-
-def _parse_signal(text: str) -> SignalSelector:
-    try:
-        return SignalSelector.parse(text)
-    except ValueError as exc:
-        _fail(str(exc))
+def _emit(rows: list[str], out, what: str) -> None:
+    """Print rows, a header line and its records, or write them to the file
+    out and say how many of what it holds."""
+    text = "\n".join(rows) + "\n"
+    if out is None:
+        click.echo(text, nl=False)
+    else:
+        Path(out).write_text(text)
+        click.echo(f"wrote {out} ({len(rows) - 1} {what})")
 
 
 def _settings(cls, config_path, flags: dict, exclude=()) -> dict:
@@ -83,7 +75,8 @@ def _settings(cls, config_path, flags: dict, exclude=()) -> dict:
     those in exclude: the dataclass default, overridden by config_path's
     `key = value` lines, overridden by the flag of the same name unless that
     is None. A SignalSelector stays text, as the file and the flags give it.
-    A config file that cannot be read or parsed is a usage error."""
+    A config file that cannot be read, decoded or parsed raises a DataError
+    that names it."""
     base = cls()
     merged = {
         f.name: getattr(base, f.name) for f in dataclasses.fields(cls) if f.name not in exclude
@@ -93,13 +86,27 @@ def _settings(cls, config_path, flags: dict, exclude=()) -> dict:
     if config_path is not None:
         try:
             merged.update(ds.parse_config(Path(config_path).read_text(), merged))
-        except (DataError, OSError) as exc:
-            _fail(f"{config_path}: {exc}")
+        except (DataError, OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{config_path}: {exc}") from exc
     merged.update({k: v for k, v in flags.items() if v is not None})
     return merged
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group and the CLI's one error boundary: a DataError,
+    ValueError or OSError that a command raises prints `error: <message>`
+    and exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # stdout's reader has gone, as under `| head`: click exits quietly
+        except (ValueError, OSError) as exc:  # a DataError is a ValueError
+            _fail(str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Gait anomaly detection over streaming matrix profiles."""
 
@@ -140,18 +147,12 @@ def generate(out, normal, anomalous, position, kind, seed, rate, period, noise, 
             settings["anomaly_position"] = ds.parse_value(position, None)
         except ValueError:
             _fail(f"--position: expected an integer, none or auto, got {position!r}")
-    try:
-        cfg = ds.SynthConfig(**settings)
-        recording, truth = ds.generate(cfg)
-    except (DataError, ValueError) as exc:
-        _fail(str(exc))
+    cfg = ds.SynthConfig(**settings)
+    recording, truth = ds.generate(cfg)
     out_dir = Path(out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ds.save_recording(recording, out_dir / "recording.csv")
-        ds.save_annotations(truth, out_dir / "annotations.csv")
-    except OSError as exc:
-        _fail(str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ds.save_recording(recording, out_dir / "recording.csv")
+    ds.save_annotations(truth, out_dir / "annotations.csv")
     click.echo(f"seed {cfg.rng_seed}")
     click.echo(f"wrote {out_dir / 'recording.csv'}")
     click.echo(f"wrote {out_dir / 'annotations.csv'}")
@@ -176,27 +177,18 @@ def generate(out, normal, anomalous, position, kind, seed, rate, period, noise, 
 @click.option("--min-step-ms", type=float, default=DEFAULT_MIN_STEP_MS, show_default=True)
 def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, release_ms, min_step_ms):
     """Detect step boundaries in a recording; emits start,end sample pairs."""
-    rec = _load_recording(recording)
-    series = rec.project(_parse_signal(signal))
-    try:
-        window = envelope_window_samples(envelope_ms, rec.sample_rate_hz)
-        det = StepDetector(
-            rec.sample_rate_hz,
-            threshold_fraction=threshold_fraction,
-            onset_ms=onset_ms,
-            release_ms=release_ms,
-            min_step_ms=min_step_ms,
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    rec = ds.load_recording(recording)
+    series = rec.project(SignalSelector.parse(signal))
+    window = envelope_window_samples(envelope_ms, rec.sample_rate_hz)
+    det = StepDetector(
+        rec.sample_rate_hz,
+        threshold_fraction=threshold_fraction,
+        onset_ms=onset_ms,
+        release_ms=release_ms,
+        min_step_ms=min_step_ms,
+    )
     steps, _ = segment_series(series.values, window, det)
-    rows = ["start,end"] + [f"{s},{e}" for s, e in steps]
-    text = "\n".join(rows) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        _write_text(out, text)
-        click.echo(f"wrote {out} ({len(rows) - 1} segments)")
+    _emit(["start,end"] + [f"{s},{e}" for s, e in steps], out, "segments")
 
 
 # -- mp ---------------------------------------------------------------------
@@ -211,21 +203,13 @@ def segment(recording, out, signal, envelope_ms, threshold_fraction, onset_ms, r
 @click.option("--oracle", is_flag=True, help="Cross-check against the brute-force path.")
 def mp(recording, m, exclusion, signal, out, oracle):
     """Self-join matrix profile of the selected channel."""
-    rec = _load_recording(recording)
-    series = rec.project(_parse_signal(signal))
-    try:
-        result = matrix_profile_self(series.values, m, exclusion=exclusion)
-    except (ValueError, DataError) as exc:
-        _fail(str(exc))
+    rec = ds.load_recording(recording)
+    series = rec.project(SignalSelector.parse(signal))
+    result = matrix_profile_self(series.values, m, exclusion=exclusion)
     rows = ["index,profile,nn_index"] + [
         f"{i},{p:.10g},{j}" for i, (p, j) in enumerate(zip(result.profile, result.indices))
     ]
-    text = "\n".join(rows) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        _write_text(out, text)
-        click.echo(f"wrote {out} ({len(rows) - 1} rows)")
+    _emit(rows, out, "rows")
     if oracle:
         ref = brute_force_mp(series.values, m, exclusion=exclusion)
         finite = np.isfinite(ref.profile)
@@ -248,21 +232,17 @@ _MODES = {"step": StepSystemConfig, "naive": NaiveDetectorConfig}
 
 def _detector(mode: str, rate: float, config_path=None, **flags):
     """A fresh detector for mode at rate, its config built by _settings. A
-    flag set for a field the mode lacks, and a value the config rejects, are
-    usage errors."""
+    flag set for a field the mode lacks is a usage error."""
     cls = _MODES[mode]
     names = {f.name for f in dataclasses.fields(cls)}
     for key, value in flags.items():
         if value is not None and key not in names:
             _fail(f"--{key.replace('_', '-')} does not apply to {mode} mode")
     settings = _settings(cls, config_path, flags, exclude=("sample_rate_hz",))
-    settings["signal"] = _parse_signal(settings["signal"])
-    try:
-        if mode == "step":
-            return StepGatedDetector(StepSystemConfig(sample_rate_hz=rate, **settings))
-        return NaiveDetector(NaiveDetectorConfig(**settings), rate)
-    except ValueError as exc:
-        _fail(str(exc))
+    settings["signal"] = SignalSelector.parse(settings["signal"])
+    if mode == "step":
+        return StepGatedDetector(StepSystemConfig(sample_rate_hz=rate, **settings))
+    return NaiveDetector(NaiveDetectorConfig(**settings), rate)
 
 
 @main.command()
@@ -279,25 +259,19 @@ def _detector(mode: str, rate: float, config_path=None, **flags):
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_len, prime_path, frame_len, hop, config_path):
     """Replay a recording through a detector and write the alarms raised."""
-    rec = _load_recording(recording)
+    rec = ds.load_recording(recording)
     if mode == "naive" and prime_path is not None:
         _fail("--prime does not apply to naive mode")
     detector = _detector(
         mode, rec.sample_rate_hz, config_path, discord_threshold=threshold,
         history_len_s=history_len, signal=signal, frame_len=frame_len, hop=hop,
     )
-    try:
-        if prime_path is not None:
-            detector.prime_history(ds.load_recording(prime_path).project(detector.cfg.signal))
-        result = replay(detector, rec)
-    except (DataError, ValueError) as exc:
-        _fail(str(exc))
-    try:
-        dump_jsonl(result.alarms, alarms_path)
-        if trace_path is not None:
-            dump_jsonl(result.trace, trace_path)
-    except OSError as exc:
-        _fail(str(exc))
+    if prime_path is not None:
+        detector.prime_history(ds.load_recording(prime_path).project(detector.cfg.signal))
+    result = replay(detector, rec)
+    dump_jsonl(result.alarms, alarms_path)
+    if trace_path is not None:
+        dump_jsonl(result.trace, trace_path)
     click.echo(f"{len(result.alarms)} alarms -> {alarms_path}")
     if trace_path is not None:
         click.echo(f"{len(result.trace)} trace rows -> {trace_path}")
@@ -322,19 +296,14 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
 def evaluate(inputs, out, mode, signal, history_lens, rtf_runs):
     """Score recording directories (recording.csv + annotations.csv each) at
     101 thresholds from 1 down to 0."""
-    _parse_signal(signal)  # a bad selector fails before any recording loads
+    SignalSelector.parse(signal)  # a bad selector fails before any recording loads
     folders = [Path(d) for d in inputs]
     names = [f.name for f in folders]
     ids = names if len(set(names)) == len(names) else [str(f) for f in folders]
     pairs = []
     for folder, rid in zip(folders, ids):
-        try:
-            rec = ds.load_recording(
-                folder / "recording.csv", meta=ds.RecordingMeta(recording_id=rid)
-            )
-            truth = ds.load_annotations(folder / "annotations.csv")
-        except (DataError, OSError) as exc:
-            _fail(str(exc))
+        rec = ds.load_recording(folder / "recording.csv", meta=ds.RecordingMeta(recording_id=rid))
+        truth = ds.load_annotations(folder / "annotations.csv")
         if truth and truth[-1].end > rec.n:
             _fail(f"{folder}: annotations extend past the recording")
         pairs.append((rec, truth))
@@ -345,27 +314,18 @@ def evaluate(inputs, out, mode, signal, history_lens, rtf_runs):
     lens = sorted(set(history_lens)) or [None]
 
     out_dir = Path(out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     families = []
     for hl in lens:
         def make_detector(hl=hl):
             return _detector(mode, rate, history_len_s=hl, signal=signal)
         history_len_s = hl if hl is not None else _MODES[mode].history_len_s
-        try:
-            report = evaluate_recordings(pairs, make_detector, rtf_runs=rtf_runs)
-        except (DataError, ValueError) as exc:
-            _fail(str(exc))
+        report = evaluate_recordings(pairs, make_detector, rtf_runs=rtf_runs)
         suffix = "" if len(lens) == 1 else f"-h{history_len_s:g}"
-        try:
-            write_roc_csv(report.roc, out_dir / f"roc{suffix}.csv")
-            write_f1_csv(report.f1_by_threshold, out_dir / f"f1_by_threshold{suffix}.csv")
-            write_earliness_csv(report.per_recording, out_dir / f"earliness{suffix}.csv")
-        except OSError as exc:
-            _fail(str(exc))
+        write_roc_csv(report.roc, out_dir / f"roc{suffix}.csv")
+        write_f1_csv(report.f1_by_threshold, out_dir / f"f1_by_threshold{suffix}.csv")
+        write_earliness_csv(report.per_recording, out_dir / f"earliness{suffix}.csv")
         families.append({"history_len_s": history_len_s, **report_to_dict(report)})
         click.echo(
             f"history {history_len_s:g}s: auc {report.auc:.4f} "
@@ -373,7 +333,7 @@ def evaluate(inputs, out, mode, signal, history_lens, rtf_runs):
         )
 
     text = json.dumps({"families": families}, indent=2, sort_keys=True)
-    _write_text(out_dir / "report.json", text + "\n")
+    (out_dir / "report.json").write_text(text + "\n")
     click.echo(f"wrote {out_dir / 'report.json'}")
 
 
@@ -388,7 +348,7 @@ def evaluate(inputs, out, mode, signal, history_lens, rtf_runs):
 @click.option("--assert-realtime", is_flag=True, help="Exit 1 unless faster than realtime.")
 def bench(recording, mode, signal, runs, assert_realtime):
     """Measure the real-time factor of a full replay."""
-    rec = _load_recording(recording)
+    rec = ds.load_recording(recording)
 
     def make_detector():
         return _detector(mode, rec.sample_rate_hz, signal=signal)

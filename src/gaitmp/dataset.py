@@ -94,7 +94,10 @@ class Recording:
         if sample_rate_hz is None:
             if t.size < 2:
                 raise DataError("cannot infer sample rate from a single sample")
-            sample_rate_hz = 1.0 / float(np.median(np.diff(t)))
+            period = float(np.median(np.diff(t)))
+            if not period > 0:
+                raise DataError(f"cannot infer sample rate from a median period of {period:g} s")
+            sample_rate_hz = 1.0 / period
         if not (sample_rate_hz > 0):
             raise ValueError("sample_rate_hz must be positive")
         if t.size >= 2:
@@ -165,27 +168,37 @@ def save_recording(recording: Recording, path) -> None:
         np.savetxt(f, data, fmt="%.12g", delimiter=",")
 
 
+def _csv_rows(path, header: list[str]):
+    """Yield (row number, fields) for each non-blank row after the header of
+    the CSV file at path. A header other than header, and bytes that do not
+    decode, raise a DataError naming the file."""
+    with open(path, newline="") as f:
+        try:
+            reader = csv.reader(f)
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    yield lineno, row
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
 def load_recording(path, meta: RecordingMeta | None = None) -> Recording:
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != RECORDING_HEADER:
-            raise DataError(f"{path}: expected header {','.join(RECORDING_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise DataError(f"{path}: row {lineno}: expected 7 fields, got {len(row)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in vals):
-                raise DataError(f"{path}: row {lineno}: non-finite value")
-            if rows and vals[0] <= rows[-1][0]:
-                raise DataError(f"{path}: row {lineno}: non-monotonic t")
-            rows.append(vals)
+    for lineno, row in _csv_rows(path, RECORDING_HEADER):
+        if len(row) != 7:
+            raise DataError(f"{path}: row {lineno}: expected 7 fields, got {len(row)}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise DataError(f"{path}: row {lineno}: non-finite value")
+        if rows and vals[0] <= rows[-1][0]:
+            raise DataError(f"{path}: row {lineno}: non-monotonic t")
+        rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no samples")
     data = np.array(rows)
@@ -206,21 +219,14 @@ def save_annotations(segments: list[LabeledSegment], path) -> None:
 
 def load_annotations(path) -> list[LabeledSegment]:
     segments = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ANNOTATION_HEADER:
-            raise DataError(f"{path}: expected header {','.join(ANNOTATION_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: row {lineno}: expected 3 fields")
-            try:
-                seg = LabeledSegment(int(row[0]), int(row[1]), row[2].strip())
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            segments.append(seg)
+    for lineno, row in _csv_rows(path, ANNOTATION_HEADER):
+        if len(row) != 3:
+            raise DataError(f"{path}: row {lineno}: expected 3 fields")
+        try:
+            seg = LabeledSegment(int(row[0]), int(row[1]), row[2].strip())
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from exc
+        segments.append(seg)
     try:
         return validate_segments(segments)
     except DataError as exc:

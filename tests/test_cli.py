@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -15,6 +16,7 @@ from gaitmp.dataset import (
     save_recording,
 )
 from gaitmp.detectors import AlarmEvent, NaiveDetectorConfig, TraceRecord, load_jsonl
+from gaitmp.mp import brute_force_mp
 from gaitmp.signal import SignalSelector, envelope_window_samples
 from gaitmp.steps import StepDetector
 from oracle import envelope_by_definition, segments_by_definition
@@ -203,6 +205,20 @@ class TestMp:
         )
         assert result.exit_code == 0, result.output
         assert "oracle ok" in result.output
+
+    def test_oracle_mismatch_exits_1(self, runner, tmp_path, monkeypatch):
+        # a failed assertion, not an error: exit 1 and no `error:` line
+        def perturbed(*args, **kwargs):
+            ref = brute_force_mp(*args, **kwargs)
+            return dataclasses.replace(ref, profile=ref.profile + 1e-3)
+
+        monkeypatch.setattr("gaitmp.cli.brute_force_mp", perturbed)
+        gen(runner, tmp_path / "rec")
+        result = runner.invoke(main, ["mp", str(tmp_path / "rec" / "recording.csv"), "-m", "24",
+                                      "--oracle", "-o", str(tmp_path / "mp.csv")])
+        assert result.exit_code == 1, result.output
+        assert "oracle mismatch" in result.output
+        assert not re.search(r"^error: ", result.output, re.M), result.output
 
     def test_invalid_window_is_usage_error(self, runner, tmp_path):
         gen(runner, tmp_path / "rec")
@@ -573,6 +589,15 @@ class TestBench:
         assert result.exit_code == 0, result.output
         assert result.output.startswith("rtf ")
 
+    def test_slower_than_realtime_fails_the_assertion(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("gaitmp.cli.real_time_factor", lambda *a, **k: 2.0)
+        gen(runner, tmp_path / "rec")
+        result = runner.invoke(
+            main, ["bench", str(tmp_path / "rec" / "recording.csv"), "--assert-realtime"]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.output == "rtf 2\n"
+
     def test_prints_four_significant_digits(self, runner, tmp_path, monkeypatch):
         # a faster-than-realtime factor keeps its digits, not just its first
         monkeypatch.setattr("gaitmp.cli.real_time_factor", lambda *a, **k: 0.000742)
@@ -666,6 +691,40 @@ class TestUsageErrors:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert re.search(r"^error: ", result.output, re.M), result.output
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["segment", "{bad}", "-o", "{out}/seg.csv"], "recording.csv"),
+            (["mp", "{bad}", "-m", "20", "-o", "{out}/mp.csv"], "recording.csv"),
+            (["detect", "{bad}", "-o", "{out}/a.jsonl"], "recording.csv"),
+            (["bench", "{bad}", "--runs", "1"], "recording.csv"),
+            (["evaluate", "{dir}", "-o", "{out}/report", "--rtf-runs", "1"], "recording.csv"),
+            (["evaluate", "{dir}", "-o", "{out}/report", "--rtf-runs", "1"], "annotations.csv"),
+            (["generate", "-o", "{out}/gen", "--config", "{bad}"], "x.cfg"),
+            (["detect", "{rec}", "-o", "{out}/a.jsonl", "--config", "{bad}"], "x.cfg"),
+        ],
+        ids=["segment", "mp", "detect", "bench", "evaluate-recording", "evaluate-annotations",
+             "generate-config", "detect-config"],
+    )
+    def test_file_that_is_not_utf8_is_data_error_naming_it(self, runner, tmp_path, args, name):
+        gen(runner, tmp_path / "rec")
+        bad = tmp_path / "rec" / name
+        first = {"recording.csv": b"t,ax,ay,az,gx,gy,gz\n", "annotations.csv": b"start,end,label\n"}
+        bad.write_bytes(first.get(name, b"") + b"0,\xff,0,0,0,0,0\n")
+        (tmp_path / "out").mkdir()
+        paths = {
+            "bad": str(bad),
+            "rec": str(tmp_path / "rec" / "recording.csv"),
+            "dir": str(tmp_path / "rec"),
+            "out": str(tmp_path / "out"),
+        }
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert re.search(rf"^error: .*{re.escape(str(bad))}", result.output, re.M), result.output
+        assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize(
         "args, line, setting",

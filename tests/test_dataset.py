@@ -47,6 +47,11 @@ class TestRecording:
         with pytest.raises(DataError):
             Recording(t, np.zeros((5, 3)), g, sample_rate_hz=100.0)
 
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.02, 0.01, 0.0]], ids=["zero", "negative"])
+    def test_rejects_a_median_period_that_is_not_positive(self, t):
+        with pytest.raises(DataError, match="median period"):
+            Recording(t, np.zeros((3, 3)), np.zeros((3, 3)))
+
     def test_projection_matches_per_sample_path(self):
         rec = small_recording(n=2 * INGEST_BLOCK + 3)
         for sel in [SignalSelector(src, ch) for src in ("accel", "gyro")
