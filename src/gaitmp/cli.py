@@ -1,11 +1,13 @@
 """Command line front end: synthesis, segmentation, profiles, detection, scoring.
 
 Exit codes: 0 success, 1 failed assertion (`mp --oracle` mismatch,
-`bench --assert-realtime`), 2 usage or data errors. The command group is the
-one place that maps errors to exit 2: every DataError, ValueError or OSError
-a command meets prints `error: <message>` on stderr and exits 2, so commands
-raise rather than catch. Config files use `key = value` lines with dataclass
-field names; explicit flags win over the file, the file wins over defaults.
+`bench --assert-realtime`) or a stdout whose reader closed it mid-write
+(click's broken-pipe rule: nothing is printed), 2 usage or data errors. The
+command group is the one place that maps errors to exit 2: every DataError,
+ValueError or OSError a command meets prints `error: <message>` on stderr
+and exits 2, so commands raise rather than catch. Config files use
+`key = value` lines with dataclass field names; explicit flags win over the
+file, the file wins over defaults.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class _Commands(click.Group):
         try:
             return super().invoke(ctx)
         except BrokenPipeError:
-            raise  # stdout's reader has gone, as under `| head`: click exits quietly
+            raise  # stdout's reader has gone, as under `| head`: click exits 1 quietly
         except (ValueError, OSError) as exc:  # a DataError is a ValueError
             _fail(str(exc))
 

@@ -111,7 +111,6 @@ from .mp import (
     _nearest_from_table,
     _rounding_floor,
     _sums,
-    _table_index,
     _window_block,
     distance_profile,
     sliding_dot_product,
@@ -333,13 +332,13 @@ class _History:
     window leaves its chunk. A History that holds a provisional chunk, or a
     chunk longer than the cap, holds that chunk alone and keeps no tables;
     the next admission evicts it. Otherwise each chunk's entries come from
-    its own running sums, in a few vectorised calls when it is admitted
-    (mp._window_block), through a gather index cached per held chunk
-    length; admission then shifts the tables left past the evicted chunks'
-    columns and writes the new chunk's block after the rest, so no held
-    chunk's entries are computed twice. The array is replaced only when a
-    chunk longer than every one held needs more rows, when the buffer needs
-    more columns, or when the array is over twice the size History needs.
+    its own running sums, read through one strided view, in a few
+    vectorised calls when it is admitted (mp._window_block); admission then
+    shifts the tables left past the evicted chunks' columns and writes the
+    new chunk's block after the rest, so no held chunk's entries are
+    computed twice. The array is replaced only when a chunk longer than
+    every one held needs more rows, when the buffer needs more columns, or
+    when the array is over twice the size History needs.
     The tables take 16 * rows * columns bytes.
 
     (qt - mu_q * s1[r]) * inv[r] is each window's correlation with the
@@ -373,9 +372,6 @@ class _History:
         self._least = np.empty((0, 0))
         self._usable: list[bool] = []
         self._provisional = False
-        # per chunk length: where each table entry's window ends in the
-        # chunk's running sums, and the rows' lengths
-        self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # running sums of the buffer, taken on the first fallback after an
         # admission
         self._window_sums = None
@@ -446,16 +442,11 @@ class _History:
         least[:-1, rows:] = np.inf
         least[-1] = np.inf
         self._least = least
-        block, c = tables[:, :, carried:n], new.values.size
-        # a gather index per held chunk length, and no other
-        held = {chunk.values.size for chunk in self.chunks}
-        self._index = {size: index for size, index in self._index.items() if size in held}
-        if c < lo:
+        block = tables[:, :, carried:n]
+        if new.values.size < lo:
             block[...] = 0.0
         else:
-            if c not in self._index:
-                self._index[c] = _table_index(c, lo)
-            _window_block(new.values, self._index[c], block, least[-1])
+            _window_block(new.values, lo, block, least[-1])
         m = np.arange(lo, lo + height, dtype=np.float64)
         floor = _rounding_floor(m, n, float(self.buffer @ self.buffer))
         self._usable = (least.min(axis=0, initial=np.inf) > floor).tolist()
@@ -469,7 +460,6 @@ class _History:
         self._s1, self._inv = self._tables
         self._least = np.empty((0, 0))
         self._usable = []
-        self._index = {}
 
     def reset_query(self) -> None:
         """Drop the carried query; the next best_distance is a seed row."""

@@ -18,15 +18,16 @@ one, not MASS's FFT convolution) finish in _profile. The detectors'
 score rows want only the profile's smallest entry. A step-gated row, the
 seed row of a step and each growth row alike, ranks the windows from the
 History tables, each window's S1 and 1 / sqrt(m*S2 - S1^2) per length
-(_nearest_from_table; _table_index and _window_block build them). Where
-the tables cannot answer, a seed row takes distance_profile, and a growth
-row, like every naive hop, finishes in _nearest: it ranks the windows by
-their correlation with the query straight from the running sums (the window
-sums S1 and S2 in one subtraction, as SCAMP ranks by Pearson correlation
-from co-moments), with an optional mask of windows that straddle a History
-chunk boundary. One rule, _rounding_floor, says when running sums can rank
-a window: its m*S2 - S1^2 must lie above the floor, which bounds their
-rounding and so also covers every constant window. The row falls back to
+(_nearest_from_table; _window_block builds them, each chunk's from its own
+running sums through one strided view). Where the tables cannot answer, a
+seed row takes distance_profile, and a growth row, like every naive hop,
+finishes in _nearest: it ranks the windows by their correlation with the
+query straight from the running sums (the window sums S1 and S2 in one
+subtraction, as SCAMP ranks by Pearson correlation from co-moments), with
+an optional mask of windows that straddle a History chunk boundary. One
+rule, _rounding_floor, says when running sums can rank a window: its
+m*S2 - S1^2 must lie above the floor, which bounds their rounding and so
+also covers every constant window. The row falls back to
 _profile over _moments for a constant query, a window at or under the
 floor, or a near-duplicate best; _best_of_rank turns the best rank into a
 distance or declines a near-duplicate, for _nearest and for the History
@@ -303,34 +304,29 @@ def _nearest(
     return float(d.min())
 
 
-def _table_index(c: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a series of c readings, the flat index, into _window_block's
-    running sums (2 x c + 2), of where each window at lengths lo..c ends,
-    and those lengths as a column. A window that leaves the series ends its
-    S1 where it starts (a sum of 0) and its S2 at the inf in the last column."""
-    m = np.arange(lo, c + 1)[:, None]
-    j = np.arange(c)
-    inside = j <= c - m
-    ends = np.stack((np.where(inside, j + m, j), np.where(inside, c + 2 + j + m, 2 * c + 3)))
-    return ends, m.astype(np.float64)
-
-
-def _window_block(x: np.ndarray, index, block: np.ndarray, least: np.ndarray) -> None:
+def _window_block(x: np.ndarray, lo: int, block: np.ndarray, least: np.ndarray) -> None:
     """Write into ``block`` (2 x rows x x.size) the sum S1 and 1 / sqrt(m*S2 - S1^2)
-    of every window of x at the lengths of ``index`` (_table_index), from
-    running sums of x alone, 0 where a window leaves x or has no positive
-    m*S2 - S1^2, and the rows past the longest length; and the least
-    m*S2 - S1^2 of each length's windows into ``least``."""
-    ends, m = index
-    c, rows = x.size, m.size
+    of every window of x at the lengths lo..x.size, from running sums of x
+    alone, 0 where a window leaves x or has no positive m*S2 - S1^2, and the
+    rows past the longest length; and the least m*S2 - S1^2 of each length's
+    windows into ``least``."""
+    c = x.size
+    rows = c - lo + 1
+    m = np.arange(lo, c + 1, dtype=np.float64)[:, None]
     block[:, rows:] = 0.0
-    sums = np.zeros((2, c + 2))
+    # past x, S1's running sum stays at its total and S2's is inf
+    sums = np.zeros((2, 2 * c))
     sums[0, 1 : c + 1] = x
     np.multiply(x, x, out=sums[1, 1 : c + 1])
     np.add.accumulate(sums, axis=1, out=sums)
-    sums[1, -1] = np.inf
-    s1, s2 = np.subtract(sums.take(ends), sums[:, None, :c], out=block[:, :rows])
-    # inf where the window leaves x
+    sums[1, c + 1 :] = np.inf
+    # ends[:, r, j] = sums[:, lo + r + j], where the window of length lo + r at j ends
+    w = sums.itemsize
+    ends = np.ndarray((2, rows, c), buffer=sums, offset=lo * w, strides=(sums.strides[0], w, w))
+    ends.flags.writeable = False
+    s1, s2 = np.subtract(ends, sums[:, None, :c], out=block[:, :rows])
+    # S2 is inf where the window leaves x; S1 there is 0, as inv will be
+    np.copyto(s1, 0.0, where=s2 == np.inf)
     div = s2 * m
     div -= s1 * s1
     np.min(div, axis=1, out=least[:rows])

@@ -138,17 +138,10 @@ class StepDetector:
             if not above:
                 self._phase = "pending"
                 self._pend_end = index + self.release
-        else:  # pending
-            if above:
-                new_start = max(0, index - self.onset)
-                if new_start < self._pend_end:
-                    # widened extents overlap: same step continues
-                    self._phase = "in_step"
-                else:
-                    events.extend(self._finalize_pending())
-                    self._phase = "in_step"
-                    self._cur_start = new_start
-                    self._started_emitted = False
+        elif above:
+            # still pending, so index - onset < pend_end (settled above
+            # otherwise): the rise's widened extent overlaps; the step goes on
+            self._phase = "in_step"
 
         # A segment survives the duration filter as soon as the samples seen
         # so far guarantee the minimum length, whatever happens next.

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gaitmp
 from gaitmp.cli import main
 from gaitmp.dataset import (
     LabeledSegment,
@@ -219,6 +224,33 @@ class TestMp:
         assert result.exit_code == 1, result.output
         assert "oracle mismatch" in result.output
         assert not re.search(r"^error: ", result.output, re.M), result.output
+
+    def test_closed_stdout_exits_1_quietly(self, runner, tmp_path):
+        # a reader that closes stdout mid-write, as a program that stops
+        # after one line does: click's broken-pipe rule exits 1 and prints
+        # nothing. The 15,396 rows come to about 356 KB, over five times a
+        # 64 KB pipe buffer, so the command is still writing when the pipe
+        # closes. An unbuffered stdout (PYTHONUNBUFFERED) drops a short write
+        # silently, so the child runs without it.
+        gen(runner, tmp_path / "rec", "--normal", "150", "--seed", "4")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(gaitmp.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        argv = ["mp", str(tmp_path / "rec" / "recording.csv"), "-m", "50"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gaitmp.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"index,profile,nn_index\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 1
+        assert err == b""
 
     def test_invalid_window_is_usage_error(self, runner, tmp_path):
         gen(runner, tmp_path / "rec")

@@ -150,6 +150,36 @@ class TestRecordingIO:
             load_recording(path)
 
 
+HEADER = "t,ax,ay,az,gx,gy,gz\n"
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (
+            load_recording,
+            HEADER + "0,0,0,0,0,0,0\n0.01,0,0,0,0,0\n",
+            "row 3: expected 7 fields, got 6",
+        ),
+        (load_recording, HEADER, "no samples"),
+        (
+            load_recording,
+            HEADER + "".join(f"{t},0,0,0,0,0,0\n" for t in (0, 0.01, 0.02, 0.05, 0.06)),
+            "non-uniform sampling at sample 3: dt=0.03, expected 0.01",
+        ),
+        (load_annotations, "start,end,label\n0,100\n", "row 2: expected 3 fields"),
+    ],
+    ids=["recording-field-count", "recording-header-only", "recording-non-uniform",
+         "annotations-field-count"],
+)
+def test_loader_errors_name_the_file(tmp_path, load, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 class TestAnnotations:
     def test_round_trip(self, tmp_path):
         segs = [LabeledSegment(0, 100, "ok"), LabeledSegment(120, 200, "ab")]

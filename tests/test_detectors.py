@@ -1249,12 +1249,11 @@ def assert_tables_match_a_fresh_build(history, cap):
     """The carried tables equal those of a History that admits the held
     chunks afresh, and the plain sums of every window. A provisional chunk,
     or one longer than ``cap``, is held alone, and History then holds no
-    tables. The gather-index cache holds only lengths of held chunks."""
+    tables."""
     n = history.buffer.size
-    assert set(history._index) <= {c.values.size for c in history.chunks}
     if history.chunks[0].provisional or history.longest > cap:
         assert len(history.chunks) == 1
-        assert history._tables.size == 0 and not history._usable and not history._index
+        assert history._tables.size == 0 and not history._usable
         return
     fresh = _History(history._lo)
     for c in history.chunks:
@@ -1349,6 +1348,23 @@ class TestWindowTables:
             history.reset_query()
             for m in range(shortest, length + 1):
                 assert_row_matches(history.best_distance(query[:m]), query[:m], history)
+
+    def test_admission_peaks_near_the_tables_size(self):
+        # a chunk's block is read through a view of its own running sums:
+        # admitting a 1,000-reading chunk peaks at the tables and one
+        # block-sized temporary, with no index of every window's end
+        history = _History(25)
+        values = np.random.default_rng(0).normal(size=1000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            history.admit(_Chunk(values, 1.0), cap=1000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert history._tables.nbytes > 0
+        assert peak <= 2.5 * history._tables.nbytes
 
     def test_flush_releases_the_tables_and_keeps_the_rest(self):
         rec, _ = make_recording("time-warped", 2)

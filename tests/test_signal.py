@@ -1,10 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitmp import DataError
+from gaitmp.detectors import NaiveDetectorConfig, StepSystemConfig
 from gaitmp.signal import (
+    CHANNELS,
+    SOURCES,
     SensorSample,
     SignalSelector,
     StreamingEnvelope,
@@ -66,6 +71,25 @@ class TestProject:
             SignalSelector.parse("gyro")
         with pytest.raises(ValueError):
             SignalSelector.parse("gyro:l3")
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_selector_pickles(self, source, channel):
+        # the resolved reducer is a closure, which pickle cannot send; the
+        # selector pickles by its source and channel and resolves it afresh
+        sel = SignalSelector(source, channel)
+        back = pickle.loads(pickle.dumps(sel))
+        assert back == sel
+        s = sample(gyro=(3.0, -4.0, 0.5), accel=(-1.5, 9.0, 2.0))
+        assert project(s, back) == project(s, sel)
+
+    def test_configs_with_a_signal_pickle(self):
+        sel = SignalSelector("accel", "l2")
+        s = sample(accel=(3.0, -4.0, 0.0))
+        for cfg in (StepSystemConfig(signal=sel), NaiveDetectorConfig(signal=sel)):
+            back = pickle.loads(pickle.dumps(cfg))
+            assert back == cfg
+            assert project(s, back.signal) == 5.0
 
     def test_sample_rejects_nan(self):
         # every non-finite value, in t and in each of the six channels, as a
