@@ -63,10 +63,17 @@ def _fail(message: str) -> None:
 
 def _emit(rows: list[str], out, what: str) -> None:
     """Print rows, a header line and its records, or write them to the file
-    out and say how many of what it holds."""
+    out and say how many of what it holds. Printing writes stdout's binary
+    layer and retries short writes, which an unbuffered stdout
+    (PYTHONUNBUFFERED) returns when its reader closes it: the next write then
+    raises BrokenPipeError, as a buffered stdout does."""
     text = "\n".join(rows) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.flush()
+        data = memoryview(text.encode())
+        while data:
+            data = data[sys.stdout.buffer.write(data) :]
+        sys.stdout.buffer.flush()
     else:
         Path(out).write_text(text)
         click.echo(f"wrote {out} ({len(rows) - 1} {what})")

@@ -51,31 +51,29 @@ one it would have had. In both detectors flush ends the stream: a push
 after it raises ValueError before any state changes, and a second flush
 does nothing more.
 
-History admission rules for the step-gated detector, chosen so a freshly
-started system cannot alarm on silence and consecutive anomalies stay
-detectable:
+The step-gated detector's admission policy is two methods, chosen so a
+freshly started system cannot alarm on silence and consecutive anomalies
+stay detectable. _admission decides what a segmentation event admits:
 
-* Everything before the first detected step enters History as one provisional
-  chunk at the moment that step starts. It keeps early steps comparable and
+* At the first step's start, while History is empty, everything since the
+  base enters as one provisional chunk. It keeps early steps comparable and
   is evicted as soon as a clean signature exists.
-* A completed step's signature [start, end) is admitted when its end event
-  fires, unless the step's peak score exceeded the admission guard: suspect
-  steps are quarantined, otherwise one anomaly would mask every identical
-  follow-up. The guard is a number of its own, below the default alarm
-  threshold so that borderline anomalies stay out of the reference memory
-  even when they do not alarm. It never follows the alarm threshold: History
-  evolves the same at every threshold, which is what lets a recorded trace
-  be re-thresholded faithfully.
-* Eviction is whole-chunk FIFO once total retained samples exceed the cap.
-* prime_history admits the steps of a clean reference in order, each with
-  its envelope maximum as a streamed step has, so the cap keeps the last.
+* At a step's end, its signature [start, end) enters unless the step's peak
+  score exceeded the admission guard: suspect steps are quarantined, else
+  one anomaly would mask every identical follow-up. The guard is a number of
+  its own, below the default alarm threshold so that borderline anomalies
+  stay out of the reference memory even when they do not alarm. It never
+  follows the alarm threshold: History evolves the same at every threshold,
+  which is what lets a recorded trace be re-thresholded faithfully.
 
-Steps are segmented by a StepDetector with its default settings, which
-owns the threshold rule (steps.StepDetector.recompute_threshold). Each
-admission hands it the largest envelope maximum of the History chunks;
-while History is still empty it is handed the envelope maximum seen so far,
-the largest |reading| pushed, but only after BOOTSTRAP_HORIZON_S of
-silence-dominated data has passed.
+_set_threshold decides the envelope maximum that the threshold of the
+segmenter (a default StepDetector, whose recompute_threshold owns the rule)
+follows: the largest env_max of the History chunks, or, while History is
+empty and BOOTSTRAP_HORIZON_S of silence-dominated data has passed, the
+largest envelope value absorbed, which is the largest |reading| pushed.
+_History evicts whole chunks FIFO once retained samples exceed the cap.
+prime_history admits the steps of a clean reference in order, each with its
+envelope maximum as a streamed step has, so the cap keeps the last.
 
 Between steps most step-gated pushes are quiet, and a quiet push only
 stores and counts its reading. A reading is quiet when History is set, no
@@ -558,9 +556,8 @@ class StepGatedDetector:
         self._phys = 0
         self._raw_count = 0
         self._env_count = 0
-        # the largest |reading| of the pushes that are not quiet: the cold
-        # start reads it while History is empty, when no push is quiet
-        self._abs_max = 0.0
+        # the largest envelope value absorbed: the cold start's level
+        self._env_peak = 0.0
         # quiet pushes (see push): the readings in a row at or under the
         # step threshold since it last fell, the run a quiet push needs,
         # and whether the envelope has missed quiet readings
@@ -588,22 +585,41 @@ class StepGatedDetector:
 
     # -- history ----------------------------------------------------------
 
-    def _admit(self, values: np.ndarray, env_max: float, provisional: bool, raw_i: int) -> None:
-        self._history.admit(_Chunk(values, env_max, provisional), self.cfg.history_len)
-        self._set_threshold(max(c.env_max for c in self._history.chunks))
-        self.admissions.append(
-            {
-                "seq": self._next_seq(),
-                "sample_index": raw_i,
-                "length": int(values.size),
-                "provisional": provisional,
-            }
-        )
+    def _admission(self, ev) -> _Chunk | None:
+        """The chunk a segmentation event admits, or None: at a start while
+        History is empty, everything since the base, as a provisional chunk;
+        at an end, the step, unless its peak score exceeded the guard."""
+        if ev.kind == STARTED:
+            if self._history.chunks or ev.index <= self._base:
+                return None
+            start = self._base
+        elif self._step_peak > self.cfg.admission_guard:
+            return None
+        else:
+            start = self._step_start
+        values, env_max = self._sig_slice(start, ev.index), self._env_max(start, ev.index)
+        return _Chunk(values, env_max, provisional=ev.kind == STARTED)
 
-    def _set_threshold(self, env_max: float) -> None:
+    def _admit(self, chunk: _Chunk, raw_i: int) -> None:
+        self._history.admit(chunk, self.cfg.history_len)
+        self._set_threshold()
+        entry = {"seq": self._next_seq(), "sample_index": raw_i, "length": chunk.values.size}
+        entry["provisional"] = chunk.provisional
+        self.admissions.append(entry)
+
+    def _set_threshold(self) -> None:
+        """Set the step threshold from the envelope maximum it follows:
+        History's largest env_max, or, while History is empty and the bootstrap
+        horizon has passed since the base, the largest envelope value absorbed."""
+        if self._history.chunks:
+            level = max(c.env_max for c in self._history.chunks)
+        elif self._env_count - self._base >= self._horizon:
+            level = self._env_peak
+        else:
+            return
         old = self._step.threshold
         # a reading at or under the old threshold may be over a lower one
-        if self._step.recompute_threshold(env_max) < old:
+        if self._step.recompute_threshold(level) < old:
             self._calm = 0
 
     def prime_history(self, reference) -> None:
@@ -627,7 +643,7 @@ class StepGatedDetector:
         if not steps:
             raise ValueError("no step found in the reference")
         for s, e in steps:
-            self._admit(reference.values[s:e], max(env[s:e]), provisional=False, raw_i=-1)
+            self._admit(_Chunk(reference.values[s:e], max(env[s:e])), raw_i=-1)
 
     # -- buffer plumbing ---------------------------------------------------
 
@@ -706,8 +722,6 @@ class StepGatedDetector:
         # push that raises leaves the detector as it was
         env_value = self._env_stream.push(value)
         self._calm = calm
-        if a > self._abs_max:
-            self._abs_max = a
         raw_i = self._raw_count
         self._raw_count = raw_i + 1
         self._sig.append(value)
@@ -738,14 +752,16 @@ class StepGatedDetector:
     def _absorb_env(self, env_value: float, raw_i: int) -> tuple[AlarmEvent, ...]:
         i = self._env_count
         self._env_count = i + 1
+        if env_value > self._env_peak:
+            self._env_peak = env_value
         for ev in self._step.feed(env_value):
             self._on_step_event(ev, raw_i)
 
         if self._in_step:
             return self._maybe_score(i, raw_i)
-        if not self._history.chunks and i + 1 - self._base >= self._horizon:
+        if not self._history.chunks:
             # cold start: no admitted steps yet, adapt from what was seen
-            self._set_threshold(self._abs_max)
+            self._set_threshold()
         if i + 1 - self._base > self._horizon:
             self._rebase(i + 1 - self._horizon)
         return ()
@@ -775,33 +791,17 @@ class StepGatedDetector:
         return ()
 
     def _on_step_event(self, ev, raw_i: int) -> None:
-        if ev.kind == STARTED:
-            if not self._history.chunks and ev.index > self._base:
-                # everything before the first step becomes the provisional
-                # reference; it contains the step that raised the threshold
-                self._admit(
-                    self._sig_slice(self._base, ev.index),
-                    self._env_max(self._base, ev.index),
-                    provisional=True,
-                    raw_i=raw_i,
-                )
-            self._rebase(ev.index)
+        chunk = self._admission(ev)
+        if chunk is not None:
+            self._admit(chunk, raw_i)
+        self._rebase(ev.index)
+        self._in_step = ev.kind == STARTED
+        if self._in_step:
             self._history.reset_query()
             self._current_len = 0
-            self._in_step = True
             self._step_start = ev.index
             self._step_ordinal += 1
             self._step_peak = 0.0
-        else:
-            self._in_step = False
-            if self._step_peak <= self.cfg.admission_guard:
-                self._admit(
-                    self._sig_slice(self._step_start, ev.index),
-                    self._env_max(self._step_start, ev.index),
-                    provisional=False,
-                    raw_i=raw_i,
-                )
-            self._rebase(ev.index)
         self.step_events.append(
             {"seq": self._next_seq(), "kind": ev.kind, "index": ev.index, "sample_index": raw_i}
         )

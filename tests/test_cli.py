@@ -225,15 +225,19 @@ class TestMp:
         assert "oracle mismatch" in result.output
         assert not re.search(r"^error: ", result.output, re.M), result.output
 
-    def test_closed_stdout_exits_1_quietly(self, runner, tmp_path):
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "set"])
+    def test_closed_stdout_exits_1_quietly(self, runner, tmp_path, unbuffered):
         # a reader that closes stdout mid-write, as a program that stops
         # after one line does: click's broken-pipe rule exits 1 and prints
         # nothing. The 15,396 rows come to about 356 KB, over five times a
         # 64 KB pipe buffer, so the command is still writing when the pipe
-        # closes. An unbuffered stdout (PYTHONUNBUFFERED) drops a short write
-        # silently, so the child runs without it.
+        # closes. The child runs with PYTHONUNBUFFERED unset and set: an
+        # unbuffered stdout returns a short write to the closing pipe, which
+        # the output must retry to meet the broken pipe.
         gen(runner, tmp_path / "rec", "--normal", "150", "--seed", "4")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(gaitmp.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
         )

@@ -27,7 +27,7 @@ from gaitmp.detectors import (
 from gaitmp.mp import DEFAULT_EPS, TimeSeries, distance_profile
 from gaitmp.signal import SensorSample, SignalSelector, envelope_window_samples
 from gaitmp.evaluation import match_alarms
-from gaitmp.steps import INITIAL_THRESHOLD, StepDetector
+from gaitmp.steps import ENDED, INITIAL_THRESHOLD, StepDetector
 from oracle import envelope_by_definition, segments_by_definition
 
 # a long History draw: past the 1,000-reading History of the default
@@ -967,27 +967,32 @@ class DefinitionHistory(PerChunkHistory):
         return min((definition_best(query, c) for c in chunks), default=math.inf)
 
 
-def quantized_recording(seed):
-    """A noiseless synthetic walk after 4 s of rest, read through a gyro with
-    a bias and a 0.07 deg/s resolution: at rest every reading is the same
-    nonzero value."""
-    rec, _ = generate(SynthConfig(noise_std=0.0, rng_seed=seed, lead_in_s=4.0))
+def quantized_recording(seed, lead_in_s):
+    """A noiseless synthetic walk after lead_in_s of rest, read through a gyro
+    with a bias and a 0.07 deg/s resolution: at rest every reading is the
+    same nonzero value."""
+    rec, _ = generate(SynthConfig(noise_std=0.0, rng_seed=seed, lead_in_s=lead_in_s))
     gyro = np.round((rec.gyro + (0.61, -0.35, 0.27)) / 0.07) * 0.07
     return Recording(rec.t, rec.accel, gyro, rec.sample_rate_hz)
 
 
 class TestQuantizedReplayMatchesDefinition:
+    @pytest.mark.parametrize("lead_in_s, min_steps", [(2.0, 11), (4.0, 1)])
     @pytest.mark.parametrize("seed", range(6))
-    def test_scores(self, seed):
+    def test_scores(self, seed, lead_in_s, min_steps):
         # a sensor at rest gives exactly constant History windows at a nonzero
         # level, whose running sums cancel. Alarms are not compared: a
         # constant reference window scores exactly 0.5, and at threshold 0.5
-        # the definition's last-ulp rounding decides that tie
-        rec = quantized_recording(seed)
+        # the definition's last-ulp rounding decides that tie. A 4 s lead-in
+        # outlasts the bootstrap horizon, so the detector finds one step of
+        # 12 and scores it against the provisional chunk alone; a 2 s lead-in
+        # finds the gait and scores rows against tabled History
+        rec = quantized_recording(seed, lead_in_s)
         det = StepGatedDetector(StepSystemConfig())
         oracle = StepGatedDetector(StepSystemConfig())
         oracle._history = DefinitionHistory()
         got, want = replay(det, rec), replay(oracle, rec)
+        assert sum(e["kind"] == ENDED for e in det.step_events) >= min_steps
         assert got.trace and det.admissions == oracle.admissions
         assert det.step_events == oracle.step_events
         row = lambda r: (r.sample_index, r.query_index, r.step_ordinal, r.query_len)  # noqa: E731
