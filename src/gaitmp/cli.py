@@ -7,7 +7,9 @@ command group is the one place that maps errors to exit 2: every DataError,
 ValueError or OSError a command meets prints `error: <message>` on stderr
 and exits 2, so commands raise rather than catch. Config files use
 `key = value` lines with dataclass field names; explicit flags win over the
-file, the file wins over defaults.
+file, the file wins over defaults. `evaluate` reports the median real-time
+factor of its one replay per recording; `bench --runs` replays one recording
+repeatedly.
 """
 
 from __future__ import annotations
@@ -301,8 +303,7 @@ def detect(recording, mode, alarms_path, trace_path, threshold, signal, history_
     multiple=True,
     help="History length in seconds; repeat for several ROC families.",
 )
-@click.option("--rtf-runs", type=click.IntRange(min=1), default=5, show_default=True)
-def evaluate(inputs, out, mode, signal, history_lens, rtf_runs):
+def evaluate(inputs, out, mode, signal, history_lens):
     """Score recording directories (recording.csv + annotations.csv each) at
     101 thresholds from 1 down to 0."""
     SignalSelector.parse(signal)  # a bad selector fails before any recording loads
@@ -330,7 +331,7 @@ def evaluate(inputs, out, mode, signal, history_lens, rtf_runs):
         def make_detector(hl=hl):
             return _detector(mode, rate, history_len_s=hl, signal=signal)
         history_len_s = hl if hl is not None else _MODES[mode].history_len_s
-        report = evaluate_recordings(pairs, make_detector, rtf_runs=rtf_runs)
+        report = evaluate_recordings(pairs, make_detector)
         suffix = "" if len(lens) == 1 else f"-h{history_len_s:g}"
         write_roc_csv(report.roc, out_dir / f"roc{suffix}.csv")
         write_f1_csv(report.f1_by_threshold, out_dir / f"f1_by_threshold{suffix}.csv")

@@ -98,8 +98,8 @@ class Recording:
             if not period > 0:
                 raise DataError(f"cannot infer sample rate from a median period of {period:g} s")
             sample_rate_hz = 1.0 / period
-        if not (sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
+        if not (0 < sample_rate_hz < math.inf):
+            raise ValueError("sample_rate_hz must be positive and finite")
         if t.size >= 2:
             dt = np.diff(t)
             period = 1.0 / sample_rate_hz

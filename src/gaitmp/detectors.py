@@ -197,8 +197,8 @@ class NaiveDetector:
     """
 
     def __init__(self, config: NaiveDetectorConfig, sample_rate_hz: float):
-        if not (sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
+        if not (0 < sample_rate_hz < math.inf):
+            raise ValueError("sample_rate_hz must be positive and finite")
         # History in samples
         self.history_len = round(config.history_len_s * sample_rate_hz)
         if self.history_len < 2 * config.frame_len:

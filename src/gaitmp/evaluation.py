@@ -218,7 +218,8 @@ def earliness(
 
 
 def real_time_factor(make_detector, recording, runs: int = 5) -> float:
-    """Median wall-time over duration across full replays, fresh detector each.
+    """Median wall-time over duration across runs full replays of one
+    recording, fresh detector each; gaitmp bench --runs is its front end.
 
     The wall time is replay's wall_s: ingest of the signal the detector's
     config selects (building SensorSamples from the recording's rows, or the
@@ -227,11 +228,10 @@ def real_time_factor(make_detector, recording, runs: int = 5) -> float:
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    duration = recording.n / recording.sample_rate_hz
     ratios = []
     for _ in range(runs):
         res = replay(make_detector(), recording)
-        ratios.append(res.wall_s / duration)
+        ratios.append(res.wall_s / recording.duration_s)
     return statistics.median(ratios)
 
 
@@ -240,7 +240,6 @@ def evaluate_recordings(
     make_detector,
     *,
     measure_rtf: bool = True,
-    rtf_runs: int = 5,
 ) -> EvaluationReport:
     """Run one detector pass per (recording, truth) pair and sweep threshold_grid.
 
@@ -250,27 +249,25 @@ def evaluate_recordings(
     canonical: recordings are sorted by id, so feeding the same pairs in any
     order produces an identical report. The operating point for the
     per-recording numbers and the aggregate F1 is the Youden-optimal
-    threshold of the pooled ROC. With measure_rtf, rtf_runs must be at least
-    1; that, and that no truth list has overlapping segments, is checked
-    before any recording is replayed.
+    threshold of the pooled ROC. With measure_rtf, the report's
+    real_time_factor is the median over the recordings of each scoring
+    replay's wall_s over the recording's duration: real_time_factor's
+    statistic, taken from the replays already run. That no truth list has
+    overlapping segments is checked before any recording is replayed.
     """
-    if measure_rtf and rtf_runs < 1:
-        raise ValueError(f"rtf_runs must be at least 1, got {rtf_runs}")
     pairs = list(pairs)
     for _, truth in pairs:
         validate_segments(truth)
     grid = threshold_grid()
     entries = []
-    longest = None
+    ratios = []
     for k, (rec, truth) in enumerate(pairs):
-        det = make_detector()
-        res = replay(det, rec)
+        res = replay(make_detector(), rec)
+        ratios.append(res.wall_s / rec.duration_s)
         fs = rec.sample_rate_hz
         counts = _sweep_counts(res.trace, truth, grid)
         rid = rec.meta.recording_id if rec.meta is not None else f"unnamed-{k:04d}"
         entries.append((rid, truth, fs, res.trace, counts))
-        if longest is None or rec.n > longest.n:
-            longest = rec
     if not entries:
         raise ValueError("no recordings to evaluate")
     entries.sort(key=lambda e: e[0])
@@ -286,8 +283,6 @@ def evaluate_recordings(
         alarms = alarms_from_trace(trace, float(grid[j_opt]), fs)
         per_recording.append(RecordingResult(rid, c, f1(c), earliness(alarms, truth, fs)))
 
-    rtf = real_time_factor(make_detector, longest, runs=rtf_runs) if measure_rtf else None
-
     return EvaluationReport(
         per_recording=tuple(per_recording),
         roc=tuple(points),
@@ -297,7 +292,7 @@ def evaluate_recordings(
         f1_by_threshold=tuple(
             (float(th), f1(c)) for th, c in zip(grid, pooled)
         ),
-        real_time_factor=rtf,
+        real_time_factor=statistics.median(ratios) if measure_rtf else None,
     )
 
 

@@ -73,8 +73,8 @@ class TimeSeries:
             raise ValueError("time series must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(values)):
             raise DataError("time series contains non-finite samples")
-        if not (self.sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
+        if not (0 < self.sample_rate_hz < math.inf):
+            raise ValueError("sample_rate_hz must be positive and finite")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

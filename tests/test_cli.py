@@ -499,7 +499,7 @@ class TestEvaluate:
         result = runner.invoke(
             main,
             ["evaluate", str(tmp_path / "r0"), str(tmp_path / "r1"),
-             "-o", str(out), "--rtf-runs", "1"],
+             "-o", str(out)],
         )
         assert result.exit_code == 0, result.output
         data = json.loads((out / "report.json").read_text())
@@ -516,7 +516,7 @@ class TestEvaluate:
         result = runner.invoke(
             main,
             ["evaluate", str(tmp_path / "r0"), "-o", str(out),
-             "--history-len", "5", "--history-len", "20", "--rtf-runs", "1"],
+             "--history-len", "5", "--history-len", "20"],
         )
         assert result.exit_code == 0, result.output
         data = json.loads((out / "report.json").read_text())
@@ -537,7 +537,7 @@ class TestEvaluate:
         result = runner.invoke(
             main,
             ["evaluate", str(tmp_path / "r0"), "-o", str(out), "--mode", "naive",
-             *[a for hl in lens for a in ("--history-len", hl)], "--rtf-runs", "1"],
+             *[a for hl in lens for a in ("--history-len", hl)]],
         )
         assert result.exit_code == 0, result.output
         assert all(f"history {hl:g}s:" in result.output for hl in labels)
@@ -558,7 +558,7 @@ class TestEvaluate:
         result = runner.invoke(
             main,
             ["evaluate", str(tmp_path / "r0"), str(tmp_path / "r1"),
-             "-o", str(tmp_path / "report"), "--rtf-runs", "1"],
+             "-o", str(tmp_path / "report")],
         )
         assert result.exit_code == code, result.output
         assert ("disagree on sample rate" in result.output) == bool(code)
@@ -566,14 +566,12 @@ class TestEvaluate:
     def test_input_order_does_not_change_report(self, runner, tmp_path):
         gen(runner, tmp_path / "r0")
         gen(runner, tmp_path / "r1", "--kind", "amplitude-scaled")
-        args = ["-o", None, "--rtf-runs", "0"]
         outs = []
         for name, ordered in (("fwd", ["r0", "r1"]), ("rev", ["r1", "r0"])):
             out = tmp_path / name
             result = runner.invoke(
                 main,
-                ["evaluate", *[str(tmp_path / d) for d in ordered], "-o", str(out),
-                 "--rtf-runs", "1"],
+                ["evaluate", *[str(tmp_path / d) for d in ordered], "-o", str(out)],
             )
             assert result.exit_code == 0, result.output
             data = json.loads((out / "report.json").read_text())
@@ -675,7 +673,6 @@ class TestUsageErrors:
         "args",
         [
             ["bench", "{rec}", "--runs", "0"],
-            ["evaluate", "{dir}", "-o", "{out}", "--rtf-runs", "0"],
             ["segment", "{rec}", "--signal", "both:l2"],
             ["mp", "{rec}", "-m", "20", "--signal", "both:l2"],
             ["bench", "{rec}", "--signal", "both:l2"],
@@ -685,7 +682,7 @@ class TestUsageErrors:
             # the grid is fixed at 101 points, so there is no flag to set it
             ["evaluate", "{dir}", "-o", "{out}", "--grid-points", "101"],
         ],
-        ids=["bench-runs-0", "evaluate-rtf-runs-0", "segment-both", "mp-both", "bench-both",
+        ids=["bench-runs-0", "segment-both", "mp-both", "bench-both",
              "detect-both", "detect-naive-both", "segment-envelope-0", "evaluate-no-grid-points"],
     )
     def test_exit_2_without_traceback(self, runner, tmp_path, args):
@@ -706,8 +703,8 @@ class TestUsageErrors:
         [
             (["segment", "{rec}", "-o", "{tmp}/missing/seg.csv"], None),
             (["mp", "{rec}", "-m", "20", "-o", "{tmp}/missing/mp.csv"], None),
-            (["evaluate", "{dir}", "-o", "{tmp}/out", "--rtf-runs", "1"], "roc.csv"),
-            (["evaluate", "{dir}", "-o", "{tmp}/out", "--rtf-runs", "1"], "report.json"),
+            (["evaluate", "{dir}", "-o", "{tmp}/out"], "roc.csv"),
+            (["evaluate", "{dir}", "-o", "{tmp}/out"], "report.json"),
         ],
         ids=["segment-missing-dir", "mp-missing-dir", "evaluate-roc-is-dir",
              "evaluate-report-is-dir"],
@@ -735,8 +732,8 @@ class TestUsageErrors:
             (["mp", "{bad}", "-m", "20", "-o", "{out}/mp.csv"], "recording.csv"),
             (["detect", "{bad}", "-o", "{out}/a.jsonl"], "recording.csv"),
             (["bench", "{bad}", "--runs", "1"], "recording.csv"),
-            (["evaluate", "{dir}", "-o", "{out}/report", "--rtf-runs", "1"], "recording.csv"),
-            (["evaluate", "{dir}", "-o", "{out}/report", "--rtf-runs", "1"], "annotations.csv"),
+            (["evaluate", "{dir}", "-o", "{out}/report"], "recording.csv"),
+            (["evaluate", "{dir}", "-o", "{out}/report"], "annotations.csv"),
             (["generate", "-o", "{out}/gen", "--config", "{bad}"], "x.cfg"),
             (["detect", "{rec}", "-o", "{out}/a.jsonl", "--config", "{bad}"], "x.cfg"),
         ],

@@ -108,6 +108,21 @@ class TestNaiveConfig:
         assert NaiveDetector(NaiveDetectorConfig(history_len_s=seconds), rate).history_len == samples
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rate: Recording([0.0], [[0, 0, 0]], [[0, 0, 0]], sample_rate_hz=rate),
+        lambda rate: TimeSeries([1.0, 2.0], rate),
+        lambda rate: NaiveDetector(NaiveDetectorConfig(), rate),
+    ],
+    ids=["Recording", "TimeSeries", "NaiveDetector"],
+)
+def test_sample_rate_must_be_positive_and_finite(build, rate):
+    with pytest.raises(ValueError, match="positive and finite"):
+        build(rate)
+
+
 class TestNaiveDetector:
     def test_silent_until_warmup(self):
         det = NaiveDetector(NaiveDetectorConfig(), 100.0)
@@ -1279,6 +1294,33 @@ def assert_tables_match_a_fresh_build(history, cap):
     np.testing.assert_allclose(live_inv[clear], 1.0 / np.sqrt(div[clear]), rtol=1e-6)
 
 
+def check_rows_and_tables(seed, shortest, kinds, cap, start, query_kind, level):
+    """Admit the drawn chunks one by one; after each, compare the carried
+    tables with a fresh build and every growth row of a drawn query with
+    masked_best."""
+    rng = np.random.default_rng(seed)
+    history = _History(shortest)
+
+    def admit(values, provisional=False):
+        limit = values.size if cap == "own" else cap
+        history.admit(_Chunk(values, 1.0, provisional), limit)
+        assert_tables_match_a_fresh_build(history, limit)
+
+    if start == "provisional":
+        admit(rng.normal(0.0, 2.0, 3 * shortest), provisional=True)
+    elif start == "primed":
+        for part in np.array_split(rng.normal(1.0, 2.0, 4 * shortest), 3):
+            admit(part)
+    for kind in kinds:
+        admit(draw_table_chunk(rng, kind, shortest, level))
+        chunks = [c.values for c in history.chunks]
+        length = shortest + int(rng.integers(0, history.longest - shortest + 3))
+        query = draw_query(rng, query_kind, chunks, length, level)
+        history.reset_query()
+        for m in range(shortest, length + 1):
+            assert_row_matches(history.best_distance(query[:m]), query[:m], history)
+
+
 class TestWindowTables:
     """Growth rows read window tables that each chunk's admission extends:
     every row matches a fresh distance profile over the buffer, masked to
@@ -1332,27 +1374,19 @@ class TestWindowTables:
     def test_rows_and_tables_after_every_admission(
         self, seed, shortest, kinds, cap, start, query_kind, level
     ):
-        rng = np.random.default_rng(seed)
-        history = _History(shortest)
+        check_rows_and_tables(seed, shortest, kinds, cap, start, query_kind, level)
 
-        def admit(values, provisional=False):
-            limit = values.size if cap == "own" else cap
-            history.admit(_Chunk(values, 1.0, provisional), limit)
-            assert_tables_match_a_fresh_build(history, limit)
-
-        if start == "provisional":
-            admit(rng.normal(0.0, 2.0, 3 * shortest), provisional=True)
-        elif start == "primed":
-            for part in np.array_split(rng.normal(1.0, 2.0, 4 * shortest), 3):
-                admit(part)
-        for kind in kinds:
-            admit(draw_table_chunk(rng, kind, shortest, level))
-            chunks = [c.values for c in history.chunks]
-            length = shortest + int(rng.integers(0, history.longest - shortest + 3))
-            query = draw_query(rng, query_kind, chunks, length, level)
-            history.reset_query()
-            for m in range(shortest, length + 1):
-                assert_row_matches(history.best_distance(query[:m]), query[:m], history)
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="D2: growth row m = 5 reads 2.4e-9 off masked_best; its best window "
+        "has stdev 5.2e-4 at level 1.41, and the running sums lose the digits",
+    )
+    def test_quiet_window_at_a_level_holds_the_oracle(self):
+        check_rows_and_tables(
+            seed=145, shortest=3, kinds=["repeat", "repeat"], cap=40, start="primed",
+            query_kind="noise", level=1.0,
+        )
 
     def test_admission_peaks_near_the_tables_size(self):
         # a chunk's block is read through a view of its own running sums:

@@ -367,27 +367,30 @@ class TestHarness:
         assert all(0.0 <= p.fpr <= 1.0 and 0.0 <= p.tpr <= 1.0 for p in report.roc)
 
     def test_rtf_measured_when_asked(self):
-        report = evaluate_recordings(
-            fixture_pairs((0,)), step_detector, rtf_runs=2
-        )
+        report = evaluate_recordings(fixture_pairs((0,)), step_detector)
         assert report.real_time_factor is not None
         assert 0.0 < report.real_time_factor < 10.0
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_recordings([], step_detector)
-
-    @pytest.mark.parametrize("runs", [0, -1])
-    def test_rtf_runs_below_one_rejected_before_any_replay(self, runs):
-        made = []
+    def test_rtf_is_the_median_of_the_scoring_replays(self, monkeypatch):
+        made, ratios = [], []
 
         def make_detector():
             made.append(1)
             return step_detector()
 
-        with pytest.raises(ValueError, match="rtf_runs"):
-            evaluate_recordings(fixture_pairs((0,)), make_detector, rtf_runs=runs)
-        assert made == []
+        def timed_replay(detector, recording):
+            res = replay(detector, recording)
+            ratios.append(res.wall_s / recording.duration_s)
+            return res
+
+        monkeypatch.setattr("gaitmp.evaluation.replay", timed_replay)
+        report = evaluate_recordings(fixture_pairs(), make_detector)
+        assert len(made) == len(ratios) == 3
+        assert report.real_time_factor == sorted(ratios)[1]
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_recordings([], step_detector)
 
     def test_overlapping_truth_rejected_before_any_replay(self):
         made = []
