@@ -1,7 +1,7 @@
 """Exact matrix profile math on z-normalized Euclidean distances.
 
-Every fast path here turns dot products and window moments into distances
-in one kernel, _fast_distances, which holds the degenerate conventions.
+Each single-query fast path turns dot products and window moments into
+distances in one kernel, _fast_distances, holding the degenerate conventions.
 Window moments come from one helper pair: _sums takes running sums of the
 values and their squares, and _moments turns them into each window's mean
 and stdev. When the series repeats a value, _moments gives a window with no
@@ -31,10 +31,11 @@ also covers every constant window. The row falls back to
 _profile over _moments for a constant query, a window at or under the
 floor, or a near-duplicate best; _best_of_rank turns the best rank into a
 distance or declines a near-duplicate, for _nearest and for the History
-tables' rows alike. Self-join rows run in STOMP order
-(dot products updated row to row) and finish in _finish_row. A brute-force
-double loop over the plain definition (brute_force_mp) shares no code with
-any of them and is kept as the oracle.
+tables' rows alike. The self-join, matrix_profile_self, z-normalizes every
+window two-pass and scores blocks of rows by matrix products, so its
+degenerate conventions come from z = 0. A brute-force double loop over the
+plain definition (brute_force_mp) shares no code with any of them and is kept
+as the oracle.
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ DEFAULT_EPS = 1e-8
 # Index sentinel for "no valid neighbor"; the matching profile value is +inf.
 NO_NEIGHBOR = -1
 # Fast distances of a query of length m at or under NEAR_DUPLICATE * sqrt(2m)
-# (1 - rho <= NEAR_DUPLICATE**2), or within NEAR_DUPLICATE of a join row's
-# minimum, are recomputed from z-normalized windows (see _fast_distances):
+# (1 - rho <= NEAR_DUPLICATE**2), or within NEAR_DUPLICATE of a self-join
+# row's minimum, are recomputed from z-normalized windows by definition:
 # sqrt(2m(1-rho)) cancels as rho -> 1, and low-variance windows magnify the
 # rounding of the dot products and moments. A fixed cut on d would cover a
 # narrower band of rho as m shrinks.
 NEAR_DUPLICATE = 1e-3
+# Distances a self-join scores per block of rows: 2 MB of float64.
+JOIN_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -159,12 +162,9 @@ def _fast_distances(
 
     Degenerate convention, as brute_force_mp's: a query or window whose stdev is
     at or under DEFAULT_EPS z-normalizes to zeros, so two constant ones are at
-    0 and a constant one is at sqrt(m) from any other. Callers recompute
-    near-duplicates of a varying query by definition (_exact_distances), by
-    one of two rules: a distance profile every entry at or under
-    _band(m) (_profile), a self-join row every candidate within
-    NEAR_DUPLICATE of its minimum (_finish_row), so that its index is the
-    definition's first smallest.
+    0 and a constant one is at sqrt(m) from any other. Its caller, _profile,
+    recomputes by definition (_exact_distances) every entry of a varying
+    query at or under _band(m).
     """
     flat = sd <= DEFAULT_EPS
     if sd_q <= DEFAULT_EPS:
@@ -351,11 +351,13 @@ def _nearest_from_table(
     return _best_of_rank(rho, m) if rho > 0.0 else None
 
 
-def _check_self_join_args(n: int, m: int, exclusion: int | None) -> int:
-    """Validate a self-join's arguments; return the exclusion radius,
-    ceil(m/2) by default."""
-    if m < 3 or 2 * m > n:
-        raise ValueError(f"subsequence length m={m} out of range for n={n} (need 3 <= m <= n/2)")
+def _check_self_join_args(t: np.ndarray, m: int, exclusion: int | None) -> int:
+    """Validate a self-join's series and arguments; return the exclusion
+    radius, ceil(m/2) by default."""
+    if m < 3 or 2 * m > t.size:
+        raise ValueError(f"subsequence length m={m} out of range for n={t.size} (need 3 <= m <= n/2)")
+    if not np.all(np.isfinite(t)):
+        raise DataError("non-finite values in self-join input")
     if exclusion is None:
         return (m + 1) // 2
     if exclusion < 0:
@@ -370,55 +372,52 @@ def _min_with_sentinel(d: np.ndarray) -> tuple[float, int]:
     return float(d[j]), j
 
 
-def _finish_row(d: np.ndarray, i: int, windows: np.ndarray, sd: np.ndarray) -> tuple[float, int]:
-    """Nearest neighbor of join row i from its fast distances d, the exclusion
-    zone already at +inf. The fast path is exact for a constant query window;
-    otherwise the candidates within NEAR_DUPLICATE of the fast minimum are
-    recomputed by definition, and the first smallest wins."""
-    best, j = _min_with_sentinel(d)
-    if j == NO_NEIGHBOR or sd[i] <= DEFAULT_EPS:
-        return best, j
-    near = np.flatnonzero(d <= best + NEAR_DUPLICATE)
-    if best + NEAR_DUPLICATE >= math.sqrt(windows.shape[1]):
-        # constant windows (fast distance sqrt(m)) may be candidates; they
-        # all z-normalize to zeros, so only the first of them can win
-        flat = sd[near] <= DEFAULT_EPS
-        flat[np.argmax(flat)] = False
-        near = near[~flat]
-    exact = _exact_distances(windows[i], windows[near])
-    k = int(np.argmin(exact))
-    return float(exact[k]), int(near[k])
-
-
 def matrix_profile_self(series, m: int, exclusion: int | None = None) -> MatrixProfileResult:
-    """Exact self-join matrix profile, computed in STOMP order.
+    """Exact self-join matrix profile, at any level of the series.
 
     Neighbors closer than ``exclusion`` positions (default ceil(m/2)) are
-    trivial matches and ignored.
+    trivial matches and ignored. Windows are z-normalized two-pass (zeros at
+    or under DEFAULT_EPS). A block of rows takes squared distances from one
+    matrix product; a row recomputes by definition each candidate within
+    NEAR_DUPLICATE of its minimum, and the first smallest wins. Time
+    O(k^2 * m) for k = n - m + 1 windows; memory 8*k*m bytes plus one block
+    of JOIN_BLOCK_CELLS distances (and a row's candidates, many only where
+    the series repeats itself exactly).
     """
     t = _values(series)
-    n = t.size
-    exclusion = _check_self_join_args(n, m, exclusion)
+    exclusion = _check_self_join_args(t, m, exclusion)
 
-    num_windows = n - m + 1
-    mu, sd = _moments(t, _sums(t), m)
-    qt_first = sliding_dot_product(t[:m], t)
-    qt = qt_first.copy()
-    head = t[: num_windows - 1]
-    tail = t[m:]
     windows = sliding_window_view(t, m)
+    k = windows.shape[0]
+    sd = windows.std(axis=1)
+    z = windows - windows.mean(axis=1, keepdims=True)
+    z /= np.where(sd > DEFAULT_EPS, sd, np.inf)[:, None]
+    norms = np.einsum("ij,ij->i", z, z)
+    constant = np.flatnonzero(sd <= DEFAULT_EPS)
 
-    profile = np.empty(num_windows)
-    indices = np.empty(num_windows, dtype=np.int64)
-    for i in range(num_windows):
-        if i > 0:
-            qt[1:] = qt[:-1] - head * t[i - 1] + tail * t[i + m - 1]
-            qt[0] = qt_first[i]
-        d = _fast_distances(qt, m, mu[i], sd[i], mu, sd)
-        lo = max(0, i - exclusion)
-        hi = min(num_windows, i + exclusion + 1)
-        d[lo:hi] = np.inf
-        profile[i], indices[i] = _finish_row(d, i, windows, sd)
+    profile = np.full(k, np.inf)
+    indices = np.full(k, NO_NEIGHBOR, dtype=np.int64)
+    rows = max(1, JOIN_BLOCK_CELLS // k)
+    buf = np.empty((min(rows, k), k))
+    for lo in range(0, k, rows):
+        # squared distances |z_i|^2 + |z_j|^2 - 2 z_i.z_j
+        d2 = np.matmul(-2.0 * z[lo : lo + rows], z.T, out=buf[: min(rows, k - lo)])
+        d2 += norms[lo : lo + rows, None]
+        d2 += norms
+        for i in range(lo, lo + len(d2)):
+            d2[i - lo, max(0, i - exclusion) : i + exclusion + 1] = np.inf
+        # constant windows are all zeros, so a row's first admissible one wins
+        # among them: the first of all, or the first past the row's band
+        j0, j1 = np.searchsorted(constant, [lo + exclusion + 1, lo + len(d2) + exclusion + 1])
+        d2[:, np.r_[constant[1:j0], constant[j1 + 1 :]]] = np.inf
+        cut = np.sqrt(np.maximum(d2.min(axis=1), 0.0)) + NEAR_DUPLICATE
+        near_rows = d2 <= (cut * cut)[:, None]
+        for i in lo + np.flatnonzero(cut < np.inf):
+            near = np.flatnonzero(near_rows[i - lo])
+            diff = z[near] - z[i]
+            exact = np.sqrt(np.add.reduce(diff * diff, axis=1))
+            j = int(exact.argmin())
+            profile[i], indices[i] = exact[j], near[j]
     return MatrixProfileResult(profile, indices, m, exclusion)
 
 
@@ -429,7 +428,7 @@ def brute_force_mp(series, m: int, exclusion: int | None = None) -> MatrixProfil
     """
     t = _values(series)
     n = t.size
-    exclusion = _check_self_join_args(n, m, exclusion)
+    exclusion = _check_self_join_args(t, m, exclusion)
 
     windows = np.lib.stride_tricks.sliding_window_view(t, m)
     mu = windows.mean(axis=1)

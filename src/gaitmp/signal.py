@@ -117,10 +117,10 @@ def project(sample: SensorSample, sel: SignalSelector) -> float:
 
 
 def envelope_window_samples(window_ms: float, sample_rate_hz: float) -> int:
-    if not (window_ms > 0):
-        raise ValueError("window_ms must be positive")
-    if window_ms == math.inf:
-        raise ValueError("window_ms must be finite")
+    if not (0 < window_ms < math.inf):
+        raise ValueError("window_ms must be positive and finite")
+    if not (0 < sample_rate_hz < math.inf):
+        raise ValueError("sample_rate_hz must be positive and finite")
     return max(1, round(window_ms * sample_rate_hz / 1000.0))
 
 

@@ -68,8 +68,8 @@ class StepDetector:
         release_ms: float = DEFAULT_RELEASE_MS,
         min_step_ms: float = DEFAULT_MIN_STEP_MS,
     ):
-        if not (sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
+        if not (0 < sample_rate_hz < math.inf):
+            raise ValueError("sample_rate_hz must be positive and finite")
         if not (0 < threshold_fraction <= 1):
             raise ValueError("threshold_fraction must be in (0, 1]")
         offsets = {"onset_ms": onset_ms, "release_ms": release_ms, "min_step_ms": min_step_ms}

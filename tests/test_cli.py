@@ -211,6 +211,18 @@ class TestMp:
         assert result.exit_code == 0, result.output
         assert "oracle ok" in result.output
 
+    def test_oracle_agrees_on_quiet_data_at_a_level(self, runner, tmp_path):
+        # a gyro at rest reading 100 +- 0.001: raw-value running dot
+        # products cancel on such data and pick wrong neighbours
+        gyro = np.zeros((1000, 3))
+        gyro[:, 0] = 100.0 + 1e-3 * np.random.default_rng(0).normal(size=1000)
+        save_recording(Recording(np.arange(1000) / 100.0, np.zeros((1000, 3)), gyro),
+                       tmp_path / "quiet.csv")
+        result = runner.invoke(main, ["mp", str(tmp_path / "quiet.csv"), "-m", "3", "--oracle",
+                                      "-o", str(tmp_path / "mp.csv")])
+        assert result.exit_code == 0, result.output
+        assert "oracle ok" in result.output
+
     def test_oracle_mismatch_exits_1(self, runner, tmp_path, monkeypatch):
         # a failed assertion, not an error: exit 1 and no `error:` line
         def perturbed(*args, **kwargs):

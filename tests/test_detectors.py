@@ -115,8 +115,10 @@ class TestNaiveConfig:
         lambda rate: Recording([0.0], [[0, 0, 0]], [[0, 0, 0]], sample_rate_hz=rate),
         lambda rate: TimeSeries([1.0, 2.0], rate),
         lambda rate: NaiveDetector(NaiveDetectorConfig(), rate),
+        lambda rate: StepDetector(rate),
+        lambda rate: envelope_window_samples(100.0, rate),
     ],
-    ids=["Recording", "TimeSeries", "NaiveDetector"],
+    ids=["Recording", "TimeSeries", "NaiveDetector", "StepDetector", "envelope_window_samples"],
 )
 def test_sample_rate_must_be_positive_and_finite(build, rate):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -195,6 +195,30 @@ class TestMatrixProfileSelf:
         np.testing.assert_allclose(fast.profile, slow.profile, atol=1e-9)
         np.testing.assert_array_equal(fast.indices, slow.indices)
 
+    @pytest.mark.parametrize("exclusion", [None, 10, 30])
+    def test_rests_between_bursts_match_brute_force(self, exclusion):
+        # runs of constant windows at several levels, all at one distance from
+        # a row: the first admissible one, before the row's band or past it,
+        # is its nearest
+        rng = np.random.default_rng(3)
+        t = np.concatenate([np.full(30, 9.81), rng.normal(size=25), np.zeros(12),
+                            rng.normal(size=20), np.full(40, 9.81)])
+        fast = matrix_profile_self(t, 8, exclusion)
+        slow = brute_force_mp(t, 8, exclusion)
+        np.testing.assert_allclose(fast.profile, slow.profile, atol=1e-9)
+        np.testing.assert_array_equal(fast.indices, slow.indices)
+
+    @pytest.mark.parametrize("level, second", [(100.0, 100.0), (0.0, 1000.0)])
+    def test_quiet_at_a_level_matches_brute_force(self, level, second):
+        # stdev 1e-3 against the level, where raw-value dot products cancel;
+        # the second half of the series moves to the second level
+        t = level + 1e-3 * np.random.default_rng(0).normal(size=120)
+        t[60:] += second - level
+        fast = matrix_profile_self(t, 3)
+        slow = brute_force_mp(t, 3)
+        np.testing.assert_allclose(fast.profile, slow.profile, atol=1e-9)
+        np.testing.assert_array_equal(fast.indices, slow.indices)
+
     def test_periodic_series_profile_near_zero(self):
         t = np.sin(2 * np.pi * np.arange(160) / 8.0)
         res = matrix_profile_self(t, m=16)
@@ -234,6 +258,14 @@ class TestMatrixProfileSelf:
         # exclusion -1 would leave every window as its own neighbor at 0
         with pytest.raises(ValueError, match="exclusion"):
             join(np.sin(np.arange(40.0)), 8, exclusion=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("join", [matrix_profile_self, brute_force_mp])
+    def test_rejects_non_finite(self, join, bad):
+        t = np.sin(np.arange(40.0))
+        t[17] = bad
+        with pytest.raises(DataError):
+            join(t, 8)
 
     def test_accepts_read_only_values(self):
         rng = np.random.default_rng(10)

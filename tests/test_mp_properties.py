@@ -48,18 +48,44 @@ def test_distance_affine_invariance(a, scale, shift):
     assert abs(znorm_distance(scale * a + shift, b) - znorm_distance(a, b)) < 1e-6
 
 
+def quiet_series(seed, n, quiet):
+    """N(0, 1) noise of length n when ``quiet`` is None; otherwise, for
+    quiet = (level, log10 of the stdev, second level or None), noise of that
+    stdev at the level, its second half moved to the second level if any."""
+    noise = np.random.default_rng(seed).normal(size=n)
+    if quiet is None:
+        return noise
+    level, log_sd, second = quiet
+    t = level + 10.0**log_sd * noise
+    if second is not None:
+        t[n // 2 :] += second - level
+    return t
+
+
+# quiet data at one level, or at two, where running sums of the raw values
+# cancel and pick wrong neighbours
+quiet_levels = st.tuples(
+    st.floats(min_value=-1000.0, max_value=1000.0),
+    st.floats(min_value=-4.0, max_value=0.0),
+    st.one_of(st.none(), st.floats(min_value=-1000.0, max_value=1000.0)),
+)
+
+
 @pytest.mark.deep
 @settings(deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=40, max_value=120),
     st.integers(min_value=3, max_value=16),
+    st.one_of(st.none(), quiet_levels),
 )
-@example(seed=1159, n=76, m=3)  # near-duplicate windows at rows 34 and 73
-def test_self_join_matches_brute_force(seed, n, m):
+@example(seed=1159, n=76, m=3, quiet=None)  # near-duplicate windows at rows 34 and 73
+@example(seed=0, n=120, m=3, quiet=(100.0, -3.0, None))
+@example(seed=0, n=120, m=3, quiet=(0.0, -3.0, 1000.0))
+def test_self_join_matches_brute_force(seed, n, m, quiet):
     if 2 * m > n:
         m = n // 2
-    t = np.random.default_rng(seed).normal(size=n)
+    t = quiet_series(seed, n, quiet)
     fast = matrix_profile_self(t, m)
     slow = brute_force_mp(t, m)
     np.testing.assert_allclose(fast.profile, slow.profile, atol=1e-9)
