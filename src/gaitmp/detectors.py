@@ -70,21 +70,23 @@ _set_threshold decides the envelope maximum that the threshold of the
 segmenter (a default StepDetector, whose recompute_threshold owns the rule)
 follows: the largest env_max of the History chunks, or, while History is
 empty and BOOTSTRAP_HORIZON_S of silence-dominated data has passed, the
-largest envelope value absorbed, which is the largest |reading| pushed.
+largest |reading| pushed, which is the largest envelope value.
 _History evicts whole chunks FIFO once retained samples exceed the cap.
 prime_history admits the steps of a clean reference in order, each with its
 envelope maximum as a streamed step has, so the cap keeps the last.
 
-Between steps most step-gated pushes are quiet, and a quiet push only
-stores and counts its reading. A reading is quiet when History is set, no
-step is open and the segmenter has no pending merge, and it and the w - 1
-readings before it (w the envelope window) are at or under the step
-threshold, which has not fallen since the first of them was pushed (a
-reading under a threshold stays under a higher one). The envelope value its
-push would finalize covers exactly those w readings, so it is at or under
-the threshold, and feeding it would only count it: the push skips the
-envelope and the segmenter (StepDetector.skip_quiet counts it). The next push that
-is not quiet, or flush, resumes the envelope from the last w readings.
+The step-gated detector runs no envelope. The segmenter only compares each
+envelope value, the largest |reading| over a window of w readings (w the
+envelope window), with the step threshold, and the value that push k
+finalizes covers readings [k - w + 1, k]. So the detector counts _calm, the
+run of readings at or under the threshold that ends at the newest one,
+recounted over the last w readings whenever the threshold moves. That
+position is over the threshold iff _calm < min(w, k + 1), and a flushed
+tail position p of n readings iff _calm < n - max(0, p - (w-1)//2).
+Between steps most pushes are quiet, and a quiet push only stores and
+counts its reading: History is set, no step is open, the segmenter has no
+pending merge and _calm >= w, so feeding the position would only count it
+(StepDetector.skip_quiet counts it instead).
 No envelope value is stored: a chunk [s, e) takes as env_max the largest
 |reading| over [s - (w-1)//2, e - 1 + w//2], the readings its envelope
 windows cover, which is the largest envelope value over the chunk. So the
@@ -117,7 +119,6 @@ from .signal import (
     DEFAULT_ENVELOPE_MS,
     SensorSample,
     SignalSelector,
-    StreamingEnvelope,
     envelope_window_samples,
     project,
 )
@@ -369,7 +370,6 @@ class _History:
         # the tables
         self._least = np.empty((0, 0))
         self._usable: list[bool] = []
-        self._provisional = False
         # running sums of the buffer, taken on the first fallback after an
         # admission
         self._window_sums = None
@@ -381,7 +381,7 @@ class _History:
         """Append a chunk, or replace the provisional one with it, then
         evict whole chunks FIFO while more than ``cap`` samples are held. A
         provisional chunk only ever enters an empty History."""
-        chunks = ([] if self._provisional else self.chunks) + [chunk]
+        chunks = [c for c in self.chunks if not c.provisional] + [chunk]
         sizes = [c.values.size for c in chunks]
         total = sum(sizes)
         while len(chunks) > 1 and total > cap:
@@ -400,7 +400,6 @@ class _History:
             end += size
         self.longest = max(sizes)
         self.chunks = chunks
-        self._provisional = chunk.provisional
         self._window_sums = None
         self._scratch = np.empty(total)
         self._carry_tables(dropped, gone, cap)
@@ -415,7 +414,7 @@ class _History:
         bounds them by about 32 * cap^2 bytes. The array is replaced, sized
         to hold History up to its cap, when it needs more rows or columns or
         is over twice the size it needs."""
-        if self._provisional or self.longest > cap:
+        if self.chunks[-1].provisional or self.longest > cap:
             return self.release_tables()
         lo, n = self._lo, self.buffer.size
         new = self.chunks[-1]
@@ -543,8 +542,7 @@ class StepGatedDetector:
         fs = config.sample_rate_hz
         self._signal = config.signal
         self._min_query_len = config.min_query_len
-        w = envelope_window_samples(config.envelope_window_ms, fs)
-        self._env_stream = StreamingEnvelope(w)
+        w = self._window = envelope_window_samples(config.envelope_window_ms, fs)
         # an envelope value covers readings [i - _left, i + _right]
         self._left, self._right = (w - 1) // 2, w // 2
         self._step = StepDetector(fs)
@@ -556,14 +554,12 @@ class StepGatedDetector:
         self._phys = 0
         self._raw_count = 0
         self._env_count = 0
-        # the largest envelope value absorbed: the cold start's level
+        # the largest |reading| pushed outside the quiet path: the cold
+        # start's level, read only while History is empty, before any quiet push
         self._env_peak = 0.0
-        # quiet pushes (see push): the readings in a row at or under the
-        # step threshold since it last fell, the run a quiet push needs,
-        # and whether the envelope has missed quiet readings
+        # the run of readings at or under the step threshold that ends at
+        # the newest, counted back at most w readings when the threshold moves
         self._calm = 0
-        self._quiet_after = w
-        self._env_behind = False
         self._history = _History(self._min_query_len)
         # the Current buffer: _current[:_current_len] holds the open step's
         # readings that its last score row saw
@@ -610,7 +606,8 @@ class StepGatedDetector:
     def _set_threshold(self) -> None:
         """Set the step threshold from the envelope maximum it follows:
         History's largest env_max, or, while History is empty and the bootstrap
-        horizon has passed since the base, the largest envelope value absorbed."""
+        horizon has passed since the base, the largest |reading| pushed. When
+        it moves, recount _calm over the last w readings."""
         if self._history.chunks:
             level = max(c.env_max for c in self._history.chunks)
         elif self._env_count - self._base >= self._horizon:
@@ -618,9 +615,14 @@ class StepGatedDetector:
         else:
             return
         old = self._step.threshold
-        # a reading at or under the old threshold may be over a lower one
-        if self._step.recompute_threshold(level) < old:
-            self._calm = 0
+        threshold = self._step.recompute_threshold(level)
+        if threshold != old:
+            calm = 0
+            for x in reversed(self._sig[-self._window :]):
+                if abs(x) > threshold:
+                    break
+                calm += 1
+            self._calm = calm
 
     def prime_history(self, reference) -> None:
         """Admit the steps of a clean reference before streaming, cut by
@@ -638,8 +640,7 @@ class StepGatedDetector:
                 )
         else:
             reference = TimeSeries(reference, rate)
-        window = self._env_stream.window_samples
-        steps, env = segment_series(reference.values, window, StepDetector(rate))
+        steps, env = segment_series(reference.values, self._window, StepDetector(rate))
         if not steps:
             raise ValueError("no step found in the reference")
         for s, e in steps:
@@ -694,13 +695,12 @@ class StepGatedDetector:
         a = abs(value)
         if a <= self._step.threshold:
             calm = self._calm + 1
-            # a quiet reading: it and the w - 1 before it are at or under a
-            # threshold that has not fallen, so the envelope value its push
-            # finalizes is too, and with History set and no step open or
-            # pending that value can only be counted
-            if calm >= self._quiet_after and self._history.chunks and self._step.skip_quiet():
+            # a quiet reading: it and the w - 1 before it are at or under the
+            # threshold, so the envelope value its push finalizes is too, and
+            # with History set and no step open or pending that value can
+            # only be counted
+            if calm >= self._window and self._history.chunks and self._step.skip_quiet():
                 self._calm = calm
-                self._env_behind = True
                 self._raw_count += 1
                 self._sig.append(value)
                 i = self._env_count + 1
@@ -713,48 +713,46 @@ class StepGatedDetector:
                     if base - self._left - self._phys >= self._horizon:
                         self._trim()
                 return ()
+        elif not math.isfinite(value):
+            # before any state changes, so the detector stays as it was
+            raise DataError("non-finite sample in envelope stream")
         else:
-            # also every non-finite value
             calm = 0
-        if self._env_behind and math.isfinite(value):
-            self._resume_envelope()
-        # the envelope validates the value before any state changes, so a
-        # push that raises leaves the detector as it was
-        env_value = self._env_stream.push(value)
         self._calm = calm
         raw_i = self._raw_count
         self._raw_count = raw_i + 1
         self._sig.append(value)
-        if env_value is None:
+        if a > self._env_peak:
+            self._env_peak = a
+        if raw_i < self._right:
             return ()
-        return self._absorb_env(env_value, raw_i)
-
-    def _resume_envelope(self) -> None:
-        self._env_stream.resume(self._sig[-self._env_stream.window_samples :], self._raw_count)
-        self._env_behind = False
+        # position raw_i - w//2 covers readings [raw_i - w + 1, raw_i]
+        return self._absorb_env(calm < min(self._window, raw_i + 1), raw_i)
 
     def flush(self) -> tuple[AlarmEvent, ...]:
-        """Drain the envelope lag, settle open segmentation state and end
-        the stream: a later push raises ValueError. History keeps its chunks
-        and buffer but drops its window tables."""
+        """Feed the envelope positions whose windows run past the end,
+        settle open segmentation state and end the stream: a later push
+        raises ValueError. History keeps its chunks and buffer but drops its
+        window tables."""
         self._ended = True
-        if self._env_behind:
-            self._resume_envelope()
-        raw_i = max(0, self._raw_count - 1)
+        n = self._raw_count
+        raw_i = max(0, n - 1)
         alarms: list[AlarmEvent] = []
-        for env_value in self._env_stream.flush():
-            alarms.extend(self._absorb_env(env_value, raw_i))
+        for p in range(self._env_count, n):
+            # position p covers readings [p - (w-1)//2, n - 1]
+            alarms.extend(self._absorb_env(self._calm < n - max(0, p - self._left), raw_i))
         for ev in self._step.flush():
             self._on_step_event(ev, raw_i)
         self._history.release_tables()
         return tuple(alarms)
 
-    def _absorb_env(self, env_value: float, raw_i: int) -> tuple[AlarmEvent, ...]:
+    def _absorb_env(self, over: bool, raw_i: int) -> tuple[AlarmEvent, ...]:
+        """Feed the next envelope position, over the step threshold or not."""
         i = self._env_count
         self._env_count = i + 1
-        if env_value > self._env_peak:
-            self._env_peak = env_value
-        for ev in self._step.feed(env_value):
+        # feed only compares its sample with the threshold, which is at
+        # least THRESHOLD_FLOOR > 0, so these two stand in for the value
+        for ev in self._step.feed(math.inf if over else 0.0):
             self._on_step_event(ev, raw_i)
 
         if self._in_step:

@@ -5,8 +5,10 @@ constructor checks every value, while Recording.iter_samples builds samples
 from rows it has already checked a block at a time. Each sample is reduced to
 one scalar per step of the pipeline: pick a source (accel or gyro) and a
 channel (single axis or a vector norm). Step detection then runs on the
-rectified running-max envelope of that scalar, which StreamingEnvelope
-computes one reading at a time.
+rectified running-max envelope of that scalar. StreamingEnvelope computes it
+one reading at a time for steps.segment_series; the step-gated detector only
+needs to know whether each envelope value is over the step threshold, and
+reads that from its run of readings at or under the threshold instead.
 """
 
 from __future__ import annotations
@@ -142,13 +144,6 @@ class StreamingEnvelope:
     enters and leaves the deque at most once, so a push costs O(1) amortised
     whatever the window width (Lemire, "Streaming maximum-minimum filter
     using no more than three comparisons per element", 2006).
-
-    A caller that knows what some readings' values would be may store those
-    readings instead of pushing them, and then resume() from the last w
-    readings: the deque after push(x_k) depends only on x[k-w+1 .. k], so
-    resume rebuilds it with push's rule and the stream goes on as if every
-    reading had been pushed, less the values the skipped pushes would have
-    returned.
     """
 
     window_samples: int
@@ -161,43 +156,29 @@ class StreamingEnvelope:
         if self.window_samples < 1:
             raise ValueError("window_samples must be >= 1")
 
-    def _enter(self, k: int, v: float) -> None:
-        """Append |value| v of reading k, evicting every entry it covers."""
-        index, value = self._index, self._value
-        while value and value[-1] <= v:
-            value.pop()
-            index.pop()
-        index.append(k)
-        value.append(v)
-
     def push(self, value: float) -> float | None:
         """Absorb one sample; return the envelope value it finalizes, if any."""
         if not math.isfinite(value):
             raise DataError("non-finite sample in envelope stream")
         k = self._next_in
-        self._enter(k, abs(float(value)))
+        v = abs(float(value))
+        index, values = self._index, self._value
+        # evict every entry the new value covers
+        while values and values[-1] <= v:
+            values.pop()
+            index.pop()
+        index.append(k)
+        values.append(v)
         self._next_in = k + 1
         # the window closing at k is [k - w + 1, k]; one index leaves per push
         w = self.window_samples
-        if self._index[0] <= k - w:
-            self._index.popleft()
-            self._value.popleft()
+        if index[0] <= k - w:
+            index.popleft()
+            values.popleft()
         if k >= self._next_out + w // 2:
             self._next_out += 1
-            return self._value[0]
+            return values[0]
         return None
-
-    def resume(self, recent: list[float], count: int) -> None:
-        """Continue the stream after readings that were not pushed: count
-        readings have arrived in all, and recent holds the last
-        min(window_samples, count) of them, all finite. The values their
-        pushes would have returned are not returned later."""
-        self._index.clear()
-        self._value.clear()
-        for k, x in enumerate(recent, count - len(recent)):
-            self._enter(k, abs(float(x)))
-        self._next_in = count
-        self._next_out = max(0, count - self.window_samples // 2)
 
     def flush(self) -> list[float]:
         """Finalize the trailing positions whose windows ran past the end."""

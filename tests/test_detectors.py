@@ -25,7 +25,13 @@ from gaitmp.detectors import (
     replay,
 )
 from gaitmp.mp import DEFAULT_EPS, TimeSeries, distance_profile
-from gaitmp.signal import SensorSample, SignalSelector, envelope_window_samples
+from gaitmp.signal import (
+    SensorSample,
+    SignalSelector,
+    StreamingEnvelope,
+    envelope_window_samples,
+    project,
+)
 from gaitmp.evaluation import match_alarms
 from gaitmp.steps import ENDED, INITIAL_THRESHOLD, StepDetector
 from oracle import envelope_by_definition, segments_by_definition
@@ -686,12 +692,31 @@ def reading(k, value):
 
 
 class NeverQuiet(StepGatedDetector):
-    """A step-gated detector that takes no quiet push: every reading goes
-    through the envelope and the segmenter."""
+    """A step-gated detector that takes no quiet push and runs a real
+    StreamingEnvelope: every envelope value is compared with the step
+    threshold and fed through _absorb_env, and the cold start's level is the
+    largest envelope value."""
 
     def __init__(self, config):
         super().__init__(config)
-        self._quiet_after = math.inf
+        self._envelope = StreamingEnvelope(self._window)
+
+    def push(self, sample):
+        value = project(sample, self._signal)
+        env = self._envelope.push(value)
+        raw_i = self._raw_count
+        self._raw_count = raw_i + 1
+        self._sig.append(value)
+        return () if env is None else self._absorb(env, raw_i)
+
+    def flush(self):
+        raw_i = max(0, self._raw_count - 1)
+        alarms = [a for env in self._envelope.flush() for a in self._absorb(env, raw_i)]
+        return (*alarms, *super().flush())
+
+    def _absorb(self, env, raw_i):
+        self._env_peak = max(self._env_peak, env)
+        return self._absorb_env(env > self._step.threshold, raw_i)
 
 
 def quiet_reference(rng, amplitude):
@@ -702,10 +727,12 @@ def quiet_reference(rng, amplitude):
     return np.concatenate(parts)
 
 
-def drive_quiet_stream(seed, plan, history_len_s, primed, end_gap):
-    """Push a stream shaped by plan through a NeverQuiet detector and flush
-    it; return the detector, its alarms, the readings and the reference it
-    was primed with (or None).
+def drive_quiet_stream(seed, plan, history_len_s, primed, end_gap, window_ms=100.0, cut=None):
+    """Push a stream shaped by plan through a NeverQuiet detector with an
+    envelope window of window_ms and flush it; return the detector, its
+    alarms, the readings and the reference it was primed with (or None).
+    With a cut, the plan starts at once and only its first cut readings
+    are pushed.
 
     Readings are drawn one at a time, some against the threshold at the
     moment they are pushed: "near" is a burst at, just under or a hair over
@@ -713,7 +740,7 @@ def drive_quiet_stream(seed, plan, history_len_s, primed, end_gap):
     push whose "ended" event admits the step and may lower it, so that
     those readings lie between the new threshold and the old one."""
     rng = np.random.default_rng(seed)
-    cfg = StepSystemConfig(history_len_s=history_len_s)
+    cfg = StepSystemConfig(history_len_s=history_len_s, envelope_window_ms=window_ms)
     det = NeverQuiet(cfg)
     amplitude = rng.uniform(40.0, 120.0)
     reference = quiet_reference(rng, amplitude) if primed else None
@@ -722,14 +749,16 @@ def drive_quiet_stream(seed, plan, history_len_s, primed, end_gap):
     values, alarms = [], []
 
     def push(v):
-        values.append(float(v))
-        alarms.extend(det.push(reading(len(values) - 1, v)))
+        if cut is None or len(values) < cut:
+            values.append(float(v))
+            alarms.extend(det.push(reading(len(values) - 1, v)))
 
     def gap(n):
         for v in rng.normal(0.0, 1.0, n):
             push(v)
 
-    gap(int(rng.integers(0, 350)))
+    lead = int(rng.integers(0, 350))
+    gap(lead if cut is None else 0)
     for kind in plan:
         settled = det._step.threshold < INITIAL_THRESHOLD
         if kind == "gap" or not settled and kind == "near":
@@ -768,25 +797,43 @@ class TestQuietPushes:
         history_len_s=st.sampled_from([0.5, 1.0, 10.0]),
         primed=st.booleans(),
         end_gap=st.integers(0, 400),
+        # envelope windows of 1, 9, 10 and 20 readings at 100 Hz; only past
+        # 2 * release (5 readings) can a flushed tail position end a step
+        # before the stream does
+        window_ms=st.sampled_from([10.0, 90.0, 100.0, 200.0]),
+        # streams shorter than the window, and a little longer
+        cut=st.one_of(st.none(), st.integers(0, 12)),
     )
     # a long quiet tail, flushed inside it
     @example(seed=0, plan=["step", "step", "gap", "step", "gap"], history_len_s=10.0,
-             primed=False, end_gap=400)
+             primed=False, end_gap=400, window_ms=100.0, cut=None)
     # steps of falling amplitude each lower the threshold under the tail
     # before them
     @example(seed=1, plan=["tail", "tail", "gap", "tail", "near", "tail"], history_len_s=0.5,
-             primed=True, end_gap=25)
+             primed=True, end_gap=25, window_ms=100.0, cut=None)
     @example(seed=2, plan=["near", "step", "near", "gap", "near"], history_len_s=1.0,
-             primed=True, end_gap=11)
+             primed=True, end_gap=11, window_ms=100.0, cut=None)
     # an admission lowers the threshold under readings among the last w:
-    # the quiet run must start again there (and only a fall needs that)
-    @example(seed=166, plan=["near", "near"], history_len_s=0.5, primed=True, end_gap=0)
-    @example(seed=1, plan=["step", "tail"], history_len_s=0.5, primed=True, end_gap=5)
+    # the quiet run must be counted again there
+    @example(seed=166, plan=["near", "near"], history_len_s=0.5, primed=True, end_gap=0,
+             window_ms=100.0, cut=None)
+    @example(seed=1, plan=["step", "tail"], history_len_s=0.5, primed=True, end_gap=5,
+             window_ms=100.0, cut=None)
+    # a step ends at a push over the threshold, and its admission raises the
+    # threshold over readings among the last w: they must count as calm
+    @example(seed=1885, plan=["near", "step", "near"], history_len_s=1.0, primed=True,
+             end_gap=0, window_ms=100.0, cut=None)
+    # a position near the start, whose window holds fewer than w readings
+    @example(seed=210219, plan=["near"], history_len_s=0.5, primed=True, end_gap=0,
+             window_ms=90.0, cut=None)
+    # flushed tail positions, whose windows run past the end, end a step
+    @example(seed=0, plan=["gap", "gap"], history_len_s=0.5, primed=False, end_gap=0,
+             window_ms=200.0, cut=None)
     def test_outputs_match_a_detector_that_never_skips(
-        self, seed, plan, history_len_s, primed, end_gap
+        self, seed, plan, history_len_s, primed, end_gap, window_ms, cut
     ):
         slow, slow_alarms, values, reference = drive_quiet_stream(
-            seed, plan, history_len_s, primed, end_gap
+            seed, plan, history_len_s, primed, end_gap, window_ms, cut
         )
         fast = StepGatedDetector(slow.cfg)
         if primed:
@@ -798,8 +845,6 @@ class TestQuietPushes:
         assert fast.trace == slow.trace
         assert alarms == slow_alarms
         assert [c.env_max for c in fast._history.chunks] == [c.env_max for c in slow._history.chunks]
-        # flush resumes an envelope that missed quiet readings
-        assert fast._env_stream == slow._env_stream
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_reading_in_a_quiet_stretch_changes_nothing(self, bad):
@@ -811,16 +856,17 @@ class TestQuietPushes:
             alarms = []
             for k, s in enumerate(rec.iter_samples()):
                 if k == reject_at and reject:
-                    # the envelope has missed the readings of a quiet stretch
-                    assert det._env_behind
+                    # in a quiet stretch: a reading at or under the threshold
+                    # would take the quiet path
+                    assert det._calm >= det._window and det._step._phase == "idle"
                     before = copy.deepcopy(
                         (det._sig, det._raw_count, det._env_count, det._base, det._phys,
-                         det._calm, det._env_behind, det._env_stream, vars(det._step))
+                         det._calm, det._env_peak, vars(det._step))
                     )
                     with pytest.raises(DataError):
                         det.push(reading(k, bad))
                     assert (det._sig, det._raw_count, det._env_count, det._base, det._phys,
-                            det._calm, det._env_behind, det._env_stream, vars(det._step)) == before
+                            det._calm, det._env_peak, vars(det._step)) == before
                 alarms.extend(det.push(s))
             alarms.extend(det.flush())
             runs.append((det.trace, det.step_events, det.admissions, alarms))
@@ -1485,7 +1531,7 @@ class TestSeedRows:
         def counted_seed(history, query):
             before = len(calls)
             best = seed(history, query)
-            seeds.append((history._provisional, len(calls) - before))
+            seeds.append((history.chunks[-1].provisional, len(calls) - before))
             return best
 
         monkeypatch.setattr(_History, "_seed", counted_seed)

@@ -209,26 +209,3 @@ class TestStreamingEnvelope:
             if shape == "decreasing":
                 x = x[::-1]
         np.testing.assert_array_equal(stream_envelope(x, w), envelope_by_definition(x, w))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(1, 200),
-        w=st.integers(1, 30),
-        skip=st.tuples(st.integers(0, 200), st.integers(0, 200)),
-    )
-    @example(seed=4, n=100, w=10, skip=(30, 100))
-    @example(seed=5, n=100, w=25, skip=(0, 12))
-    def test_resume_after_skipped_readings(self, seed, n, w, skip):
-        # readings [a, b) are stored, not pushed: after resume from the last
-        # w of them, every value but the ones their pushes would have
-        # returned (push k returns position k - w//2) is the definition's
-        x = np.random.default_rng(seed).normal(size=n)
-        a, b = sorted(min(k, n) for k in skip)
-        se = StreamingEnvelope(window_samples=w)
-        out = [e for e in map(se.push, x[:a].tolist()) if e is not None]
-        se.resume(x[max(0, b - w) : b].tolist(), b)
-        out += [e for e in map(se.push, x[b:].tolist()) if e is not None]
-        out += se.flush()
-        skipped = np.arange(max(0, a - w // 2), max(0, b - w // 2))
-        np.testing.assert_array_equal(out, np.delete(envelope_by_definition(x, w), skipped))
