@@ -727,7 +727,7 @@ def quiet_reference(rng, amplitude):
     return np.concatenate(parts)
 
 
-def drive_quiet_stream(seed, plan, history_len_s, primed, end_gap, window_ms=100.0, cut=None):
+def drive_quiet_stream(seed, plan, history_len_s, primed, end_gap, window_ms, cut):
     """Push a stream shaped by plan through a NeverQuiet detector with an
     envelope window of window_ms and flush it; return the detector, its
     alarms, the readings and the reference it was primed with (or None).
