@@ -34,7 +34,7 @@ from gaitmp.signal import (
 )
 from gaitmp.evaluation import match_alarms
 from gaitmp.steps import ENDED, INITIAL_THRESHOLD, StepDetector
-from oracle import envelope_by_definition, segments_by_definition
+from oracle import envelope_by_definition, segments_by_definition, znorm_distance
 
 # a long History draw: past the 1,000-reading History of the default
 # step-gated config
@@ -1147,18 +1147,18 @@ def masked_best(query, history):
 
 def assert_row_matches(got, query, history):
     """A score row equals masked_best within 1e-9, with one exception: a
-    row of the shortest length (history._lo, which only a seed row has)
-    that table row 0 answered is held, within 1e-9, to the least of each
-    chunk's own distance profile instead. Its window moments come from one
-    chunk's running sums, as that oracle's do; at a near match of a short
-    query the whole buffer's running sums lose digits (D2) and masked_best
-    parts from both (1.3e-9 at m = 3 in the pinned TestGrowthRows example)."""
+    row that the window tables answered, seed or growth row, is held,
+    within 1e-9, to the least of each chunk's own distance profile instead.
+    Its window moments come from one chunk's running sums, as that oracle's
+    do; at a near match of a short query the whole buffer's running sums
+    lose digits (D2) and masked_best parts from both (1.3e-9 at m = 3 in the
+    pinned TestGrowthRows example, 7.9e-9 at m = 4 in its seed=13049 draw)."""
     want = masked_best(query, history)
     if math.isinf(want):
         assert got == want
         return
     sd_q = math.sqrt(history._m2 / history._m)
-    if query.size == history._lo and history._best_from_table(sd_q) is not None:
+    if history._best_from_table(sd_q) is not None:
         want = min(
             float(distance_profile(query, c.values).min())
             for c in history.chunks
@@ -1250,6 +1250,29 @@ class TestGrowthRows:
         query = draw_query(rng, query_kind, chunks, length, level)
         for m in range(max(3, length - 40), length + 1):
             assert_row_matches(history.best_distance(query[:m]), query[:m], history)
+
+    def test_a_tabled_row_is_nearer_the_definition_than_the_whole_buffers_sums(self):
+        # test_every_row_matches_a_fresh_distance_profile's seed=13049 draw
+        # (query_kind "noise", level 1): four chunks of over LONG readings
+        # and a near match of a 4-reading query, where running sums of the
+        # whole buffer lose digits (D2) that each chunk's own sums keep
+        rng = np.random.default_rng(13049)
+        chunks = draw_history(rng, ["long"] * 4, 1.0)
+        history = _History()
+        # a cap that just holds them sizes the tables to the buffer
+        cap = sum(c.size for c in chunks)
+        for c in chunks:
+            history.admit(_Chunk(c, 1.0), cap=cap)
+        length = int(rng.integers(3, history.longest + 1))
+        query = draw_query(rng, "noise", chunks, length, 1.0)[:4]
+        got = history.best_distance(query)
+        assert history._best_from_table(math.sqrt(history._m2 / history._m)) is not None
+        by_chunk = min(float(distance_profile(query, c).min()) for c in chunks)
+        assert got == pytest.approx(by_chunk, rel=0, abs=1e-12)
+        exact = min(
+            znorm_distance(query, c[j : j + 4]) for c in chunks for j in range(c.size - 3)
+        )
+        assert abs(got - exact) < abs(masked_best(query, history) - exact)
 
     @pytest.mark.parametrize("between", ["admission", "quarantine"])
     def test_consecutive_steps_share_no_state(self, between):
