@@ -7,7 +7,9 @@ Annotations label half-open sample ranges as normal ("ok") or anomalous
 ("ab") steps. The generator synthesizes walking bouts from one fixed smooth
 step template (the STEP_* constants) with seeded jitter and injects one of
 three anomaly kinds, returning exact ground-truth segments alongside the
-samples. parse_config reads the `key = value` config files of the CLI.
+samples. Each step template is computed once per sample rate and kind in a
+process; a rate must put at least one reading in the 0.45 s step.
+parse_config reads the `key = value` config files of the CLI.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +266,11 @@ class SynthConfig:
             raise ValueError(f"anomaly_kind must be one of {ANOMALY_KINDS}")
         if not (0 < self.sample_rate_hz < math.inf and 0 < self.step_period_s < math.inf):
             raise ValueError("sample_rate_hz and step_period_s must be positive and finite")
+        if round(STEP_DURATION_S * self.sample_rate_hz) < 1:
+            raise ValueError(
+                f"sample_rate_hz {self.sample_rate_hz} puts no reading in a "
+                f"{STEP_DURATION_S} s step"
+            )
         if not (0 <= self.lead_in_s < math.inf and 0 <= self.tail_s < math.inf):
             raise ValueError("lead_in_s and tail_s must be non-negative and finite")
 
@@ -308,12 +315,13 @@ def _accel_channels(tau, scale):
     return scale * np.stack([ax, ay, az], axis=1)
 
 
-def _step_arrays(config: SynthConfig, anomalous: bool):
-    """One step's (gyro, accel) waveforms at unit template scale."""
-    n = round(STEP_DURATION_S * config.sample_rate_hz)
-    kind = config.anomaly_kind if anomalous else None
+@cache
+def _step_template(sample_rate_hz: float, kind: str | None):
+    """One step's read-only (gyro, accel) waveforms at unit template scale,
+    normal for kind None; built once per sample rate and kind."""
+    n = round(STEP_DURATION_S * sample_rate_hz)
     if kind == "time-warped":
-        n = round(1.6 * STEP_DURATION_S * config.sample_rate_hz)
+        n = round(1.6 * STEP_DURATION_S * sample_rate_hz)
     tau = np.arange(n) / n
     if kind == "shape-replaced":
         gyro = _tremor_channels(tau)
@@ -323,7 +331,10 @@ def _step_arrays(config: SynthConfig, anomalous: bool):
         # hard drive into saturation: flattened peaks change the shape, which
         # pure rescaling would not (z-normalization removes linear gain)
         gyro = np.tanh(8.0 * gyro)
-    return gyro * STEP_AMPLITUDE_DPS, _accel_channels(tau, STEP_ACCEL_AMPLITUDE)
+    gyro = gyro * STEP_AMPLITUDE_DPS
+    accel = _accel_channels(tau, STEP_ACCEL_AMPLITUDE)
+    gyro.flags.writeable = accel.flags.writeable = False
+    return gyro, accel
 
 
 def generate(config: SynthConfig) -> tuple[Recording, list[LabeledSegment]]:
@@ -348,7 +359,8 @@ def generate(config: SynthConfig) -> tuple[Recording, list[LabeledSegment]]:
     for label in labels:
         jitter = int(round(rng.normal(0.0, 0.01) * fs))
         start = max(0, cursor + jitter)
-        gyro, accel = _step_arrays(config, anomalous=(label == LABEL_AB))
+        kind = config.anomaly_kind if label == LABEL_AB else None
+        gyro, accel = _step_template(fs, kind)
         amp_jitter = rng.normal(1.0, 0.04)
         step_data.append((start, gyro * amp_jitter, accel * amp_jitter, label))
         cursor += period

@@ -63,6 +63,12 @@ class TestGenerate:
         )
         assert result.exit_code == 2
 
+    def test_rate_with_no_reading_per_step_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "-o", str(tmp_path / "x"), "--rate", "1"])
+        assert result.exit_code == 2
+        assert "sample_rate_hz 1.0" in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text("n_normal_steps = 4\nrng_seed = 9\n")

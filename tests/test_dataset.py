@@ -5,10 +5,17 @@ from gaitmp import DataError
 from gaitmp.dataset import (
     ANOMALY_KINDS,
     INGEST_BLOCK,
+    STEP_ACCEL_AMPLITUDE,
+    STEP_AMPLITUDE_DPS,
+    STEP_DURATION_S,
     LabeledSegment,
     Recording,
     RecordingMeta,
     SynthConfig,
+    _accel_channels,
+    _normal_channels,
+    _step_template,
+    _tremor_channels,
     generate,
     load_annotations,
     load_recording,
@@ -282,6 +289,17 @@ class TestGenerator:
             assert all(s.end - s.start == round(1.6 * 45) for s in ab)
             assert ok_len == 45
 
+    @pytest.mark.parametrize("rate", [1.0, 1.1, 0.5])
+    def test_rate_with_no_reading_per_step_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"sample_rate_hz .* 0\.45 s step"):
+            SynthConfig(sample_rate_hz=rate)
+
+    @pytest.mark.parametrize("kind", ANOMALY_KINDS)
+    def test_one_reading_per_step_generates(self, kind):
+        rec, segs = generate(SynthConfig(sample_rate_hz=1.2, anomaly_kind=kind, noise_std=0.0))
+        assert all(s.end - s.start == 1 for s in segs)
+        assert rec.n == segs[-1].end + 1
+
     def test_recording_round_trips_through_files(self, tmp_path):
         rec, segs = generate(SynthConfig(rng_seed=9))
         save_recording(rec, tmp_path / "r.csv")
@@ -293,3 +311,48 @@ class TestGenerator:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(anomaly_kind="spooky")
+
+
+def fresh_template(rate, kind):
+    """A step's (gyro, accel) built from the formula, with no cache."""
+    n = round(STEP_DURATION_S * rate)
+    if kind == "time-warped":
+        n = round(1.6 * STEP_DURATION_S * rate)
+    tau = np.arange(n) / n
+    gyro = _tremor_channels(tau) if kind == "shape-replaced" else _normal_channels(tau)
+    if kind == "amplitude-scaled":
+        gyro = np.tanh(8.0 * gyro)
+    return gyro * STEP_AMPLITUDE_DPS, _accel_channels(tau, STEP_ACCEL_AMPLITUDE)
+
+
+class TestStepTemplate:
+    @pytest.mark.parametrize("rate", [50.0, 100.0, 128.0, 200.0])
+    @pytest.mark.parametrize("kind", [None, *ANOMALY_KINDS])
+    def test_cached_template_is_the_formula_bit_for_bit(self, rate, kind):
+        # compared with the computation, not stored digests: SIMD exp and sin
+        # may differ in the last bit between CPUs
+        want_gyro, want_accel = fresh_template(rate, kind)
+        for _ in range(2):  # a miss, then a hit
+            gyro, accel = _step_template(rate, kind)
+            assert np.array_equal(gyro, want_gyro)
+            assert np.array_equal(accel, want_accel)
+
+    @pytest.mark.parametrize("kind", [None, "time-warped"])
+    def test_cached_arrays_are_read_only(self, kind):
+        gyro, accel = _step_template(100.0, kind)
+        for arr in (gyro, accel):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+        assert np.array_equal(gyro, fresh_template(100.0, kind)[0])
+
+    def test_other_rates_and_kinds_leave_a_recording_unchanged(self):
+        a = SynthConfig(rng_seed=4, anomaly_kind="time-warped")
+        b = SynthConfig(rng_seed=4, anomaly_kind="amplitude-scaled", sample_rate_hz=128.0)
+        rec1, segs1 = generate(a)
+        generate(b)
+        rec2, segs2 = generate(a)
+        for name in ("t", "accel", "gyro"):
+            assert np.array_equal(getattr(rec1, name), getattr(rec2, name))
+        assert segs1 == segs2

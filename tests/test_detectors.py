@@ -1243,8 +1243,10 @@ class TestGrowthRows:
         rng = np.random.default_rng(seed)
         chunks = draw_history(rng, kinds, level)
         history = _History()
+        # a cap that just holds them sizes the tables to the buffer
+        cap = sum(c.size for c in chunks)
         for c in chunks:
-            history.admit(_Chunk(c, 1.0), cap=10**6)
+            history.admit(_Chunk(c, 1.0), cap=cap)
         longest = history.longest
         length = longest + int(rng.integers(1, 4)) if past_longest else int(rng.integers(3, longest + 1))
         query = draw_query(rng, query_kind, chunks, length, level)
