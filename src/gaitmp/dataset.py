@@ -8,7 +8,9 @@ Annotations label half-open sample ranges as normal ("ok") or anomalous
 step template (the STEP_* constants) with seeded jitter and injects one of
 three anomaly kinds, returning exact ground-truth segments alongside the
 samples. Each step template is computed once per sample rate and kind in a
-process; a rate must put at least one reading in the 0.45 s step.
+process; a rate must put at least one reading in the 0.45 s step. A step
+starts up to JITTER_BOUND_S off its beat, so the step period must hold the
+longest step laid out plus twice that bound.
 parse_config reads the `key = value` config files of the CLI.
 """
 
@@ -242,6 +244,11 @@ def load_annotations(path) -> list[LabeledSegment]:
 STEP_AMPLITUDE_DPS = 120.0
 STEP_DURATION_S = 0.45
 STEP_ACCEL_AMPLITUDE = 4.0
+# a time-warped step lasts this many normal steps
+TIME_WARP = 1.6
+# a step starts N(0, STEP_JITTER_S) s off its period's beat, clipped at 5 sigma
+STEP_JITTER_S = 0.01
+JITTER_BOUND_S = 5 * STEP_JITTER_S
 
 
 @dataclass(frozen=True)
@@ -273,6 +280,15 @@ class SynthConfig:
             )
         if not (0 <= self.lead_in_s < math.inf and 0 <= self.tail_s < math.inf):
             raise ValueError("lead_in_s and tail_s must be non-negative and finite")
+        # consecutive steps must not overlap however their starts jitter
+        fs = self.sample_rate_hz
+        kinds = [None] + [self.anomaly_kind] * (self.n_anomalous_steps > 0)
+        need = max(_step_len(fs, k) for k in kinds) + 2 * round(JITTER_BOUND_S * fs)
+        if round(self.step_period_s * fs) < need:
+            raise ValueError(
+                f"step_period_s {self.step_period_s:g} is under {need / fs:g} s: the longest "
+                f"step laid out plus twice the {JITTER_BOUND_S:g} s bound on start jitter"
+            )
 
     def resolved_anomaly_position(self) -> int:
         pos = self.anomaly_position
@@ -315,13 +331,17 @@ def _accel_channels(tau, scale):
     return scale * np.stack([ax, ay, az], axis=1)
 
 
+def _step_len(sample_rate_hz: float, kind: str | None) -> int:
+    """Readings in one step of the kind, normal for None."""
+    warp = TIME_WARP if kind == "time-warped" else 1.0
+    return round(warp * STEP_DURATION_S * sample_rate_hz)
+
+
 @cache
 def _step_template(sample_rate_hz: float, kind: str | None):
     """One step's read-only (gyro, accel) waveforms at unit template scale,
     normal for kind None; built once per sample rate and kind."""
-    n = round(STEP_DURATION_S * sample_rate_hz)
-    if kind == "time-warped":
-        n = round(1.6 * STEP_DURATION_S * sample_rate_hz)
+    n = _step_len(sample_rate_hz, kind)
     tau = np.arange(n) / n
     if kind == "shape-replaced":
         gyro = _tremor_channels(tau)
@@ -357,7 +377,8 @@ def generate(config: SynthConfig) -> tuple[Recording, list[LabeledSegment]]:
     cursor = lead
     step_data = []
     for label in labels:
-        jitter = int(round(rng.normal(0.0, 0.01) * fs))
+        drawn = rng.normal(0.0, STEP_JITTER_S)
+        jitter = int(round(min(max(drawn, -JITTER_BOUND_S), JITTER_BOUND_S) * fs))
         start = max(0, cursor + jitter)
         kind = config.anomaly_kind if label == LABEL_AB else None
         gyro, accel = _step_template(fs, kind)

@@ -8,8 +8,12 @@ Two architectures share the alarm vocabulary:
   seconds and held as round(history_len_s * rate) samples, and its end
   overlaps the Frame's first OVERLAP_FRACTION.
   Both buffers are views of one array of the last readings, rebuilt each
-  hop, and a hop costs one sliding dot product, the running sums of
-  History, and the finish the growth rows use.
+  hop. Once that array is full the Frame moves by exactly hop readings, so
+  each hop-long block of it keeps its dot products with the History
+  windows, and a hop correlates only its newest block and the
+  frame_len % hop readings before its oldest. A hop then takes the running
+  sums of History afresh, as distance_profile does (sums carried from hop
+  to hop would round differently), and the finish the growth rows use.
 * StepGatedDetector: segments steps first, accumulates the live step in a
   Current buffer, and, once it spans MIN_QUERY_MS, queries it (with
   subsequence length equal to the buffer length) against a History of
@@ -65,6 +69,10 @@ stay detectable. _admission decides what a segmentation event admits:
   stay out of the reference memory even when they do not alarm. It never
   follows the alarm threshold: History evolves the same at every threshold,
   which is what lets a recorded trace be re-thresholded faithfully.
+* A step that ends longer than HOLD_RATIO times History's longest clean
+  chunk was scored on its first readings alone, so it is held: it neither
+  enters nor counts as suspect. This also bounds how fast the window tables
+  can grow.
 
 _set_threshold decides the envelope maximum that the threshold of the
 segmenter (a default StepDetector, whose recompute_threshold owns the rule)
@@ -132,6 +140,9 @@ MIN_QUERY_MS = 250.0
 # the envelope readings the step-gated detector sees before it sets its
 # first step threshold from them, in seconds, when History is empty
 BOOTSTRAP_HORIZON_S = 3.0
+# an ended step longer than this times History's longest clean chunk was
+# scored on a prefix alone, and is held: neither admitted nor quarantined
+HOLD_RATIO = 1.5
 
 
 class AlarmEvent(NamedTuple):
@@ -191,7 +202,7 @@ class NaiveDetector:
     Readings collect in a list between hops. A hop appends them to a float64
     array of the last ``keep`` readings, of which Frame and History are
     views, and takes the running sums (mp._sums) of History. The score is
-    one sliding dot product of Frame against History, finished from those
+    the Frame's dot products with History (_products), finished from those
     sums by mp._nearest, the finish the step-gated growth rows use. A
     non-finite reading raises DataError at every hop while it is among the
     last keep readings; no state carries it into a later hop.
@@ -215,6 +226,12 @@ class NaiveDetector:
         self._count = 0
         self._due = config.warmup
         self._ended = False
+        # the Frame's whole hop-long blocks, where two or more of them save
+        # arithmetic over one correlate; their dot products, kept in _ring
+        q = config.frame_len // config.hop
+        self._blocks = q if q >= 2 and config.hop > 1 else 0
+        self._ring: np.ndarray | None = None
+        self._newest = 0
         self.trace: list[TraceRecord] = []
 
     def push(self, value: float) -> tuple[AlarmEvent, ...]:
@@ -234,6 +251,7 @@ class NaiveDetector:
         self._block.clear()
         self._due = self._count + cfg.hop
         if not np.isfinite(readings).all():
+            self._ring = None
             raise DataError("non-finite reading among the naive detector's last readings")
         # history ends overlap samples into the frame, per the buffer layout
         history = readings[: readings.size - (m - cfg.overlap)]
@@ -242,7 +260,7 @@ class NaiveDetector:
         mu_q = float(np.add.reduce(frame)) / m
         dev = frame - mu_q
         best = _nearest(
-            sliding_dot_product(frame, history),
+            self._products(frame, history),
             frame,
             mu_q,
             math.sqrt(float(np.add.reduce(dev * dev)) / m),
@@ -255,6 +273,40 @@ class NaiveDetector:
         if score > cfg.discord_threshold:
             return (AlarmEvent(idx, idx / self.sample_rate_hz, score, m),)
         return ()
+
+    def _products(self, frame: np.ndarray, history: np.ndarray) -> np.ndarray:
+        """The Frame's dot product with every History window. Once the last
+        keep readings are all buffered, the Frame sits a fixed lag after
+        History and moves by exactly hop, so each hop-long block of it has
+        the same products at every later hop. The ring keeps the q blocks'
+        rows twice over, so the q in Frame order are one view, and their
+        sum, oldest first, plus the frame_len % hop readings before them is
+        the hop's. Only the newest block and that remainder are correlated;
+        the ring is rebuilt by the same calls whenever a hop did not add to
+        it."""
+        q = self._blocks
+        if not q or history.size < self.history_len:
+            self._ring = None
+            return sliding_dot_product(frame, history)
+        hop, m = self.cfg.hop, frame.size
+        r, k = m - q * hop, history.size - m + 1
+
+        def block(a: int, taps: int) -> np.ndarray:
+            return np.correlate(history[a : a + k - 1 + taps], frame[a : a + taps])
+
+        ring = self._ring
+        if ring is None:
+            ring = self._ring = np.empty((2 * q, k))
+            for b in range(q):
+                ring[b] = ring[b + q] = block(r + b * hop, hop)
+            self._newest = q - 1
+        else:
+            p = self._newest = (self._newest + 1) % q
+            ring[p] = ring[p + q] = block(m - hop, hop)
+        qt = np.add.reduce(ring[self._newest + 1 : self._newest + 1 + q], axis=0)
+        if r:
+            qt += block(0, r)
+        return qt
 
     def flush(self) -> tuple[AlarmEvent, ...]:
         """End the stream: a later push raises ValueError."""
@@ -410,10 +462,13 @@ class _History:
         chunks (one move of the whole array, whose rows' ends then hold
         leftovers past the buffer) and write the newest chunk's block after
         the rest. A History that holds a provisional chunk, or a chunk longer
-        than ``cap``, holds that chunk alone and keeps no tables, which
-        bounds them by about 32 * cap^2 bytes. The array is replaced, sized
-        to hold History up to its cap, when it needs more rows or columns or
-        is over twice the size it needs."""
+        than ``cap``, holds that chunk alone and keeps no tables. The array
+        is replaced, sized to hold History up to its cap, when it needs more
+        rows or columns or is over twice the size it needs, so it takes at
+        most 32 * L * cap bytes, L the longest chunk held. A step longer
+        than HOLD_RATIO times History's longest clean chunk is held, not
+        admitted, so while History holds a clean chunk an admission raises
+        L by at most that factor."""
         if self.chunks[-1].provisional or self.longest > cap:
             return self.release_tables()
         lo, n = self._lo, self.buffer.size
@@ -584,15 +639,19 @@ class StepGatedDetector:
     def _admission(self, ev) -> _Chunk | None:
         """The chunk a segmentation event admits, or None: at a start while
         History is empty, everything since the base, as a provisional chunk;
-        at an end, the step, unless its peak score exceeded the guard."""
+        at an end, the step, unless its peak score exceeded the guard or it
+        is held, longer than HOLD_RATIO times the longest clean chunk."""
         if ev.kind == STARTED:
             if self._history.chunks or ev.index <= self._base:
                 return None
             start = self._base
-        elif self._step_peak > self.cfg.admission_guard:
-            return None
         else:
             start = self._step_start
+            clean = [c.values.size for c in self._history.chunks if not c.provisional]
+            if self._step_peak > self.cfg.admission_guard or (
+                clean and ev.index - start > HOLD_RATIO * max(clean)
+            ):
+                return None
         values, env_max = self._sig_slice(start, ev.index), self._env_max(start, ev.index)
         return _Chunk(values, env_max, provisional=ev.kind == STARTED)
 

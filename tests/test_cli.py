@@ -69,6 +69,12 @@ class TestGenerate:
         assert "sample_rate_hz 1.0" in result.output
         assert not (tmp_path / "x").exists()
 
+    def test_period_shorter_than_a_jittered_step_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "-o", str(tmp_path / "x"), "--period", "0.3"])
+        assert result.exit_code == 2
+        assert "step_period_s 0.3 is under 0.55 s" in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text("n_normal_steps = 4\nrng_seed = 9\n")

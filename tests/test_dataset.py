@@ -294,6 +294,25 @@ class TestGenerator:
         with pytest.raises(ValueError, match=r"sample_rate_hz .* 0\.45 s step"):
             SynthConfig(sample_rate_hz=rate)
 
+    @pytest.mark.parametrize(
+        "period, kind, bound",
+        [(0.3, "shape-replaced", "0.55"), (0.46, "shape-replaced", "0.55"), (0.8, "time-warped", "0.82")],
+    )
+    def test_period_shorter_than_a_jittered_step_rejected(self, period, kind, bound):
+        # 0.46 is over the 0.45 s step, but a start 0.05 s late would still
+        # run into the next step's start 0.05 s early
+        with pytest.raises(ValueError, match=rf"step_period_s {period} is under {bound} s"):
+            SynthConfig(step_period_s=period, anomaly_kind=kind)
+
+    @pytest.mark.parametrize("kind, period", [("shape-replaced", 0.55), ("time-warped", 0.82)])
+    def test_steps_at_the_shortest_period_lay_out(self, kind, period):
+        for seed in range(20):
+            cfg = SynthConfig(
+                n_normal_steps=40, step_period_s=period, anomaly_kind=kind, rng_seed=seed, lead_in_s=0.0
+            )
+            _, segs = generate(cfg)
+            assert len(segs) == 42
+
     @pytest.mark.parametrize("kind", ANOMALY_KINDS)
     def test_one_reading_per_step_generates(self, kind):
         rec, segs = generate(SynthConfig(sample_rate_hz=1.2, anomaly_kind=kind, noise_std=0.0))
