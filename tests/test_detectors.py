@@ -368,7 +368,7 @@ class TestNaiveHops:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="D2: the one hop at m = 3 (hop 1500, so one correlate and no kept "
+        reason="D2: a hop at m = 3 (hop 1500, so one correlate and no kept "
         "blocks) reads 1.16e-8 off distance_profile; History's running sums over "
         "about 1,000 readings lose the digits",
     )
@@ -380,6 +380,8 @@ class TestNaiveHops:
 
 
 def check_naive_hops(seed, frame_len, extra, hop, threshold, kinds, level, more_hops):
+    """Push a drawn stream through a NaiveDetector at 1 Hz and hold its hops
+    and alarms to naive_hops."""
     cfg = NaiveDetectorConfig(
         frame_len=frame_len,
         hop=hop,
