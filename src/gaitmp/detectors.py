@@ -91,10 +91,17 @@ run of readings at or under the threshold that ends at the newest one,
 recounted over the last w readings whenever the threshold moves. That
 position is over the threshold iff _calm < min(w, k + 1), and a flushed
 tail position p of n readings iff _calm < n - max(0, p - (w-1)//2).
-Between steps most pushes are quiet, and a quiet push only stores and
-counts its reading: History is set, no step is open, the segmenter has no
-pending merge and _calm >= w, so feeding the position would only count it
-(StepDetector.skip_quiet counts it instead).
+Between steps most pushes are quiet: History is set, no step is open, the
+segmenter has no pending merge and _calm >= w, so feeding the position
+would only count it. The first quiet push of a run counts its reading
+(StepDetector.skip_quiet counts it for the segmenter) and arms the run.
+Each later reading at or under the threshold is then only appended to the
+readings buffer. The run's pending readings are counted in one step (one
+skip_quiet(n), _calm, the counters and the base) when the run is settled:
+at the first reading over the threshold, at flush, and when the buffer
+reaches 2 * bootstrap horizon + w - 1 readings, where counting each reading
+as it comes would trim it. So the buffer is trimmed at the same pushes
+either way, and every output is the same.
 No envelope value is stored: a chunk [s, e) takes as env_max the largest
 |reading| over [s - (w-1)//2, e - 1 + w//2], the readings its envelope
 windows cover, which is the largest envelope value over the chunk. So the
@@ -593,20 +600,26 @@ class StepGatedDetector:
     """
 
     def __init__(self, config: StepSystemConfig = StepSystemConfig()):
+        # push reads many of these attributes, and CPython 3.11 reads them
+        # more slowly from an instance that holds 30 or more: this one holds
+        # 27, so perfbench's timed subclass, which adds two, stays under
         self.cfg = config
         fs = config.sample_rate_hz
-        self._signal = config.signal
         self._min_query_len = config.min_query_len
         w = self._window = envelope_window_samples(config.envelope_window_ms, fs)
         # an envelope value covers readings [i - _left, i + _right]
         self._left, self._right = (w - 1) // 2, w // 2
         self._step = StepDetector(fs)
+        # the segmenter's threshold, mirrored by _set_threshold for push
+        self._threshold = self._step.threshold
         self._horizon = config.bootstrap_horizon
         # _sig holds the readings from index _phys on; the ones more than
         # _left before _base are dead and trimmed in batches of >= _horizon
         self._sig: list[float] = []
         self._base = 0
         self._phys = 0
+        # the readings counted so far: an armed quiet run's pending readings
+        # are in _sig, but not yet in _raw_count, _env_count or _calm
         self._raw_count = 0
         self._env_count = 0
         # the largest |reading| pushed outside the quiet path: the cold
@@ -615,6 +628,11 @@ class StepGatedDetector:
         # the run of readings at or under the step threshold that ends at
         # the newest, counted back at most w readings when the threshold moves
         self._calm = 0
+        # while a quiet run is armed, a reading at or under the threshold is
+        # only appended to _sig, and _run_cap is the length of _sig at which
+        # a counted quiet push would trim it, where _settle counts the run's
+        # pending readings; 0 while no run is armed
+        self._run_cap = 0
         self._history = _History(self._min_query_len)
         # the Current buffer: _current[:_current_len] holds the open step's
         # readings that its last score row saw
@@ -624,15 +642,14 @@ class StepGatedDetector:
         self._step_start = 0
         self._step_ordinal = -1
         self._step_peak = 0.0
-        self._seq = 0
         self._ended = False
         self.trace: list[TraceRecord] = []
         self.step_events: list[dict] = []
         self.admissions: list[dict] = []
 
     def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+        # every admission and step event takes the next one
+        return len(self.admissions) + len(self.step_events) + 1
 
     # -- history ----------------------------------------------------------
 
@@ -673,8 +690,8 @@ class StepGatedDetector:
             level = self._env_peak
         else:
             return
-        old = self._step.threshold
-        threshold = self._step.recompute_threshold(level)
+        old = self._threshold
+        threshold = self._threshold = self._step.recompute_threshold(level)
         if threshold != old:
             calm = 0
             for x in reversed(self._sig[-self._window :]):
@@ -750,32 +767,40 @@ class StepGatedDetector:
     def push(self, sample: SensorSample) -> tuple[AlarmEvent, ...]:
         if self._ended:
             raise ValueError("push after flush: the stream has ended")
-        value = project(sample, self._signal)
+        value = project(sample, self.cfg.signal)
         a = abs(value)
-        if a <= self._step.threshold:
+        if a <= self._threshold:
+            cap = self._run_cap
+            if cap:
+                # a pending reading of the armed quiet run
+                sig = self._sig
+                sig.append(value)
+                if len(sig) >= cap:
+                    self._settle()
+                return ()
             calm = self._calm + 1
             # a quiet reading: it and the w - 1 before it are at or under the
             # threshold, so the envelope value its push finalizes is too, and
             # with History set and no step open or pending that value can
-            # only be counted
+            # only be counted; so can every later one up to the next reading
+            # over the threshold, and the run is armed
             if calm >= self._window and self._history.chunks and self._step.skip_quiet():
                 self._calm = calm
                 self._raw_count += 1
                 self._sig.append(value)
-                i = self._env_count + 1
-                self._env_count = i
-                # _rebase(i - _horizon), as _absorb_env calls it, inlined:
-                # a call per quiet push costs about a tenth of the push
-                base = i - self._horizon
-                if base > self._base:
-                    self._base = base
-                    if base - self._left - self._phys >= self._horizon:
-                        self._trim()
+                self._env_count += 1
+                self._rebase(self._env_count - self._horizon)
+                # _sig is shorter than this here: _rebase trims it to
+                # _horizon + w - 1 readings once it is this long
+                self._run_cap = 2 * self._horizon + self._window - 1
                 return ()
         elif not math.isfinite(value):
             # before any state changes, so the detector stays as it was
             raise DataError("non-finite sample in envelope stream")
         else:
+            if self._run_cap:
+                self._run_cap = 0
+                self._settle()
             calm = 0
         self._calm = calm
         raw_i = self._raw_count
@@ -788,12 +813,26 @@ class StepGatedDetector:
         # position raw_i - w//2 covers readings [raw_i - w + 1, raw_i]
         return self._absorb_env(calm < min(self._window, raw_i + 1), raw_i)
 
+    def _settle(self) -> None:
+        """Count the armed quiet run's pending readings, the ones in _sig
+        past _raw_count, as quiet pushes would have one by one: the
+        segmenter skips them, and the base follows the last of them."""
+        n = len(self._sig) + self._phys - self._raw_count
+        self._step.skip_quiet(n)
+        self._calm += n
+        self._raw_count += n
+        self._env_count += n
+        self._rebase(self._env_count - self._horizon)
+
     def flush(self) -> tuple[AlarmEvent, ...]:
         """Feed the envelope positions whose windows run past the end,
         settle open segmentation state and end the stream: a later push
         raises ValueError. History keeps its chunks and buffer but drops its
         window tables."""
         self._ended = True
+        if self._run_cap:
+            self._run_cap = 0
+            self._settle()
         n = self._raw_count
         raw_i = max(0, n - 1)
         alarms: list[AlarmEvent] = []

@@ -14,9 +14,11 @@ reports are exactly those of the definition above applied to the whole
 stream: a STARTED event is held back until the step is guaranteed to survive
 the duration filter, and an ENDED event until no future rise can merge into
 the step. Both may carry indices behind the current stream position.
-skip_quiet stands in for a feed that can only count its sample: the caller
-vouches that the sample is at or under the threshold, and it is counted only
-while no step is open or pending. segment_series segments a whole series at
+skip_quiet(n) stands in for n feeds that can only count their samples: the
+caller vouches that they are at or under the threshold, and they are counted
+only while no step is open or pending. StepGatedDetector calls it with n = 1
+for the first quiet sample of a run, and once with the rest of the run when
+the run is settled. segment_series segments a whole series at
 one threshold; `gaitmp segment` and StepGatedDetector.prime_history call it.
 """
 
@@ -154,13 +156,13 @@ class StepDetector:
             self._started_emitted = True
         return tuple(events)
 
-    def skip_quiet(self) -> bool:
-        """Count one envelope sample that the caller knows is at or under
-        the threshold, without feeding it, if no step is open or pending:
-        feed would only count it. Return whether it was counted."""
+    def skip_quiet(self, n: int = 1) -> bool:
+        """Count n envelope samples that the caller knows are at or under
+        the threshold, without feeding them, if no step is open or pending:
+        feed would only count them. Return whether they were counted."""
         if self._phase != "idle":
             return False
-        self._next_index += 1
+        self._next_index += n
         return True
 
     def flush(self) -> tuple[StepEvent, ...]:

@@ -294,6 +294,33 @@ class TestStreaming:
         events.extend(det.flush())
         assert segments_from_events(events) == segments_by_definition(det, env)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 160))
+    def test_skip_quiet_counts_a_whole_quiet_run_at_once(self, seed, n):
+        # a run of samples at or under the threshold whose first one
+        # skip_quiet counted is counted in one call when it ends
+        rng = np.random.default_rng(seed)
+        env = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=n, p=[0.4, 0.1, 0.1, 0.2, 0.2])
+        det = detector(rate=1000.0, onset_ms=3.0, release_ms=4.0, min_step_ms=10.0)
+        det.threshold = 1.0
+        events, pending = [], None
+        for v in env:
+            if v <= det.threshold:
+                if pending is not None:
+                    pending += 1
+                    continue
+                if det.skip_quiet():
+                    pending = 0
+                    continue
+            elif pending is not None:
+                assert det.skip_quiet(pending)
+                pending = None
+            events.extend(det.feed(v))
+        if pending is not None:
+            assert det.skip_quiet(pending)
+        events.extend(det.flush())
+        assert segments_from_events(events) == segments_by_definition(det, env)
+
     def test_skip_quiet_declines_while_a_step_is_open_or_pending(self):
         det = detector(onset_ms=0.0, release_ms=50.0, min_step_ms=0.0)
         det.threshold = 1.0
@@ -302,6 +329,7 @@ class TestStreaming:
         assert not det.skip_quiet()
         events += det.feed(0.0)  # pending for the 5-sample release
         assert not det.skip_quiet()
+        assert not det.skip_quiet(3)
         for _ in range(5):
             events += det.feed(0.0)
         assert det.skip_quiet()
