@@ -667,13 +667,16 @@ class TestStepGatedBehavior:
 
     def test_idle_buffers_stay_bounded(self):
         # readings before the bootstrap horizon are dropped in batches: the
-        # buffers stay under two horizons plus the few samples of envelope lag
-        assert_idle_buffers_bounded(tail_s=30.0)
-
-    def test_idle_buffers_stay_bounded_over_a_long_tail(self):
-        # quiet runs are counted when they end, and trimmed where each of
-        # their readings would have been counted: 600 s hold the same bound
-        assert_idle_buffers_bounded(tail_s=600.0)
+        # buffers stay under two horizons plus the few samples of envelope
+        # lag, also where one quiet run lasts 600 s
+        for tail_s in (30.0, 600.0):
+            rec, _ = generate(SynthConfig(n_normal_steps=4, n_anomalous_steps=0, tail_s=tail_s))
+            det = StepGatedDetector(StepSystemConfig())
+            longest = 0
+            for s in rec.iter_samples():
+                det.push(s)
+                longest = max(longest, len(det._sig))
+            assert longest <= 2 * det.cfg.bootstrap_horizon + 20
 
     def test_replay_memory_does_not_grow_with_the_recording(self):
         # replay streams samples a block at a time, so its traced peak over a
@@ -736,19 +739,6 @@ class TestStepGatedBehavior:
             runs.append((det._raw_count, det.trace, det.admissions, det.step_events))
         assert runs[0][0] == 900 and all(runs[0][1:])
         assert runs[1] == runs[0]
-
-
-def assert_idle_buffers_bounded(tail_s):
-    """Push a 4-step walk and a quiet tail of tail_s through the default
-    step-gated detector; _sig never holds more than two bootstrap horizons
-    and 20 readings."""
-    rec, _ = generate(SynthConfig(n_normal_steps=4, n_anomalous_steps=0, tail_s=tail_s))
-    det = StepGatedDetector(StepSystemConfig())
-    longest = 0
-    for s in rec.iter_samples():
-        det.push(s)
-        longest = max(longest, len(det._sig))
-    assert longest <= 2 * det.cfg.bootstrap_horizon + 20
 
 
 def reading(k, value):
