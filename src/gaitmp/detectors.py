@@ -93,15 +93,14 @@ position is over the threshold iff _calm < min(w, k + 1), and a flushed
 tail position p of n readings iff _calm < n - max(0, p - (w-1)//2).
 Between steps most pushes are quiet: History is set, no step is open, the
 segmenter has no pending merge and _calm >= w, so feeding the position
-would only count it. The first quiet push of a run counts its reading
-(StepDetector.skip_quiet counts it for the segmenter) and arms the run.
-Each later reading at or under the threshold is then only appended to the
-readings buffer. The run's pending readings are counted in one step (one
-skip_quiet(n), _calm, the counters and the base) when the run is settled:
-at the first reading over the threshold, at flush, and when the buffer
-reaches 2 * bootstrap horizon + w - 1 readings, where counting each reading
-as it comes would trim it. So the buffer is trimmed at the same pushes
-either way, and every output is the same.
+would only count it. A quiet run is armed by its first quiet reading, and
+from then on each reading at or under the threshold, that one included, is
+only appended to the readings buffer. All of the run's readings are counted
+in one step (one skip_quiet(n), _calm, the counters and the base) when
+_settle runs: at the first reading over the threshold, at flush, and when
+the buffer reaches 2 * bootstrap horizon + w - 1 readings, where counting
+each reading as it comes would trim it. So the buffer is trimmed at the
+same pushes either way, and every output is the same.
 No envelope value is stored: a chunk [s, e) takes as env_max the largest
 |reading| over [s - (w-1)//2, e - 1 + w//2], the readings its envelope
 windows cover, which is the largest envelope value over the chunk. So the
@@ -334,8 +333,9 @@ class StepSystemConfig:
     admission_guard: float = 0.35
 
     def __post_init__(self):
-        if not (0 < self.sample_rate_hz < math.inf and 0 < self.history_len_s < math.inf):
-            raise ValueError("sample_rate_hz and history_len_s must be positive and finite")
+        for name in ("sample_rate_hz", "history_len_s", "envelope_window_ms"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
         if not (0 <= self.discord_threshold <= 1):
             raise ValueError("discord_threshold must be in [0, 1]")
         # a number, never None: a guard that followed the alarm threshold
@@ -602,7 +602,8 @@ class StepGatedDetector:
     def __init__(self, config: StepSystemConfig = StepSystemConfig()):
         # push reads many of these attributes, and CPython 3.11 reads them
         # more slowly from an instance that holds 30 or more: this one holds
-        # 27, so perfbench's timed subclass, which adds two, stays under
+        # at most 27 (a test checks it), so perfbench's timed subclass, which
+        # adds two, stays under
         self.cfg = config
         fs = config.sample_rate_hz
         self._min_query_len = config.min_query_len
@@ -618,8 +619,9 @@ class StepGatedDetector:
         self._sig: list[float] = []
         self._base = 0
         self._phys = 0
-        # the readings counted so far: an armed quiet run's pending readings
-        # are in _sig, but not yet in _raw_count, _env_count or _calm
+        # the readings counted so far: an armed quiet run's readings, its
+        # first included, are in _sig, but not in _raw_count, _env_count or
+        # _calm until _settle counts them
         self._raw_count = 0
         self._env_count = 0
         # the largest |reading| pushed outside the quiet path: the cold
@@ -628,10 +630,11 @@ class StepGatedDetector:
         # the run of readings at or under the step threshold that ends at
         # the newest, counted back at most w readings when the threshold moves
         self._calm = 0
-        # while a quiet run is armed, a reading at or under the threshold is
-        # only appended to _sig, and _run_cap is the length of _sig at which
-        # a counted quiet push would trim it, where _settle counts the run's
-        # pending readings; 0 while no run is armed
+        # a quiet run is armed by its first quiet reading; while it is, a
+        # reading at or under the threshold is only appended to _sig, and
+        # _run_cap is the length of _sig at which a counted quiet push would
+        # trim it, where _settle counts the run's readings and disarms it;
+        # 0 while no run is armed
         self._run_cap = 0
         self._history = _History(self._min_query_len)
         # the Current buffer: _current[:_current_len] holds the open step's
@@ -705,7 +708,7 @@ class StepGatedDetector:
         segment_series with this detector's envelope window and StepDetector's
         defaults; a reference with no step raises ValueError. A TimeSeries
         reference must be sampled at the configured rate, within UNIFORMITY_TOL."""
-        if self._raw_count:
+        if self._raw_count or self._run_cap:
             raise ValueError("prime_history must run before any samples are pushed")
         rate = self.cfg.sample_rate_hz
         if isinstance(reference, TimeSeries):
@@ -771,6 +774,15 @@ class StepGatedDetector:
         a = abs(value)
         if a <= self._threshold:
             cap = self._run_cap
+            if not cap:
+                calm = self._calm + 1
+                # a quiet reading: it and the w - 1 before it are at or under
+                # the threshold, so the envelope value its push finalizes is
+                # too, and with History set and no step open or pending that
+                # value can only be counted; so can every later one up to the
+                # next reading over the threshold, and the run is armed
+                if calm >= self._window and self._history.chunks and self._step.skip_quiet(0):
+                    cap = self._run_cap = 2 * self._horizon + self._window - 1
             if cap:
                 # a pending reading of the armed quiet run
                 sig = self._sig
@@ -778,28 +790,11 @@ class StepGatedDetector:
                 if len(sig) >= cap:
                     self._settle()
                 return ()
-            calm = self._calm + 1
-            # a quiet reading: it and the w - 1 before it are at or under the
-            # threshold, so the envelope value its push finalizes is too, and
-            # with History set and no step open or pending that value can
-            # only be counted; so can every later one up to the next reading
-            # over the threshold, and the run is armed
-            if calm >= self._window and self._history.chunks and self._step.skip_quiet():
-                self._calm = calm
-                self._raw_count += 1
-                self._sig.append(value)
-                self._env_count += 1
-                self._rebase(self._env_count - self._horizon)
-                # _sig is shorter than this here: _rebase trims it to
-                # _horizon + w - 1 readings once it is this long
-                self._run_cap = 2 * self._horizon + self._window - 1
-                return ()
         elif not math.isfinite(value):
             # before any state changes, so the detector stays as it was
             raise DataError("non-finite sample in envelope stream")
         else:
             if self._run_cap:
-                self._run_cap = 0
                 self._settle()
             calm = 0
         self._calm = calm
@@ -814,9 +809,10 @@ class StepGatedDetector:
         return self._absorb_env(calm < min(self._window, raw_i + 1), raw_i)
 
     def _settle(self) -> None:
-        """Count the armed quiet run's pending readings, the ones in _sig
-        past _raw_count, as quiet pushes would have one by one: the
-        segmenter skips them, and the base follows the last of them."""
+        """Count the armed quiet run's readings, the ones in _sig past
+        _raw_count, as quiet pushes would have one by one, and disarm the
+        run: the segmenter skips them, and the base follows the last of them."""
+        self._run_cap = 0
         n = len(self._sig) + self._phys - self._raw_count
         self._step.skip_quiet(n)
         self._calm += n
@@ -831,7 +827,6 @@ class StepGatedDetector:
         window tables."""
         self._ended = True
         if self._run_cap:
-            self._run_cap = 0
             self._settle()
         n = self._raw_count
         raw_i = max(0, n - 1)

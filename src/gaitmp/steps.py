@@ -16,10 +16,11 @@ the duration filter, and an ENDED event until no future rise can merge into
 the step. Both may carry indices behind the current stream position.
 skip_quiet(n) stands in for n feeds that can only count their samples: the
 caller vouches that they are at or under the threshold, and they are counted
-only while no step is open or pending. StepGatedDetector calls it with n = 1
-for the first quiet sample of a run, and once with the rest of the run when
-the run is settled. segment_series segments a whole series at
-one threshold; `gaitmp segment` and StepGatedDetector.prime_history call it.
+only while no step is open or pending. StepGatedDetector calls it with n = 0
+to ask whether a quiet run may start, and once with the whole run, its first
+sample included, when the run is settled. segment_series segments a whole
+series at one threshold; `gaitmp segment` and StepGatedDetector.prime_history
+call it.
 """
 
 from __future__ import annotations
@@ -156,10 +157,11 @@ class StepDetector:
             self._started_emitted = True
         return tuple(events)
 
-    def skip_quiet(self, n: int = 1) -> bool:
+    def skip_quiet(self, n: int) -> bool:
         """Count n envelope samples that the caller knows are at or under
         the threshold, without feeding them, if no step is open or pending:
-        feed would only count them. Return whether they were counted."""
+        feed would only count them. Return whether they were counted, which
+        for n = 0 says only whether the segmenter is idle."""
         if self._phase != "idle":
             return False
         self._next_index += n

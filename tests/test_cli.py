@@ -801,12 +801,17 @@ class TestUsageErrors:
              "history_len_s"),
             (["detect", "{rec}", "-o", "{out}/a.jsonl", "--mode", "naive", "--history-len", "inf"],
              None, "history_len_s"),
-            (["detect", "{rec}", "-o", "{out}/a.jsonl"], "envelope_window_ms = inf", "window_ms"),
+            (["detect", "{rec}", "-o", "{out}/a.jsonl"], "envelope_window_ms = inf",
+             "envelope_window_ms"),
+            # finite, but not positive: rejected by the same check
+            (["detect", "{rec}", "-o", "{out}/a.jsonl"], "envelope_window_ms = 0",
+             "envelope_window_ms"),
         ],
         ids=["segment-envelope", "segment-onset", "segment-min-step", "segment-release-nan",
              "generate-period", "generate-rate", "generate-lead-in", "generate-tail-nan",
              "generate-noise-nan", "generate-noise-inf", "generate-config-noise-nan",
-             "detect-history", "detect-naive-history", "detect-config-envelope"],
+             "detect-history", "detect-naive-history", "detect-config-envelope",
+             "detect-config-envelope-zero"],
     )
     def test_setting_that_is_not_finite_is_usage_error(self, runner, tmp_path, args, line, setting):
         gen(runner, tmp_path / "rec")

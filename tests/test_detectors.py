@@ -440,6 +440,10 @@ class TestStepSystemConfig:
             StepSystemConfig(admission_guard=1.2)
         with pytest.raises(ValueError):
             StepSystemConfig(admission_guard=None)
+        # named here, not left to the detector's envelope window
+        for bad in (0.0, -10.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="envelope_window_ms must be positive and finite"):
+                StepSystemConfig(envelope_window_ms=bad)
         # 250 ms at 10 Hz rounds to 2 samples, too short a query
         with pytest.raises(ValueError, match="at least 3 samples"):
             StepSystemConfig(sample_rate_hz=10.0)
@@ -633,6 +637,17 @@ class TestStepGatedBehavior:
         det.push(rec.samples[0])
         with pytest.raises(ValueError):
             det.prime_history(np.zeros(400))
+
+    def test_prime_history_rejects_after_a_pending_quiet_push(self):
+        # with a one-reading envelope window a primed detector arms a quiet
+        # run at its first push, whose reading is pending, not yet counted
+        ref = make_recording()[0].project(SignalSelector()).values
+        det = StepGatedDetector(StepSystemConfig(envelope_window_ms=10.0))
+        det.prime_history(ref)
+        assert det.push(reading(0, 0.0)) == ()
+        assert det._run_cap and det._raw_count == 0
+        with pytest.raises(ValueError, match="before any samples"):
+            det.prime_history(ref)
 
     def test_primed_reference_replaces_provisional_bootstrap(self):
         rec, truth = make_recording()
@@ -958,6 +973,10 @@ class TestQuietPushes:
     # a quiet run of 581 pending readings, counted at flush
     @example(seed=0, plan=["step", "step", "gap"], history_len_s=1.0, primed=True,
              end_gap=400, window_ms=100.0, cut=None)
+    # a one-reading window, where a lone reading over the threshold makes no
+    # step: the push that arms a run brings the buffer to the trim length
+    @example(seed=305, plan=["near", "gap"] * 5, history_len_s=10.0, primed=True,
+             end_gap=400, window_ms=10.0, cut=None)
     # primed and quiet from the first readings: the run is armed at the w-th
     @example(seed=0, plan=["gap", "step"], history_len_s=0.5, primed=True, end_gap=0,
              window_ms=100.0, cut=None)
@@ -983,6 +1002,17 @@ class TestQuietPushes:
         assert fast.trace == slow.trace
         assert alarms == slow_alarms
         assert [c.env_max for c in fast._history.chunks] == [c.env_max for c in slow._history.chunks]
+
+    def test_the_detector_holds_at_most_27_attributes(self):
+        # push reads many instance attributes, and CPython 3.11 reads them
+        # more slowly from an instance that holds 30 or more; perfbench's
+        # timed subclass adds two
+        ref = make_recording(seed=1)[0].project(SignalSelector()).values
+        det = StepGatedDetector(StepSystemConfig())
+        det.prime_history(ref)
+        replay(det, make_recording()[0])
+        assert det.trace and det._history.chunks
+        assert len(vars(det)) <= 27, sorted(vars(det))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_reading_in_a_quiet_stretch_changes_nothing(self, bad):

@@ -289,7 +289,7 @@ class TestStreaming:
         det.threshold = 1.0
         events = []
         for v in env:
-            if not (v <= det.threshold and det.skip_quiet()):
+            if not (v <= det.threshold and det.skip_quiet(1)):
                 events.extend(det.feed(v))
         events.extend(det.flush())
         assert segments_from_events(events) == segments_by_definition(det, env)
@@ -297,8 +297,9 @@ class TestStreaming:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000), n=st.integers(1, 160))
     def test_skip_quiet_counts_a_whole_quiet_run_at_once(self, seed, n):
-        # a run of samples at or under the threshold whose first one
-        # skip_quiet counted is counted in one call when it ends
+        # a run of samples at or under the threshold that starts while
+        # skip_quiet(0) reports the segmenter idle is counted in one call,
+        # its first sample included, when it ends
         rng = np.random.default_rng(seed)
         env = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=n, p=[0.4, 0.1, 0.1, 0.2, 0.2])
         det = detector(rate=1000.0, onset_ms=3.0, release_ms=4.0, min_step_ms=10.0)
@@ -306,11 +307,10 @@ class TestStreaming:
         events, pending = [], None
         for v in env:
             if v <= det.threshold:
+                if pending is None and det.skip_quiet(0):
+                    pending = 0
                 if pending is not None:
                     pending += 1
-                    continue
-                if det.skip_quiet():
-                    pending = 0
                     continue
             elif pending is not None:
                 assert det.skip_quiet(pending)
@@ -324,17 +324,24 @@ class TestStreaming:
     def test_skip_quiet_declines_while_a_step_is_open_or_pending(self):
         det = detector(onset_ms=0.0, release_ms=50.0, min_step_ms=0.0)
         det.threshold = 1.0
-        assert det.skip_quiet()
+        # skip_quiet(0) reports an idle segmenter and counts nothing
+        assert det.skip_quiet(0)
+        assert det.skip_quiet(1)
         events = list(det.feed(5.0))  # a step opens at sample 1
-        assert not det.skip_quiet()
+        assert not det.skip_quiet(0)
+        assert not det.skip_quiet(1)
         events += det.feed(0.0)  # pending for the 5-sample release
-        assert not det.skip_quiet()
+        assert not det.skip_quiet(0)
+        assert not det.skip_quiet(1)
         assert not det.skip_quiet(3)
         for _ in range(5):
             events += det.feed(0.0)
-        assert det.skip_quiet()
-        # declined calls count nothing: the step is [1, 7), and the sample
-        # skipped after it is sample 8, so the next one is sample 9
+        assert det.skip_quiet(0)
+        assert det.skip_quiet(1)
+        assert det.skip_quiet(0)
+        # declined calls, and calls with n = 0, count nothing: the step is
+        # [1, 7), and the sample skipped after it is sample 8, so the next
+        # one is sample 9
         assert events == [StepEvent("started", 1), StepEvent("ended", 7)]
         assert det.feed(5.0) == (StepEvent("started", 9),)
         assert det.flush() == (StepEvent("ended", 10),)
